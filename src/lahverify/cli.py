@@ -5,30 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from .numbers import lah, lah_triangle, stirling1, stirling1_triangle
+from .numbers import lah, stirling1, triangle_rows
 from .verify import ROUTE_NAMES, VerificationReport, verify_grid
 
 R6_MAX_K = 8
 R6_MAX_N = 10
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    fmt: str = "text"
-    n: int | None = None
-    k: int | None = None
-    kind: str | None = None
-    max_n: int | None = None
-    k_min: int | None = None
-    k_max: int | None = None
-    n_min: int | None = None
-    n_max: int | None = None
-    routes: tuple[str, ...] = field(default_factory=tuple)
-    jobs: int = 1
 
 
 def emit_report(reports: Sequence[VerificationReport], fmt: str = "text") -> str:
@@ -125,61 +108,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    if ns.command in ("lah", "stirling1"):
-        if ns.n < 0 or ns.k < 0:
-            raise ValueError("--n and --k must be non-negative")
-        return RunConfig(command=ns.command, n=ns.n, k=ns.k)
-    if ns.command == "table":
-        if ns.max_n < 0:
-            raise ValueError("--max-n must be non-negative")
-        return RunConfig(command="table", kind=ns.kind, max_n=ns.max_n, fmt=ns.fmt)
-    if ns.command == "verify":
-        if ns.k_min < 2:
-            raise ValueError("verify requires --k-min >= 2")
-        if ns.k_max < ns.k_min:
-            raise ValueError("empty k range: --k-max must be >= --k-min")
-        if ns.n_min < 0:
-            raise ValueError("verify requires --n-min >= 0")
-        if ns.n_max < ns.n_min:
-            raise ValueError("empty n range: --n-max must be >= --n-min")
-        if ns.jobs < 1:
-            raise ValueError("--jobs must be at least 1")
-        routes = _parse_routes(ns.routes, ns.k_max, ns.n_max)
-        return RunConfig(
-            command="verify",
-            fmt=ns.fmt,
-            k_min=ns.k_min,
-            k_max=ns.k_max,
-            n_min=ns.n_min,
-            n_max=ns.n_max,
-            routes=routes,
-            jobs=ns.jobs,
-        )
-    raise ValueError(f"unknown command {ns.command!r}")
-
-
-def _run_table(config: RunConfig) -> int:
-    builder = lah_triangle if config.kind == "lah" else stirling1_triangle
-    triangle = builder(config.max_n)
-    if config.fmt == "csv":
-        lines = ["n,k,value"]
-        for n in range(config.max_n + 1):
-            lines.extend(f"{n},{k},{triangle.value(n, k)}" for k in range(n + 1))
-        print("\n".join(lines))
+def _run_table(ns: argparse.Namespace) -> int:
+    if ns.max_n < 0:
+        raise ValueError("--max-n must be non-negative")
+    # rows are printed as they are produced, so memory stays at one row
+    rows = triangle_rows(ns.kind, ns.max_n)
+    if ns.fmt == "csv":
+        print("n,k,value")
+        for n, row in enumerate(rows):
+            print("\n".join(f"{n},{k},{v}" for k, v in enumerate(row)))
     else:
-        print("\n".join(" ".join(str(v) for v in triangle.row(n)) for n in range(config.max_n + 1)))
+        for row in rows:
+            print(" ".join(map(str, row)))
     return 0
 
 
-def _run_verify(config: RunConfig) -> int:
+def _run_verify(ns: argparse.Namespace) -> int:
+    if ns.k_min < 2:
+        raise ValueError("verify requires --k-min >= 2")
+    if ns.k_max < ns.k_min:
+        raise ValueError("empty k range: --k-max must be >= --k-min")
+    if ns.n_min < 0:
+        raise ValueError("verify requires --n-min >= 0")
+    if ns.n_max < ns.n_min:
+        raise ValueError("empty n range: --n-max must be >= --n-min")
+    if ns.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     reports = verify_grid(
-        range(config.k_min, config.k_max + 1),
-        range(config.n_min, config.n_max + 1),
-        config.routes,
-        jobs=config.jobs,
+        range(ns.k_min, ns.k_max + 1),
+        range(ns.n_min, ns.n_max + 1),
+        _parse_routes(ns.routes, ns.k_max, ns.n_max),
+        jobs=ns.jobs,
     )
-    print(emit_report(reports, config.fmt))
+    print(emit_report(reports, ns.fmt))
     matched = sum(1 for r in reports if r.all_match)
     print(f"{matched}/{len(reports)} instances verified", file=sys.stderr)
     return 0 if matched == len(reports) else 1
@@ -192,6 +153,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     means at least one verification mismatch, 2 means a usage or domain
     error.
     """
+    # exact results can exceed the interpreter's default int-to-str limit
+    # of 4300 digits; the setting exists from Python 3.10.7 on
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
@@ -199,16 +164,14 @@ def run(argv: Sequence[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
     try:
-        config = _config_from_args(ns)
-        if config.command == "lah":
-            print(lah(config.n, config.k))
-            return 0
-        if config.command == "stirling1":
-            print(stirling1(config.n, config.k))
-            return 0
-        if config.command == "table":
-            return _run_table(config)
-        return _run_verify(config)
+        if ns.command == "table":
+            return _run_table(ns)
+        if ns.command == "verify":
+            return _run_verify(ns)
+        if ns.n < 0 or ns.k < 0:
+            raise ValueError("--n and --k must be non-negative")
+        print(lah(ns.n, ns.k) if ns.command == "lah" else stirling1(ns.n, ns.k))
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

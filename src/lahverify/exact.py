@@ -8,6 +8,7 @@ no overflow, ever.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,13 +21,8 @@ class ConsistencyError(ArithmeticError):
 
 @lru_cache(maxsize=None)
 def factorial(m: int) -> int:
-    """Product 1*2*...*m as a plain iterative product; factorial(0) == 1."""
-    if m < 0:
-        raise ValueError("factorial is undefined for negative integers")
-    out = 1
-    for j in range(2, m + 1):
-        out *= j
-    return out
+    """Product 1*2*...*m; factorial(0) == 1, and a negative m is a ValueError."""
+    return math.factorial(m)
 
 
 def binomial_general(r: int, j: int) -> int:
@@ -43,11 +39,10 @@ def binomial_general(r: int, j: int) -> int:
     """
     if j < 0:
         return 0
-    num = 1
-    for i in range(j):
-        num *= r - i
-    # a product of j consecutive integers is divisible by j!, so this is exact
-    return num // factorial(j)
+    if r >= 0:
+        return math.comb(r, j)
+    # reflection: C(r, j) = (-1)^j C(j - r - 1, j) for negative r
+    return (-1 if j % 2 else 1) * math.comb(j - r - 1, j)
 
 
 def rising(x: Scalar, n: int) -> Scalar:

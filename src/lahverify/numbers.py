@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .exact import as_integer, binomial_general, factorial, reciprocal_factorial_weight
+from .exact import binomial_general, factorial, reciprocal_factorial_weight
 from .series import rising_factorial_poly, series_from_coeffs, series_log1p, series_mul, series_scale
 
 BRUTEFORCE_MAX_N = 9
@@ -105,16 +104,50 @@ def lah_bruteforce(n: int, k: int) -> int:
     return sum(1 for _ in ordered_block_partitions(n, k))
 
 
+_TRIANGLE_WEIGHTS: dict[str, Callable[[int, int], int]] = {
+    "lah": lambda n, k: n + k,
+    "stirling1": lambda n, k: -n,
+}
+
+
+def triangle_rows(kind: str, max_n: int, max_k: int | None = None) -> Iterator[list[int]]:
+    """Rows 0..max_n of the "lah" or "stirling1" triangle, by the recurrence
+
+        T(n+1, k) = T(n, k-1) + w(n, k) T(n, k),   T(0, 0) = 1,
+
+    with weight w = n+k for Lah and w = -n for Stirling. Row n holds
+    columns 0..n, cut after column ``max_k`` when it is given. Only the
+    previous row is kept, so rows can be consumed as they are produced.
+    """
+    if max_n < 0:
+        raise ValueError("max_n must be non-negative")
+    weight = _TRIANGLE_WEIGHTS[kind]
+    row = [1]
+    yield row
+    for n in range(max_n):
+        width = n + 2 if max_k is None else min(n + 2, max_k + 1)
+        prev = [0, *row, 0]  # prev[k] = T(n, k-1), prev[k+1] = T(n, k)
+        row = [prev[k] + weight(n, k) * prev[k + 1] for k in range(width)]
+        yield row
+
+
+def _triangle(kind: str, max_n: int) -> Triangle:
+    rows = triangle_rows(kind, max_n)
+    return Triangle(max_n, {(n, k): v for n, row in enumerate(rows) for k, v in enumerate(row)})
+
+
 def lah_triangle(max_n: int) -> Triangle:
     """Lah table built by the additive recurrence
     L(n+1, k) = L(n, k-1) + (n+k) L(n, k), independent of the closed form."""
-    if max_n < 0:
-        raise ValueError("max_n must be non-negative")
-    entries = {(0, 0): 1}
-    for n in range(max_n):
-        for k in range(n + 2):
-            entries[(n + 1, k)] = entries.get((n, k - 1), 0) + (n + k) * entries.get((n, k), 0)
-    return Triangle(max_n, entries)
+    return _triangle("lah", max_n)
+
+
+def stirling1_row(n: int, max_k: int | None = None) -> list[int]:
+    """Row n of the Stirling triangle, s(n, 0..n), or only s(n, 0..max_k)
+    when ``max_k`` is given: O(n * max_k) work and no recursion."""
+    for row in triangle_rows("stirling1", n, max_k):
+        pass
+    return row
 
 
 def stirling1(n: int, k: int) -> int:
@@ -126,29 +159,12 @@ def stirling1(n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         raise ValueError("Stirling indices must be non-negative")
-    return _stirling1_rec(n, k)
-
-
-@lru_cache(maxsize=None)
-def _stirling1_rec(n: int, k: int) -> int:
-    if k > n:
-        return 0
-    if n == 0:
-        return 1
-    if k == 0:
-        return 0
-    return _stirling1_rec(n - 1, k - 1) - (n - 1) * _stirling1_rec(n - 1, k)
+    return stirling1_row(n, k)[k] if k <= n else 0
 
 
 def stirling1_triangle(max_n: int) -> Triangle:
     """Table of s(n, k) for 0 <= k <= n <= max_n, built row by row."""
-    if max_n < 0:
-        raise ValueError("max_n must be non-negative")
-    entries = {(0, 0): 1}
-    for n in range(max_n):
-        for k in range(n + 2):
-            entries[(n + 1, k)] = entries.get((n, k - 1), 0) - n * entries.get((n, k), 0)
-    return Triangle(max_n, entries)
+    return _triangle("stirling1", max_n)
 
 
 def stirling1_from_rising_poly(n: int) -> list[int]:
@@ -156,9 +172,8 @@ def stirling1_from_rising_poly(n: int) -> list[int]:
     whose coefficient at x^k is (-1)^(n-k) s(n, k)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    p = rising_factorial_poly(n)
-    coeffs = list(p.coeffs) + [Fraction(0)] * (n + 1 - len(p.coeffs))
-    return [(-1 if (n - k) % 2 else 1) * as_integer(c) for k, c in enumerate(coeffs)]
+    # the product is monic of degree n, so no coefficient is trimmed
+    return [(-1 if (n - k) % 2 else 1) * c for k, c in enumerate(rising_factorial_poly(n).coeffs)]
 
 
 def stirling1_from_log_series(max_n: int, k: int) -> list[Fraction]:

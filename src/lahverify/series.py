@@ -1,18 +1,28 @@
-"""Truncated formal power series and dense polynomials over exact rationals."""
+"""Truncated formal power series and dense polynomials over exact scalars.
+
+Coefficients keep the type they are given: integral inputs stay ``int``
+and rational ones stay ``Fraction``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .exact import Scalar, binomial_general
 
-_ZERO = Fraction(0)
 
-
-def _frac(value: Scalar) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _convolve(a: Sequence[Scalar], b: Sequence[Scalar], size: int) -> list[Scalar]:
+    # Cauchy product of two coefficient sequences, coefficients 0 .. size-1
+    out: list[Scalar] = [0] * size
+    for i, ca in enumerate(a[:size]):
+        if not ca:
+            continue
+        for j, cb in enumerate(b[: size - i]):
+            if cb:
+                out[i + j] += ca * cb
+    return out
 
 
 @dataclass(frozen=True)
@@ -20,13 +30,13 @@ class TruncatedSeries:
     """Coefficients of t^0 .. t^order; binary operations truncate to the
     smaller order of their operands."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, i: int) -> Fraction:
+    def coeff(self, i: int) -> Scalar:
         return self.coeffs[i]
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -35,42 +45,31 @@ class TruncatedSeries:
 
 def series_from_coeffs(values: Iterable[Scalar], order: int | None = None) -> TruncatedSeries:
     """Series with the given low-order coefficients, zero-padded to ``order``."""
-    cs = [_frac(v) for v in values]
+    cs = list(values)
     if order is not None:
         if order < 0:
             raise ValueError("series order must be non-negative")
         cs = cs[: order + 1]
-        cs.extend(_ZERO for _ in range(order + 1 - len(cs)))
+        cs.extend(0 for _ in range(order + 1 - len(cs)))
     if not cs:
-        cs = [_ZERO]
+        cs = [0]
     return TruncatedSeries(tuple(cs))
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product, truncated to min(order(a), order(b))."""
-    order = min(a.order, b.order)
-    out = [_ZERO] * (order + 1)
-    for i in range(order + 1):
-        ca = a.coeffs[i]
-        if not ca:
-            continue
-        for j in range(order + 1 - i):
-            cb = b.coeffs[j]
-            if cb:
-                out[i + j] += ca * cb
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(tuple(_convolve(a.coeffs, b.coeffs, min(a.order, b.order) + 1)))
 
 
 def series_scale(a: TruncatedSeries, c: Scalar) -> TruncatedSeries:
-    factor = _frac(c)
-    return TruncatedSeries(tuple(factor * v for v in a.coeffs))
+    return TruncatedSeries(tuple(c * v for v in a.coeffs))
 
 
 def series_log1p(order: int) -> TruncatedSeries:
     """log(1+t) through t^order: coefficients 0, 1, -1/2, 1/3, ..."""
     if order < 0:
         raise ValueError("series order must be non-negative")
-    cs = [_ZERO] + [Fraction(-1 if n % 2 == 0 else 1, n) for n in range(1, order + 1)]
+    cs = [0] + [Fraction(-1 if n % 2 == 0 else 1, n) for n in range(1, order + 1)]
     return TruncatedSeries(tuple(cs))
 
 
@@ -82,15 +81,15 @@ def series_binomial_power(e: int, order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise ValueError("series order must be non-negative")
-    return TruncatedSeries(tuple(Fraction(binomial_general(e, i)) for i in range(order + 1)))
+    return TruncatedSeries(tuple(binomial_general(e, i) for i in range(order + 1)))
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense rational-coefficient polynomial; the zero polynomial is () and
+    """Dense exact-coefficient polynomial; the zero polynomial is () and
     has degree -1. Trailing zero coefficients are never stored."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]
 
     @property
     def degree(self) -> int:
@@ -98,7 +97,7 @@ class Polynomial:
 
 
 def poly_from_coeffs(values: Iterable[Scalar]) -> Polynomial:
-    cs = [_frac(v) for v in values]
+    cs = list(values)
     while cs and cs[-1] == 0:
         cs.pop()
     return Polynomial(tuple(cs))
@@ -109,21 +108,13 @@ POLY_ONE = poly_from_coeffs([1])
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    if not a.coeffs or not b.coeffs:
-        return POLY_ZERO
-    out = [_ZERO] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if cb:
-                out[i + j] += ca * cb
-    return poly_from_coeffs(out)
+    # a zero factor gives size <= 0 or an all-zero list, which trims to ()
+    return poly_from_coeffs(_convolve(a.coeffs, b.coeffs, len(a.coeffs) + len(b.coeffs) - 1))
 
 
 def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     size = max(len(a.coeffs), len(b.coeffs))
-    out = [_ZERO] * size
+    out: list[Scalar] = [0] * size
     for i, c in enumerate(a.coeffs):
         out[i] += c
     for i, c in enumerate(b.coeffs):
@@ -132,12 +123,12 @@ def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def poly_scale(a: Polynomial, c: Scalar) -> Polynomial:
-    return poly_from_coeffs(_frac(c) * v for v in a.coeffs)
+    return poly_from_coeffs(c * v for v in a.coeffs)
 
 
-def poly_eval(p: Polynomial, x: Scalar) -> Fraction:
+def poly_eval(p: Polynomial, x: Scalar) -> Scalar:
     """Exact evaluation by Horner's rule; the zero polynomial evaluates to 0."""
-    acc = _ZERO
+    acc: Scalar = 0
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc

@@ -16,31 +16,28 @@ semantic equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
-from .exact import ConsistencyError, Scalar, as_integer, factorial
-from .numbers import lah, stirling1, stirling1_from_rising_poly
-
-_ZERO = Fraction(0)
+from .exact import ConsistencyError, Scalar, factorial
+from .numbers import lah, stirling1_from_rising_poly, stirling1_row
 
 
 @dataclass(frozen=True)
 class LaurentPoly:
-    """Finite sum of rational coefficients times integer powers of t."""
+    """Finite sum of exact coefficients times integer powers of t."""
 
-    terms: dict[int, Fraction]
+    terms: dict[int, Scalar]
 
-    def coeff(self, exponent: int) -> Fraction:
-        return self.terms.get(exponent, _ZERO)
+    def coeff(self, exponent: int) -> Scalar:
+        return self.terms.get(exponent, 0)
 
 
 def laurent_from_terms(pairs: Iterable[tuple[Scalar, int]]) -> LaurentPoly:
     """Build a Laurent polynomial from (coefficient, exponent) pairs,
     merging like powers and dropping zeros."""
-    merged: dict[int, Fraction] = {}
+    merged: dict[int, Scalar] = {}
     for c, b in pairs:
-        total = merged.get(b, _ZERO) + c
+        total = merged.get(b, 0) + c
         if total:
             merged[b] = total
         else:
@@ -63,7 +60,7 @@ def laurent_diff(p: LaurentPoly) -> LaurentPoly:
 class ExpLaurentExpr:
     """Finite sum of terms c * u^a * t^b * exp(-u/t), keyed by (a, b)."""
 
-    terms: dict[tuple[int, int], Fraction]
+    terms: dict[tuple[int, int], Scalar]
 
 
 def expr_from_terms(triples: Iterable[tuple[Scalar, int, int]]) -> ExpLaurentExpr:
@@ -72,12 +69,12 @@ def expr_from_terms(triples: Iterable[tuple[Scalar, int, int]]) -> ExpLaurentExp
     Like terms are merged eagerly; a negative u-power is rejected because
     nothing in this calculus can produce one.
     """
-    merged: dict[tuple[int, int], Fraction] = {}
+    merged: dict[tuple[int, int], Scalar] = {}
     for c, a, b in triples:
         if a < 0:
             raise ValueError("u-exponent must stay non-negative")
         key = (a, b)
-        total = merged.get(key, _ZERO) + c
+        total = merged.get(key, 0) + c
         if total:
             merged[key] = total
         else:
@@ -88,7 +85,7 @@ def expr_from_terms(triples: Iterable[tuple[Scalar, int, int]]) -> ExpLaurentExp
 def expr_diff_t(e: ExpLaurentExpr) -> ExpLaurentExpr:
     """Differentiate in t: the product rule sends c * u^a * t^b * exp(-u/t)
     to c*b * u^a * t^(b-1) * exp(-u/t) + c * u^(a+1) * t^(b-2) * exp(-u/t)."""
-    out: list[tuple[Fraction, int, int]] = []
+    out: list[tuple[Scalar, int, int]] = []
     for (a, b), c in e.terms.items():
         out.append((c * b, a, b - 1))
         out.append((c, a + 1, b - 2))
@@ -145,8 +142,8 @@ def stirling_weighted_moment(m: int) -> LaurentPoly:
     if m < 0:
         raise ValueError("m must be non-negative")
     return laurent_from_terms(
-        ((-1 if (m - i) % 2 else 1) * factorial(i) * stirling1(m, i), i + 1)
-        for i in range(m + 1)
+        ((-1 if (m - i) % 2 else 1) * factorial(i) * s, i + 1)
+        for i, s in enumerate(stirling1_row(m))
     )
 
 
@@ -180,10 +177,7 @@ def route6_coefficient_chain(m: int, k: int) -> dict[int, int]:
     if side_a != side_b:
         raise ConsistencyError(f"moment chain mismatch at m={m}, k={k}")
 
-    brackets: dict[int, int] = {}
-    for i in range(m + 1):
-        total = _ZERO
-        for (a, _b), c in derivative.terms.items():
-            total += c * factorial(a + i)
-        brackets[i] = as_integer(total)
-    return brackets
+    return {
+        i: sum(c * factorial(a + i) for (a, _b), c in derivative.terms.items())
+        for i in range(m + 1)
+    }

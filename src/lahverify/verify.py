@@ -16,6 +16,7 @@ agreement across all of them is the point of the package.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -283,16 +284,18 @@ def verify_grid(
 
     With jobs > 1 the instances are evaluated in a process pool; the
     report order (and therefore any serialized output) is identical
-    regardless of the job count. Mismatches are reported, not raised.
+    regardless of the job count. The pool never has more workers than
+    instances or CPUs. Mismatches are reported, not raised.
     """
     ks = sorted(set(k_values))
     ns = sorted(set(n_values))
     route_names = tuple(sorted(set(routes)))
     instances = [IdentityInstance(k, n) for k in ks for n in ns]
-    if jobs <= 1 or len(instances) < 2:
+    workers = min(jobs, len(instances), os.cpu_count() or 1)
+    if workers <= 1:
         return [verify_instance(inst, route_names) for inst in instances]
-    chunk = max(1, len(instances) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(instances) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(
             pool.map(_verify_job, ((inst, route_names) for inst in instances), chunksize=chunk)
         )

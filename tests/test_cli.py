@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -24,6 +25,19 @@ class TestScalarCommands:
         code, out, _ = _run(capsys, ["stirling1", "--n", "4", "--k", "1"])
         assert code == 0
         assert out == "-6\n"
+
+    def test_stirling1_deep_row(self, capsys):
+        code, out, _ = _run(capsys, ["stirling1", "--n", "500", "--k", "1"])
+        assert code == 0
+        assert out == f"{-math.factorial(499)}\n"
+
+    def test_lah_beyond_int_str_digit_limit(self, capsys):
+        # a value of about 10400 digits; run() lifts the 4300-digit limit,
+        # which the formatting below relies on as well
+        code, out, _ = _run(capsys, ["lah", "--n", "5000", "--k", "2500"])
+        assert code == 0
+        expected = math.comb(4999, 2499) * (math.factorial(5000) // math.factorial(2500))
+        assert out == f"{expected}\n"
 
     def test_negative_argument_is_domain_error(self, capsys):
         code, _, err = _run(capsys, ["lah", "--n", "-1", "--k", "0"])
@@ -65,6 +79,17 @@ class TestVerifyCommand:
         assert list(first["routes"]) == ["lhs_direct", "r1", "r5"]
         assert all(entry["all_match"] for entry in payload)
         assert "6/6 instances verified" in err
+
+    def test_json_beyond_int_str_digit_limit(self, capsys):
+        code, out, _ = _run(
+            capsys,
+            ["verify", "--k-min", "2", "--k-max", "2", "--n-min", "1600", "--n-max", "1600",
+             "--routes", "r2", "--format", "json"],
+        )
+        assert code == 0
+        [entry] = json.loads(out)
+        assert entry["all_match"]
+        assert len(entry["reference"]) > 4300
 
     def test_k_min_below_two_rejected(self, capsys):
         code, _, err = _run(capsys, ["verify", "--k-min", "1", "--k-max", "3", "--n-min", "0", "--n-max", "2"])

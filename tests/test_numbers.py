@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -127,9 +128,10 @@ class TestStirlingFirstKind:
             assert stirling1(n, n) == 1
 
     def test_first_column_sign_pattern(self):
-        # s(n, 1) = (-1)^(n-1) (n-1)!
-        for n in range(1, 12):
-            assert stirling1(n, 1) == (-1) ** (n - 1) * factorial(n - 1)
+        # s(n, 1) = (-1)^(n-1) (n-1)!; n = 3000 is far beyond the depth a
+        # recursive evaluation could reach
+        for n in (*range(1, 12), 3000):
+            assert stirling1(n, 1) == (-1) ** (n - 1) * math.factorial(n - 1)
 
     def test_vanishing(self):
         for n in range(10):
@@ -145,9 +147,9 @@ class TestStirlingFirstKind:
             stirling1(2, -1)
 
     def test_triangle_matches_recurrence(self):
-        triangle = stirling1_triangle(15)
-        for n in range(16):
-            for k in range(n + 1):
+        triangle = stirling1_triangle(60)
+        for n in range(61):
+            for k in range(n + 3):
                 assert triangle.value(n, k) == stirling1(n, k)
 
 

@@ -161,3 +161,10 @@ class TestFactorialPolynomials:
 
     def test_types(self):
         assert isinstance(rising_factorial_poly(4), Polynomial)
+
+
+def test_integral_coefficients_stay_int():
+    negative = series_binomial_power(-7, 10)
+    product = series_mul(negative, series_binomial_power(5, 10))
+    for c in (*negative.coeffs, *product.coeffs, *rising_factorial_poly(8).coeffs):
+        assert type(c) is int

@@ -175,6 +175,9 @@ class TestLaurentHelpers:
         assert isinstance(stirling_weighted_moment(2), LaurentPoly)
         assert isinstance(exp_derivative_lah(2), ExpLaurentExpr)
 
+    def test_stirling_moment_terms_are_int(self):
+        assert all(type(c) is int for c in stirling_weighted_moment(6).terms.values())
+
 
 class TestUPolynomialMultiply:
     def test_shift_by_u(self):

@@ -269,3 +269,32 @@ class TestVerifyGrid:
         reports = verify_grid(range(2, 3), range(0, 2), routes=("r1",))
         assert all(not r.all_match for r in reports)
         assert all(r.route_values["r1"] == 10**9 for r in reports)
+
+    def test_pool_never_larger_than_instances_or_cpus(self, monkeypatch):
+        import lahverify.verify as verify_mod
+
+        sizes = []
+
+        class SerialPool:
+            # records the requested worker count and maps in this process,
+            # so a large jobs value starts no worker at all
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 3)
+        serial = verify_grid(range(2, 4), range(0, 4), routes=("r1",), jobs=1)
+        assert verify_grid(range(2, 4), range(0, 4), routes=("r1",), jobs=1000) == serial
+        assert verify_grid(range(2, 3), range(0, 2), routes=("r1",), jobs=1000) == serial[:2]
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
+        assert verify_grid(range(2, 4), range(0, 4), routes=("r1",), jobs=1000) == serial
+        assert sizes == [3, 2]
