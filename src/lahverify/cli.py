@@ -10,16 +10,15 @@ from typing import Sequence
 from .numbers import lah, stirling1, triangle_rows
 from .verify import ROUTE_NAMES, VerificationReport, verify_grid
 
-R6_MAX_K = 8
-R6_MAX_N = 10
-
 
 def emit_report(reports: Sequence[VerificationReport], fmt: str = "text") -> str:
     """Render verification reports; identical inputs give identical bytes.
 
     JSON keeps k and n as numbers but serializes the unbounded reference
     and route values as decimal strings. CSV columns are k, n, reference,
-    one column per route entry, all_match.
+    one column per route entry, all_match. A route whose internal
+    cross-check failed (value None) renders as JSON null, an empty CSV
+    field, or ``rN=error`` in text.
     """
     if fmt == "json":
         payload = [
@@ -27,7 +26,7 @@ def emit_report(reports: Sequence[VerificationReport], fmt: str = "text") -> str
                 "k": r.instance.k,
                 "n": r.instance.n,
                 "reference": str(r.reference),
-                "routes": {name: str(v) for name, v in r.route_values.items()},
+                "routes": {name: None if v is None else str(v) for name, v in r.route_values.items()},
                 "all_match": r.all_match,
             }
             for r in reports
@@ -43,7 +42,7 @@ def emit_report(reports: Sequence[VerificationReport], fmt: str = "text") -> str
                         str(r.instance.k),
                         str(r.instance.n),
                         str(r.reference),
-                        *(str(r.route_values[name]) for name in names),
+                        *("" if r.route_values[name] is None else str(r.route_values[name]) for name in names),
                         "true" if r.all_match else "false",
                     ]
                 )
@@ -53,21 +52,16 @@ def emit_report(reports: Sequence[VerificationReport], fmt: str = "text") -> str
         lines = []
         for r in reports:
             parts = [f"k={r.instance.k}", f"n={r.instance.n}", f"reference={r.reference}"]
-            parts.extend(f"{name}={v}" for name, v in r.route_values.items())
+            parts.extend(f"{name}={'error' if v is None else v}" for name, v in r.route_values.items())
             parts.append(f"all_match={'true' if r.all_match else 'false'}")
             lines.append(" ".join(parts))
         return "\n".join(lines)
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _parse_routes(raw: str, k_max: int, n_max: int) -> tuple[str, ...]:
+def _parse_routes(raw: str) -> tuple[str, ...]:
     if raw == "all":
-        names = ["r1", "r2", "r3", "r4", "r5"]
-        # r6 is symbolically expensive; include it by default only on grids
-        # inside its cost bound, never silently on larger ones
-        if k_max <= R6_MAX_K and n_max <= R6_MAX_N:
-            names.append("r6")
-        return tuple(names)
+        return ROUTE_NAMES
     names = [tok.strip() for tok in raw.split(",") if tok.strip()]
     if not names:
         raise ValueError("--routes must name at least one route or be 'all'")
@@ -137,10 +131,13 @@ def _run_verify(ns: argparse.Namespace) -> int:
     reports = verify_grid(
         range(ns.k_min, ns.k_max + 1),
         range(ns.n_min, ns.n_max + 1),
-        _parse_routes(ns.routes, ns.k_max, ns.n_max),
+        _parse_routes(ns.routes),
         jobs=ns.jobs,
     )
     print(emit_report(reports, ns.fmt))
+    for r in reports:
+        for name, message in r.errors.items():
+            print(f"error: {name} at k={r.instance.k}, n={r.instance.n}: {message}", file=sys.stderr)
     matched = sum(1 for r in reports if r.all_match)
     print(f"{matched}/{len(reports)} instances verified", file=sys.stderr)
     return 0 if matched == len(reports) else 1

@@ -76,6 +76,15 @@ def reciprocal_factorial_weight(m: int) -> Fraction:
     return Fraction(1, factorial(m))
 
 
+def exact_quotient(num: int, den: int) -> int:
+    """num // den for integers that must divide exactly; a non-zero
+    remainder is an error, not a rounded result."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise ConsistencyError("integer quotient has a non-zero remainder")
+    return quotient
+
+
 def as_integer(value: Scalar) -> int:
     """Integral value of an exact scalar; a genuine fraction is an error."""
     if isinstance(value, int):

@@ -17,18 +17,18 @@ agreement across all of them is the point of the package.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from .exact import (
     ConsistencyError,
     as_integer,
     binomial_general,
+    exact_quotient,
     factorial,
     falling,
-    reciprocal_factorial_weight,
     rising,
 )
 from .numbers import lah
@@ -56,12 +56,18 @@ class IdentityInstance:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Reference value and per-route values for one instance."""
+    """Reference value and per-route values for one instance.
+
+    A route whose internal cross-check failed has the value ``None`` and
+    its ``ConsistencyError`` message in ``errors``; such a report never
+    has ``all_match``.
+    """
 
     instance: IdentityInstance
     reference: int
-    route_values: dict[str, int]
+    route_values: dict[str, int | None]
     all_match: bool
+    errors: dict[str, str] = field(default_factory=dict)
 
 
 def rhs_reference(inst: IdentityInstance) -> int:
@@ -196,21 +202,15 @@ def route4_inversion(inst: IdentityInstance) -> int:
     that the binomial transform sends b to a; the transform is an
     involution, so it also sends a to b, and b(k) (k-1)! is the sum. The
     1/(-1)! weights are taken as 0, which confines both sequences to their
-    natural support."""
+    natural support. Both are exact integer quotients, and a remainder
+    raises."""
     k, n = inst.k, inst.n
     n_fact, n1_fact = factorial(n), factorial(n + 1)
-    a_seq = [
-        as_integer(factorial(n + l) * reciprocal_factorial_weight(l - 1))
-        for l in range(k + 1)
-    ]
+    a_seq = [0] + [exact_quotient(factorial(n + l), factorial(l - 1)) for l in range(1, k + 1)]
     b_seq = [
-        as_integer(
-            _sgn(l)
-            * n_fact
-            * n1_fact
-            * reciprocal_factorial_weight(n - l + 1)
-            * reciprocal_factorial_weight(l - 1)
-        )
+        _sgn(l) * exact_quotient(n_fact * n1_fact, factorial(n - l + 1) * factorial(l - 1))
+        if 1 <= l <= n + 1
+        else 0
         for l in range(k + 1)
     ]
     if binomial_inversion(b_seq) != a_seq:
@@ -230,16 +230,20 @@ def route5_hypergeom(inst: IdentityInstance) -> int:
     return as_integer(-factorial(k) * factorial(n + 1) * closed)
 
 
+def route6_row(k: int, ns: Sequence[int]) -> dict[int, int]:
+    """Route 6 for every n of one grid row: run the symbolic
+    moment-differentiation chain once at m = max(k, max(ns)+1), the
+    smallest order whose coefficient range covers every i = n, and read
+    each bracketed sum off its i = n slot. The bracket is the target sum
+    up to the sign (-1)^k from reversing the summation index. The chain
+    compares its Stirling side with its Lah side once for the row."""
+    brackets = route6_coefficient_chain(max(k, max(ns) + 1), k)
+    return {n: _sgn(k) * brackets[n] for n in ns}
+
+
 def route6_stirling(inst: IdentityInstance) -> int:
-    """Route 6: run the symbolic moment-differentiation chain at
-    m = max(k, n+1), the smallest order whose coefficient range covers
-    i = n, and read the bracketed sum off the i = n slot. The bracket is
-    the target sum up to the sign (-1)^k from reversing the summation
-    index."""
-    k, n = inst.k, inst.n
-    m = max(k, n + 1)
-    brackets = route6_coefficient_chain(m, k)
-    return _sgn(k) * brackets[n]
+    """Route 6 at one (k, n): the one-n case of ``route6_row``."""
+    return route6_row(inst.k, (inst.n,))[inst.n]
 
 
 ROUTE_FUNCTIONS: dict[str, Callable[[IdentityInstance], int]] = {
@@ -254,24 +258,56 @@ ROUTE_FUNCTIONS: dict[str, Callable[[IdentityInstance], int]] = {
 ROUTE_NAMES: tuple[str, ...] = tuple(sorted(ROUTE_FUNCTIONS))
 
 
-def verify_instance(inst: IdentityInstance, routes: Iterable[str] = ROUTE_NAMES) -> VerificationReport:
-    """Evaluate the reference, the direct sum, and the requested routes at
-    one (k, n); all_match is True only if every value agrees exactly."""
+def _outcome(route: Callable[..., int], *args) -> int | ConsistencyError:
+    """The route's value, or the ConsistencyError its cross-check raised."""
+    try:
+        return route(*args)
+    except ConsistencyError as exc:
+        return exc
+
+
+def verify_row(k: int, ns: Iterable[int], routes: Iterable[str] = ROUTE_NAMES) -> list[VerificationReport]:
+    """One report per (k, n) for n in ``ns``, in the order given.
+
+    The reference, the direct sum and routes r1..r5 run per instance;
+    route r6 reads every n off one moment chain for the row. A route whose
+    internal cross-check fails is reported with the value None and its
+    message, not raised, and the other routes and instances still run.
+    all_match is True only if every value agrees exactly.
+    """
     names = sorted(set(routes))
     for name in names:
         if name not in ROUTE_FUNCTIONS:
             raise ValueError(f"unknown route {name!r}")
-    reference = rhs_reference(inst)
-    values: dict[str, int] = {"lhs_direct": lhs_direct(inst)}
-    for name in names:
-        values[name] = ROUTE_FUNCTIONS[name](inst)
-    all_match = all(v == reference for v in values.values())
-    return VerificationReport(inst, reference, values, all_match)
+    instances = [IdentityInstance(k, n) for n in ns]
+    r6_row: dict[int, int] | ConsistencyError = {}
+    if "r6" in names and instances:
+        r6_row = _outcome(route6_row, k, [inst.n for inst in instances])
+    reports = []
+    for inst in instances:
+        reference = rhs_reference(inst)
+        values: dict[str, int | None] = {"lhs_direct": lhs_direct(inst)}
+        errors: dict[str, str] = {}
+        for name in names:
+            if name != "r6":
+                outcome = _outcome(ROUTE_FUNCTIONS[name], inst)
+            elif isinstance(r6_row, ConsistencyError):
+                outcome = r6_row
+            else:
+                outcome = r6_row[inst.n]
+            if isinstance(outcome, ConsistencyError):
+                values[name] = None
+                errors[name] = str(outcome)
+            else:
+                values[name] = outcome
+        all_match = all(v == reference for v in values.values())
+        reports.append(VerificationReport(inst, reference, values, all_match, errors))
+    return reports
 
 
-def _verify_job(args: tuple[IdentityInstance, tuple[str, ...]]) -> VerificationReport:
-    inst, routes = args
-    return verify_instance(inst, routes)
+def verify_instance(inst: IdentityInstance, routes: Iterable[str] = ROUTE_NAMES) -> VerificationReport:
+    """The report for one (k, n): the one-n case of ``verify_row``."""
+    return verify_row(inst.k, (inst.n,), routes)[0]
 
 
 def verify_grid(
@@ -282,20 +318,27 @@ def verify_grid(
 ) -> list[VerificationReport]:
     """One report per (k, n), in (k, n)-lexicographic order.
 
-    With jobs > 1 the instances are evaluated in a process pool; the
-    report order (and therefore any serialized output) is identical
-    regardless of the job count. The pool never has more workers than
-    instances or CPUs. Mismatches are reported, not raised.
+    A row (one k, every n) is the unit of work. With jobs > 1 the rows
+    are evaluated in a process pool, one row per task and the largest k
+    first; the report order (and therefore any serialized output) is
+    identical regardless of the job count. The pool never has more
+    workers than rows or CPUs. Mismatches and failed route cross-checks
+    are reported, not raised.
     """
-    ks = sorted(set(k_values))
     ns = sorted(set(n_values))
+    rows = sorted(set(k_values)) if ns else []
     route_names = tuple(sorted(set(routes)))
-    instances = [IdentityInstance(k, n) for k in ks for n in ns]
-    workers = min(jobs, len(instances), os.cpu_count() or 1)
+    workers = min(jobs, len(rows), os.cpu_count() or 1)
     if workers <= 1:
-        return [verify_instance(inst, route_names) for inst in instances]
-    chunk = max(1, len(instances) // (workers * 4))
+        return [report for k in rows for report in verify_row(k, ns, route_names)]
+    # imported here because importing the pool machinery adds tens of
+    # milliseconds to every start of the CLI, and serial runs never use it
+    from concurrent.futures import ProcessPoolExecutor
+
+    # the largest k is the slowest row; starting it first keeps a long row
+    # from being left to a single worker at the end
+    largest_first = rows[::-1]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(_verify_job, ((inst, route_names) for inst in instances), chunksize=chunk)
-        )
+        done = pool.map(verify_row, largest_first, repeat(ns), repeat(route_names), chunksize=1)
+        by_k = dict(zip(largest_first, done))
+    return [report for k in rows for report in by_k[k]]

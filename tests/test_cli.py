@@ -2,9 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lahverify
 from lahverify.cli import emit_report, run
 from lahverify.verify import ROUTE_FUNCTIONS, IdentityInstance, VerificationReport
 
@@ -122,15 +129,15 @@ class TestVerifyCommand:
         routes = list(json.loads(out)[0]["routes"])
         assert routes == ["lhs_direct", "r1", "r2", "r3", "r4", "r5", "r6"]
 
-    def test_routes_all_drops_r6_outside_cost_bound(self, capsys):
+    def test_routes_all_includes_r6_on_large_grid(self, capsys):
         code, out, _ = _run(
             capsys,
-            ["verify", "--k-min", "2", "--k-max", "2", "--n-min", "0", "--n-max", "11",
+            ["verify", "--k-min", "9", "--k-max", "9", "--n-min", "0", "--n-max", "11",
              "--routes", "all", "--format", "json"],
         )
         assert code == 0
-        routes = list(json.loads(out)[0]["routes"])
-        assert "r6" not in routes
+        for report in json.loads(out):
+            assert list(report["routes"]) == ["lhs_direct", "r1", "r2", "r3", "r4", "r5", "r6"]
 
     def test_explicit_r6_always_honored(self, capsys):
         code, out, _ = _run(
@@ -151,6 +158,27 @@ class TestVerifyCommand:
         assert code == 1
         assert "0/2 instances verified" in err
         assert all(line.endswith("false") for line in out.strip().splitlines()[1:])
+
+    # workers see the patched module only when they are forked from this process
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="needs forked pool workers")
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_cross_check_gives_exit_one(self, capsys, monkeypatch, jobs):
+        import lahverify.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "chu_vandermonde_closed", lambda a, b, c: Fraction(7))
+        code, out, err = _run(
+            capsys,
+            ["verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "1",
+             "--routes", "r5", "--format", "csv", "--jobs", jobs],
+        )
+        assert code == 1
+        assert out.splitlines()[1:] == ["2,0,0,0,,false", "2,1,2,2,,false", "3,0,0,0,,false", "3,1,0,0,,false"]
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [
+            f"error: r5 at k={k}, n={n}: hypergeometric route broke at k={k}, n={n}"
+            for k in (2, 3) for n in (0, 1)
+        ]
+        assert "0/4 instances verified" in err
 
 
 class TestEmitReport:
@@ -182,6 +210,15 @@ class TestEmitReport:
         with pytest.raises(ValueError):
             emit_report([], "yaml")
 
+    def test_failed_route_rendering(self):
+        report = VerificationReport(IdentityInstance(2, 1), 2, {"lhs_direct": 2, "r5": None}, False,
+                                    {"r5": "broke"})
+        assert emit_report([report], "json") == (
+            '[{"k":2,"n":1,"reference":"2","routes":{"lhs_direct":"2","r5":null},"all_match":false}]'
+        )
+        assert emit_report([report], "csv").splitlines()[1] == "2,1,2,2,,false"
+        assert emit_report([report], "text") == "k=2 n=1 reference=2 lhs_direct=2 r5=error all_match=false"
+
     def test_byte_stable(self):
         reports = [self._single_report()]
         assert emit_report(reports, "json") == emit_report(reports, "json")
@@ -196,3 +233,20 @@ class TestDeterminism:
         code_b, out_b, _ = _run(capsys, self.ARGV + ["--jobs", "4"])
         assert code_a == code_b == 0
         assert out_a == out_b
+
+    def test_jobs_do_not_change_r6_output(self, capsys):
+        argv = ["verify", "--k-min", "2", "--k-max", "7", "--n-min", "0", "--n-max", "12",
+                "--routes", "r2,r6", "--format", "json"]
+        code_a, out_a, _ = _run(capsys, argv + ["--jobs", "1"])
+        code_b, out_b, _ = _run(capsys, argv + ["--jobs", "2"])
+        assert code_a == code_b == 0
+        assert out_a == out_b
+
+
+def test_cli_import_leaves_pool_out():
+    # a fresh interpreter, since this one may have imported the pool already
+    src = str(Path(lahverify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, lahverify.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -11,6 +11,7 @@ from lahverify.exact import (
     ConsistencyError,
     as_integer,
     binomial_general,
+    exact_quotient,
     factorial,
     falling,
     reciprocal_factorial_weight,
@@ -135,3 +136,10 @@ class TestWeightsAndCoercion:
         assert as_integer(Fraction(42, 6)) == 7
         with pytest.raises(ConsistencyError):
             as_integer(Fraction(1, 2))
+
+    def test_exact_quotient(self):
+        assert exact_quotient(42, 6) == 7
+        assert exact_quotient(-42, 6) == -7
+        assert exact_quotient(0, 5) == 0
+        with pytest.raises(ConsistencyError):
+            exact_quotient(7, 2)

@@ -25,9 +25,11 @@ from lahverify.verify import (
     route3_convolution,
     route4_inversion,
     route5_hypergeom,
+    route6_row,
     route6_stirling,
     verify_grid,
     verify_instance,
+    verify_row,
 )
 
 # computed by the literal alternating sum, which is the oracle for every route
@@ -199,6 +201,24 @@ class TestRoutes:
             for l in range(8):
                 assert factorial(n) * falling(-(n + 1), l) == (-1) ** l * factorial(n + l)
 
+    def test_route4_integer_on_block(self):
+        for k in range(2, 31):
+            for n in range(0, 61):
+                inst = IdentityInstance(k, n)
+                value = route4_inversion(inst)
+                assert type(value) is int
+                assert value == rhs_reference(inst), (k, n)
+
+    def test_route6_row_matches_single_instances(self):
+        # one chain per row, at the largest order the row needs, reads the
+        # same brackets as a chain at each instance's own order
+        for k in range(2, 21):
+            row = route6_row(k, range(0, 41))
+            assert sorted(row) == list(range(0, 41))
+            for n, value in row.items():
+                inst = IdentityInstance(k, n)
+                assert value == route6_stirling(inst) == rhs_reference(inst), (k, n)
+
     def test_factorial_generating_function_as_polynomials(self):
         # row identity behind route 2: x(x+1)...(x+n-1) equals the
         # Lah-weighted sum of falling factorial polynomials
@@ -227,6 +247,34 @@ class TestInternalGuards:
         with pytest.raises(ConsistencyError):
             route6_coefficient_chain(3, 2)
 
+    def test_failed_cross_check_is_reported_not_raised(self, monkeypatch):
+        import lahverify.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "chu_vandermonde_closed", lambda a, b, c: Fraction(7))
+        reports = verify_row(3, range(0, 3), routes=("r1", "r5"))
+        assert [r.instance.n for r in reports] == [0, 1, 2]
+        for r in reports:
+            assert r.route_values["r5"] is None
+            assert r.route_values["r1"] == r.reference
+            assert list(r.errors) == ["r5"]
+            assert "hypergeometric route broke at k=3" in r.errors["r5"]
+            assert not r.all_match
+
+    def test_failed_chain_marks_every_instance_of_the_row(self, monkeypatch):
+        import lahverify.verify as verify_mod
+
+        def broken_chain(m, k):
+            raise ConsistencyError(f"moment chain mismatch at m={m}, k={k}")
+
+        monkeypatch.setattr(verify_mod, "route6_coefficient_chain", broken_chain)
+        reports = verify_grid(range(2, 4), range(0, 3), routes=("r1", "r6"))
+        assert len(reports) == 6
+        for r in reports:
+            assert r.route_values["r6"] is None
+            assert r.errors == {"r6": f"moment chain mismatch at m=3, k={r.instance.k}"}
+            assert r.route_values["r1"] == r.reference
+            assert not r.all_match
+
 
 class TestVerifyInstance:
     def test_report_contents(self):
@@ -244,6 +292,11 @@ class TestVerifyInstance:
     def test_unknown_route_rejected(self):
         with pytest.raises(ValueError):
             verify_instance(IdentityInstance(2, 1), routes=("r9",))
+
+    def test_one_n_case_of_verify_row(self):
+        inst = IdentityInstance(4, 6)
+        assert verify_instance(inst) == verify_row(4, [6])[0]
+        assert verify_instance(inst).errors == {}
 
 
 class TestVerifyGrid:
@@ -270,7 +323,24 @@ class TestVerifyGrid:
         assert all(not r.all_match for r in reports)
         assert all(r.route_values["r1"] == 10**9 for r in reports)
 
+    def test_one_chain_per_row(self, monkeypatch):
+        import lahverify.verify as verify_mod
+
+        calls = []
+        chain = verify_mod.route6_coefficient_chain
+
+        def counting_chain(m, k):
+            calls.append((m, k))
+            return chain(m, k)
+
+        monkeypatch.setattr(verify_mod, "route6_coefficient_chain", counting_chain)
+        reports = verify_grid(range(2, 6), range(0, 8), routes=("r6",))
+        assert all(r.all_match for r in reports)
+        assert calls == [(8, 2), (8, 3), (8, 4), (8, 5)]
+
     def test_pool_never_larger_than_instances_or_cpus(self, monkeypatch):
+        import concurrent.futures
+
         import lahverify.verify as verify_mod
 
         sizes = []
@@ -287,14 +357,19 @@ class TestVerifyGrid:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
-        monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 3)
         serial = verify_grid(range(2, 4), range(0, 4), routes=("r1",), jobs=1)
+        # two rows: the row count caps the pool below the CPU count
         assert verify_grid(range(2, 4), range(0, 4), routes=("r1",), jobs=1000) == serial
+        # one row: no pool at all
         assert verify_grid(range(2, 3), range(0, 2), routes=("r1",), jobs=1000) == serial[:2]
+        # four rows: the CPU count caps the pool
+        serial_wide = verify_grid(range(2, 6), range(0, 2), routes=("r1",), jobs=1)
+        assert verify_grid(range(2, 6), range(0, 2), routes=("r1",), jobs=1000) == serial_wide
         monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
         assert verify_grid(range(2, 4), range(0, 4), routes=("r1",), jobs=1000) == serial
-        assert sizes == [3, 2]
+        assert sizes == [2, 3]
