@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
 from .numbers import lah, stirling1, triangle_rows
 from .verify import ROUTE_NAMES, VerificationReport, verify_grid
+
+MISMATCH_LINES = 10
+SHOWN_DIGITS = 40
 
 
 def emit_report(reports: Sequence[VerificationReport], fmt: str = "text") -> str:
@@ -21,6 +23,10 @@ def emit_report(reports: Sequence[VerificationReport], fmt: str = "text") -> str
     field, or ``rN=error`` in text.
     """
     if fmt == "json":
+        # imported here, like the process pool, because only JSON output
+        # needs it and every start of the CLI would pay for the import
+        import json
+
         payload = [
             {
                 "k": r.instance.k,
@@ -57,6 +63,15 @@ def emit_report(reports: Sequence[VerificationReport], fmt: str = "text") -> str
             lines.append(" ".join(parts))
         return "\n".join(lines)
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _mismatch(expected: int, actual: int) -> str:
+    # values too long to read are summarized by their size and order
+    digits = [len(str(abs(v))) for v in (expected, actual)]
+    if max(digits) <= SHOWN_DIGITS:
+        return f"expected {expected}, got {actual}"
+    order = ">" if actual > expected else "<"
+    return f"expected a {digits[0]}-digit value, got a {digits[1]}-digit value, got - expected {order} 0"
 
 
 def _parse_routes(raw: str) -> tuple[str, ...]:
@@ -138,6 +153,13 @@ def _run_verify(ns: argparse.Namespace) -> int:
     for r in reports:
         for name, message in r.errors.items():
             print(f"error: {name} at k={r.instance.k}, n={r.instance.n}: {message}", file=sys.stderr)
+    mismatches = [
+        (r, name, v) for r in reports for name, v in r.route_values.items() if v is not None and v != r.reference
+    ]
+    for r, name, v in mismatches[:MISMATCH_LINES]:
+        print(f"mismatch: {name} at k={r.instance.k}, n={r.instance.n}: {_mismatch(r.reference, v)}", file=sys.stderr)
+    if len(mismatches) > MISMATCH_LINES:
+        print(f"... and {len(mismatches) - MISMATCH_LINES} more mismatches", file=sys.stderr)
     matched = sum(1 for r in reports if r.all_match)
     print(f"{matched}/{len(reports)} instances verified", file=sys.stderr)
     return 0 if matched == len(reports) else 1

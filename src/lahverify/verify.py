@@ -19,7 +19,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .exact import (
@@ -31,8 +33,8 @@ from .exact import (
     falling,
     rising,
 )
-from .numbers import lah
-from .series import series_binomial_power, series_mul
+from .numbers import lah_row, signed_pascal_rows
+from .series import TruncatedSeries, series_binomial_power, series_mul
 from .symbolic import route6_coefficient_chain
 
 
@@ -82,7 +84,8 @@ def rhs_reference(inst: IdentityInstance) -> int:
 def lhs_direct(inst: IdentityInstance) -> int:
     """The literal alternating sum; the independent oracle for every route."""
     k, n = inst.k, inst.n
-    return sum(_sgn(l) * factorial(n + l) * lah(k, l) for l in range(1, k + 1))
+    row = lah_row(k)
+    return sum(_sgn(l) * factorial(n + l) * row[l] for l in range(1, k + 1))
 
 
 def gkp_identity(l: int, m: int, s: int, n: int) -> tuple[int, int]:
@@ -118,26 +121,28 @@ def chu_vandermonde_binomial(r: int, m: int, s: int, n: int) -> tuple[int, int]:
 
 def binomial_inversion(values: Sequence[int]) -> list[int]:
     """The self-inverse binomial transform
-    T(h)(k) = sum over l in 0..k of C(k, l) (-1)^l h(l)."""
-    seq = list(values)
-    return [
-        sum(_sgn(l) * binomial_general(j, l) * seq[l] for l in range(j + 1))
-        for j in range(len(seq))
-    ]
+    T(h)(k) = sum over l in 0..k of C(k, l) (-1)^l h(l), each output one
+    dot product with a row of the signed Pascal triangle."""
+    seq = tuple(values)
+    return [sum(map(mul, row, seq)) for row in signed_pascal_rows(len(seq))]
 
 
 def hypergeom_2f1_terminating(a: int, b: int, c: int) -> Fraction:
-    """Terminating 2F1(a, b; c; 1) for a <= 0, summed term by term from
-    rising factorials. The non-positive upper parameter makes the series a
-    finite sum, so the value is an exact rational."""
+    """Terminating 2F1(a, b; c; 1) for a <= 0, summed term by term, each
+    term the previous one times (a+l)(b+l) / ((c+l)(l+1)). The
+    non-positive upper parameter makes the series a finite sum, so the
+    value is an exact rational."""
     if a > 0:
         raise ValueError("upper parameter must be a non-positive integer")
     if c < 1:
         raise ValueError("lower parameter must be a positive integer")
-    total = Fraction(0)
+    # total / den is the sum of the terms before l, term / den is term l
+    total, term, den = 0, 1, 1
     for l in range(-a + 1):
-        total += Fraction(rising(a, l) * rising(b, l), rising(c, l) * factorial(l))
-    return total
+        total += term
+        q = (c + l) * (l + 1)
+        total, term, den = total * q, term * (a + l) * (b + l), den * q
+    return Fraction(total, den)
 
 
 def chu_vandermonde_closed(a: int, b: int, c: int) -> Fraction:
@@ -175,11 +180,19 @@ def route2_factorial_gf(inst: IdentityInstance) -> int:
     that vanishes by itself whenever n <= k-2."""
     k, n = inst.k, inst.n
     n_fact = factorial(n)
-    row_sum = n_fact * sum(lah(k, l) * falling(-(n + 1), l) for l in range(k + 1))
+    # <-(n+1)>_l for l = 0..k as one running product
+    falling_row = accumulate(range(-(n + 1), -(n + 1) - k, -1), mul, initial=1)
+    row_sum = n_fact * sum(map(mul, lah_row(k), falling_row))
     closed = _sgn(k) * n_fact * falling(n + 1, k)
     if row_sum != closed:
         raise ConsistencyError(f"factorial generating function broke at k={k}, n={n}")
     return closed
+
+
+@lru_cache(maxsize=32)
+def _route3_factor(k: int) -> tuple[int, ...]:
+    # (1+x)^(k-1) through x^k, the factor of route 3 that every n shares
+    return series_binomial_power(k - 1, k).coeffs
 
 
 def route3_convolution(inst: IdentityInstance) -> int:
@@ -188,7 +201,7 @@ def route3_convolution(inst: IdentityInstance) -> int:
     gives the sum."""
     k, n = inst.k, inst.n
     convolved = series_mul(
-        series_binomial_power(-(n + 1), k), series_binomial_power(k - 1, k)
+        series_binomial_power(-(n + 1), k), TruncatedSeries(_route3_factor(k))
     )
     direct = series_binomial_power(-(n - k + 2), k)
     if convolved.coeff(k) != direct.coeff(k):

@@ -158,6 +158,41 @@ class TestVerifyCommand:
         assert code == 1
         assert "0/2 instances verified" in err
         assert all(line.endswith("false") for line in out.strip().splitlines()[1:])
+        assert [line for line in err.splitlines() if line.startswith("mismatch:")] == [
+            "mismatch: r2 at k=2, n=0: expected 0, got 100000001",
+            "mismatch: r2 at k=2, n=1: expected 2, got 100000001",
+        ]
+        assert "mismatch" not in out
+
+    def test_injected_huge_fault_reports_digit_counts(self, capsys, monkeypatch):
+        monkeypatch.setitem(ROUTE_FUNCTIONS, "r2", lambda inst: 10**50)
+        code, out, err = _run(
+            capsys,
+            ["verify", "--k-min", "3", "--k-max", "3", "--n-min", "2", "--n-max", "2",
+             "--routes", "r1,r2", "--format", "csv", "--jobs", "1"],
+        )
+        assert code == 1
+        assert out.splitlines()[1] == f"3,2,-12,-12,-12,{10**50},false"
+        assert [line for line in err.splitlines() if line.startswith("mismatch:")] == [
+            "mismatch: r2 at k=3, n=2: expected a 2-digit value, got a 51-digit value, got - expected > 0",
+        ]
+
+    def test_mismatch_lines_stop_after_ten(self, capsys, monkeypatch):
+        monkeypatch.setitem(ROUTE_FUNCTIONS, "r3", lambda inst: -(10**45))
+        code, out, err = _run(
+            capsys,
+            ["verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "9",
+             "--routes", "r3", "--format", "text", "--jobs", "1"],
+        )
+        assert code == 1
+        assert len(out.splitlines()) == 20
+        lines = err.splitlines()
+        mismatches = [line for line in lines if line.startswith("mismatch:")]
+        assert len(mismatches) == 10
+        assert mismatches[0] == (
+            "mismatch: r3 at k=2, n=0: expected a 1-digit value, got a 46-digit value, got - expected < 0"
+        )
+        assert lines[-2:] == ["... and 10 more mismatches", "0/20 instances verified"]
 
     # workers see the patched module only when they are forked from this process
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="needs forked pool workers")
@@ -247,6 +282,6 @@ def test_cli_import_leaves_pool_out():
     # a fresh interpreter, since this one may have imported the pool already
     src = str(Path(lahverify.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, lahverify.cli; print('concurrent.futures' in sys.modules)"
+    code = "import sys, lahverify.cli; print('concurrent.futures' in sys.modules, 'json' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == "False False\n"

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lahverify.exact import ConsistencyError, factorial, falling
-from lahverify.numbers import lah
+from lahverify.exact import ConsistencyError, binomial_general, factorial, falling, rising
+from lahverify.numbers import lah, lah_row, signed_pascal_rows
 from lahverify.series import falling_factorial_poly, poly_add, poly_scale, rising_factorial_poly, POLY_ZERO
 from lahverify.verify import (
     ROUTE_FUNCTIONS,
@@ -40,6 +40,30 @@ SPOT_VALUES = {
     (3, 5): -14400,
     (5, 4): -2880,
 }
+
+
+# plain loop forms of the binomial transform, the terminating 2F1 and
+# r2's row sum, kept as references: the properties below require exact
+# equality with them
+
+
+def _inversion_reference(values):
+    seq = list(values)
+    return [
+        sum((-1) ** l * binomial_general(j, l) * seq[l] for l in range(j + 1))
+        for j in range(len(seq))
+    ]
+
+
+def _hypergeom_reference(a, b, c):
+    return sum(
+        (Fraction(rising(a, l) * rising(b, l), rising(c, l) * factorial(l)) for l in range(-a + 1)),
+        Fraction(0),
+    )
+
+
+def _route2_row_sum_reference(k, n):
+    return factorial(n) * sum(lah(k, l) * falling(-(n + 1), l) for l in range(k + 1))
 
 
 class TestInstance:
@@ -156,6 +180,12 @@ class TestHypergeometric:
         with pytest.raises(ValueError):
             chu_vandermonde_closed(-1, 2, -2)
 
+    @given(st.integers(-25, 0), st.integers(-40, 40), st.integers(1, 40))
+    def test_matches_rising_factorial_terms(self, a, b, c):
+        value = hypergeom_2f1_terminating(a, b, c)
+        assert type(value) is Fraction
+        assert value == _hypergeom_reference(a, b, c)
+
     def test_series_matches_closed_form_block(self):
         for a in range(-8, 1):
             for b in range(-8, 9):
@@ -177,6 +207,10 @@ class TestBinomialInversion:
     @given(st.lists(st.integers(-10**6, 10**6), max_size=20))
     def test_involution(self, seq):
         assert binomial_inversion(binomial_inversion(seq)) == seq
+
+    @given(st.lists(st.integers(-10**30, 10**30), max_size=30))
+    def test_matches_binomial_double_sum(self, seq):
+        assert binomial_inversion(seq) == _inversion_reference(seq)
 
 
 class TestRoutes:
@@ -200,6 +234,10 @@ class TestRoutes:
         for n in range(8):
             for l in range(8):
                 assert factorial(n) * falling(-(n + 1), l) == (-1) ** l * factorial(n + l)
+
+    @given(st.integers(2, 40), st.integers(0, 80))
+    def test_route2_matches_per_l_falling(self, k, n):
+        assert route2_factorial_gf(IdentityInstance(k, n)) == _route2_row_sum_reference(k, n)
 
     def test_route4_integer_on_block(self):
         for k in range(2, 31):
@@ -337,6 +375,42 @@ class TestVerifyGrid:
         reports = verify_grid(range(2, 6), range(0, 8), routes=("r6",))
         assert all(r.all_match for r in reports)
         assert calls == [(8, 2), (8, 3), (8, 4), (8, 5)]
+
+    def test_row_caches_built_once_per_row(self, monkeypatch):
+        import lahverify.numbers as numbers_mod
+        import lahverify.verify as verify_mod
+
+        calls = []
+        closed_form = numbers_mod.lah
+
+        def counting_lah(n, k):
+            calls.append((n, k))
+            return closed_form(n, k)
+
+        monkeypatch.setattr(numbers_mod, "lah", counting_lah)
+        caches = (lah_row, signed_pascal_rows, verify_mod._route3_factor)
+        for cache in caches:
+            cache.cache_clear()
+        reports = verify_grid(range(2, 6), range(0, 8), routes=("r2", "r3", "r4"))
+        assert all(r.all_match for r in reports)
+        # one Lah row per k, from the closed form, read by lhs_direct and r2
+        assert calls == [(k, l) for k in range(2, 6) for l in range(k + 1)]
+        # (hits, misses): each cache is built once per row and read for every n
+        assert {cache: cache.cache_info()[:2] for cache in caches} == {
+            lah_row: (4 * 8 * 2 - 4, 4),
+            signed_pascal_rows: (4 * 8 - 4, 4),
+            verify_mod._route3_factor: (4 * 8 - 4, 4),
+        }
+
+    @pytest.mark.parametrize("name", ["lah_row", "signed_pascal_rows", "_route3_factor"])
+    def test_row_caches_are_bounded_and_immutable(self, name):
+        import lahverify.verify as verify_mod
+
+        cache = getattr(verify_mod, name)
+        assert type(cache.cache_parameters()["maxsize"]) is int
+        value = cache(6)
+        assert type(value) is tuple
+        assert all(type(entry) in (int, tuple) for entry in value)
 
     def test_pool_never_larger_than_instances_or_cpus(self, monkeypatch):
         import concurrent.futures
