@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .numbers import lah, stirling1, triangle_rows
-from .verify import ROUTE_NAMES, VerificationReport, verify_grid
+
+if TYPE_CHECKING:
+    from .verify import VerificationReport
 
 MISMATCH_LINES = 10
 SHOWN_DIGITS = 40
@@ -75,6 +78,8 @@ def _mismatch(expected: int, actual: int) -> str:
 
 
 def _parse_routes(raw: str) -> tuple[str, ...]:
+    from .verify import ROUTE_NAMES
+
     if raw == "all":
         return ROUTE_NAMES
     names = [tok.strip() for tok in raw.split(",") if tok.strip()]
@@ -143,6 +148,10 @@ def _run_verify(ns: argparse.Namespace) -> int:
         raise ValueError("empty n range: --n-max must be >= --n-min")
     if ns.jobs < 1:
         raise ValueError("--jobs must be at least 1")
+    # imported here, like json and the process pool, so that the other
+    # commands never load the routes and the symbolic calculus
+    from .verify import verify_grid
+
     reports = verify_grid(
         range(ns.k_min, ns.k_max + 1),
         range(ns.n_min, ns.n_max + 1),
@@ -197,4 +206,15 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Console entry point; exits 1 without a traceback when the reader
+    of stdout closes it early (e.g. ``| head -1``)."""
+    try:
+        code = run(sys.argv[1:])
+        # a closed stdout must fail here, not in the flush at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the Python documentation's SIGPIPE recipe: stdout goes to devnull
+        # so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

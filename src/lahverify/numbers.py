@@ -7,11 +7,10 @@ enumeration) so that the methods can be played against each other in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .exact import binomial_general, factorial, reciprocal_factorial_weight
 from .series import rising_factorial_poly, series_from_coeffs, series_log1p, series_mul, series_scale
@@ -19,8 +18,7 @@ from .series import rising_factorial_poly, series_from_coeffs, series_log1p, ser
 BRUTEFORCE_MAX_N = 9
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """Lower-triangular integer table indexed by (n, k), 0 <= k <= n <= max_n."""
 
     max_n: int

@@ -6,9 +6,8 @@ and rational ones stay ``Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import Scalar, binomial_general
 
@@ -25,8 +24,7 @@ def _convolve(a: Sequence[Scalar], b: Sequence[Scalar], size: int) -> list[Scala
     return out
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(NamedTuple):
     """Coefficients of t^0 .. t^order; binary operations truncate to the
     smaller order of their operands."""
 
@@ -84,8 +82,7 @@ def series_binomial_power(e: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(binomial_general(e, i) for i in range(order + 1)))
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(NamedTuple):
     """Dense exact-coefficient polynomial; the zero polynomial is () and
     has degree -1. Trailing zero coefficients are never stored."""
 

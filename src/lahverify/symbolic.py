@@ -15,15 +15,13 @@ semantic equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .exact import ConsistencyError, Scalar, factorial
 from .numbers import lah, stirling1_from_rising_poly, stirling1_row
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(NamedTuple):
     """Finite sum of exact coefficients times integer powers of t."""
 
     terms: dict[int, Scalar]
@@ -56,8 +54,7 @@ def laurent_diff(p: LaurentPoly) -> LaurentPoly:
     return laurent_from_terms((c * b, b - 1) for b, c in p.terms.items())
 
 
-@dataclass(frozen=True)
-class ExpLaurentExpr:
+class ExpLaurentExpr(NamedTuple):
     """Finite sum of terms c * u^a * t^b * exp(-u/t), keyed by (a, b)."""
 
     terms: dict[tuple[int, int], Scalar]

@@ -17,12 +17,12 @@ agreement across all of them is the point of the package.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exact import (
     ConsistencyError,
@@ -34,7 +34,7 @@ from .exact import (
     rising,
 )
 from .numbers import lah_row, signed_pascal_rows
-from .series import TruncatedSeries, series_binomial_power, series_mul
+from .series import series_binomial_power
 from .symbolic import route6_coefficient_chain
 
 
@@ -42,34 +42,44 @@ def _sgn(i: int) -> int:
     return -1 if i % 2 else 1
 
 
-@dataclass(frozen=True)
-class IdentityInstance:
-    """A single (k, n) parameter pair; the sum is only claimed for k >= 2."""
-
+# the fields of IdentityInstance, which needs a subclass to validate in __new__
+class _KN(NamedTuple):
     k: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.k < 2:
+
+class IdentityInstance(_KN):
+    """A single (k, n) parameter pair; the sum is only claimed for k >= 2."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, n: int) -> IdentityInstance:
+        if k < 2:
             raise ValueError("identity instances need k >= 2")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("identity instances need n >= 0")
+        return super().__new__(cls, k, n)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Reference value and per-route values for one instance.
 
     A route whose internal cross-check failed has the value ``None`` and
     its ``ConsistencyError`` message in ``errors``; such a report never
-    has ``all_match``.
+    has ``all_match``. The default ``errors`` is a read-only empty mapping.
     """
 
     instance: IdentityInstance
     reference: int
     route_values: dict[str, int | None]
     all_match: bool
-    errors: dict[str, str] = field(default_factory=dict)
+    errors: Mapping[str, str] = MappingProxyType({})
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled, and pool workers send reports back by pickle
+        return VerificationReport, (
+            self.instance, self.reference, self.route_values, self.all_match, dict(self.errors)
+        )
 
 
 def rhs_reference(inst: IdentityInstance) -> int:
@@ -191,8 +201,9 @@ def route2_factorial_gf(inst: IdentityInstance) -> int:
 
 @lru_cache(maxsize=32)
 def _route3_factor(k: int) -> tuple[int, ...]:
-    # (1+x)^(k-1) through x^k, the factor of route 3 that every n shares
-    return series_binomial_power(k - 1, k).coeffs
+    # (1+x)^(k-1) through x^k, the factor of route 3 that every n shares,
+    # highest power first
+    return series_binomial_power(k - 1, k).coeffs[::-1]
 
 
 def route3_convolution(inst: IdentityInstance) -> int:
@@ -200,13 +211,12 @@ def route3_convolution(inst: IdentityInstance) -> int:
     equal the coefficient of x^k in (1+x)^-(n-k+2); scaling it by k! n!
     gives the sum."""
     k, n = inst.k, inst.n
-    convolved = series_mul(
-        series_binomial_power(-(n + 1), k), TruncatedSeries(_route3_factor(k))
-    )
+    # only x^k of the product is compared: sum over i of [x^i] * [x^(k-i)]
+    convolved = sum(map(mul, series_binomial_power(-(n + 1), k).coeffs, _route3_factor(k)))
     direct = series_binomial_power(-(n - k + 2), k)
-    if convolved.coeff(k) != direct.coeff(k):
+    if convolved != direct.coeff(k):
         raise ConsistencyError(f"convolution route broke at k={k}, n={n}")
-    return as_integer(convolved.coeff(k)) * factorial(k) * factorial(n)
+    return convolved * factorial(k) * factorial(n)
 
 
 def route4_inversion(inst: IdentityInstance) -> int:

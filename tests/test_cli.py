@@ -278,10 +278,64 @@ class TestDeterminism:
         assert out_a == out_b
 
 
-def test_cli_import_leaves_pool_out():
-    # a fresh interpreter, since this one may have imported the pool already
+def _fresh_env() -> dict[str, str]:
     src = str(Path(lahverify.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, lahverify.cli; print('concurrent.futures' in sys.modules, 'json' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False False\n"
+    return {**os.environ, "PYTHONPATH": src}
+
+
+def _loaded_by(*args: str) -> set[str]:
+    """Modules a fresh interpreter imports to run ``args`` beyond those it
+    imports to run ``-c pass``, as ``-X importtime`` lists them."""
+
+    def imported(argv):
+        out = subprocess.run([sys.executable, "-X", "importtime", *argv], env=_fresh_env(),
+                             capture_output=True, text=True, check=True)
+        return {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
+
+    return imported(args) - imported(["-c", "pass"])
+
+
+def test_cli_import_leaves_pool_out():
+    # fresh interpreters, since this one has imported the whole package
+    assert not {name for name in _loaded_by("-c", "import lahverify") if name.startswith("lahverify.")}
+    loaded = _loaded_by("-c", "import lahverify.cli")
+    assert "lahverify.numbers" in loaded
+    assert not loaded & {"concurrent.futures", "json", "lahverify.verify", "lahverify.symbolic", "dataclasses"}
+    assert "dataclasses" not in _loaded_by("-c", "import lahverify.verify")
+    table = _loaded_by("-m", "lahverify", "table", "lah", "--max-n", "3")
+    assert "lahverify.cli" in table
+    assert not table & {"lahverify.verify", "lahverify.symbolic", "dataclasses"}
+
+
+def test_public_names_resolve_on_access():
+    from lahverify import numbers, verify
+
+    assert lahverify.lah is numbers.lah
+    assert lahverify.verify_grid is verify.verify_grid
+    namespace: dict = {}
+    exec("from lahverify import *", namespace)
+    assert set(lahverify.__all__) <= set(namespace)
+    assert set(lahverify.__all__) <= set(dir(lahverify))
+    with pytest.raises(AttributeError):
+        lahverify.no_such_name
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["table", "lah", "--max-n", "300", "--format", "csv"], 1),
+    (["verify", "--k-min", "2", "--k-max", "40", "--n-min", "0", "--n-max", "80", "--routes", "r2", "--format", "csv"], 1),
+    (["lah", "--n", "5", "--k", "2"], 0),
+], ids=["table", "verify", "lah"])
+def test_closed_stdout_exits_one_quietly(argv, lines):
+    # the reader takes some lines and closes the pipe, as `| head -1` does:
+    # mid-stream for outputs of megabytes, far more than a pipe buffer
+    # holds, and before the first write for a short one; stdout is block
+    # buffered, as it is by default for a pipe
+    env = {name: value for name, value in _fresh_env().items() if name != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "lahverify", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lahverify.exact import ConsistencyError, binomial_general, factorial, falling, rising
-from lahverify.numbers import lah, lah_row, signed_pascal_rows
-from lahverify.series import falling_factorial_poly, poly_add, poly_scale, rising_factorial_poly, POLY_ZERO
+from lahverify.numbers import lah, lah_row, lah_triangle, signed_pascal_rows
+from lahverify.series import (
+    falling_factorial_poly,
+    poly_add,
+    poly_from_coeffs,
+    poly_scale,
+    rising_factorial_poly,
+    series_binomial_power,
+    series_mul,
+    POLY_ZERO,
+)
+from lahverify.symbolic import exp_derivative_lah, stirling_weighted_moment
 from lahverify.verify import (
     ROUTE_FUNCTIONS,
     ROUTE_NAMES,
     IdentityInstance,
+    VerificationReport,
     binomial_inversion,
     chu_vandermonde_binomial,
     chu_vandermonde_closed,
@@ -76,6 +88,47 @@ class TestInstance:
     def test_valid_instance(self):
         inst = IdentityInstance(2, 0)
         assert (inst.k, inst.n) == (2, 0)
+
+
+class TestValueTypes:
+    # one value of each of the seven value types
+    VALUES = [
+        IdentityInstance(3, 4),
+        VerificationReport(IdentityInstance(2, 1), 2, {"r1": 2}, True),
+        lah_triangle(3),
+        series_binomial_power(-2, 4),
+        poly_from_coeffs([1, 2]),
+        stirling_weighted_moment(3),
+        exp_derivative_lah(2),
+    ]
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_attributes_cannot_be_assigned(self, value):
+        with pytest.raises(AttributeError):
+            setattr(value, type(value)._fields[0], None)
+        with pytest.raises(AttributeError):
+            value.extra = None
+
+    def test_instance_and_report_survive_pickle(self):
+        # the process pool sends instances to workers and reports back
+        inst = IdentityInstance(5, 7)
+        report = VerificationReport(inst, 3, {"lhs_direct": 3, "r5": None}, False, {"r5": "broke"})
+        for value in (inst, report):
+            copy = pickle.loads(pickle.dumps(value))
+            assert type(copy) is type(value)
+            assert copy == value
+        assert copy.route_values == {"lhs_direct": 3, "r5": None}
+        assert copy.errors == {"r5": "broke"}
+
+    def test_default_errors_empty_and_read_only(self):
+        first = VerificationReport(IdentityInstance(2, 1), 2, {"r1": 2}, True)
+        second = VerificationReport(IdentityInstance(2, 2), 0, {"r1": 0}, True)
+        assert first.errors == {}
+        with pytest.raises(TypeError):
+            first.errors["r1"] = "broke"
+        assert second.errors == {}
+        copy = pickle.loads(pickle.dumps(first))
+        assert copy == first and copy.errors == {}
 
 
 class TestReferenceSides:
@@ -234,6 +287,12 @@ class TestRoutes:
         for n in range(8):
             for l in range(8):
                 assert factorial(n) * falling(-(n + 1), l) == (-1) ** l * factorial(n + l)
+
+    @given(st.integers(2, 40), st.integers(0, 80))
+    def test_route3_matches_full_series_product(self, k, n):
+        # r3 forms only the x^k coefficient of the product it checks
+        product = series_mul(series_binomial_power(-(n + 1), k), series_binomial_power(k - 1, k))
+        assert route3_convolution(IdentityInstance(k, n)) == product.coeff(k) * factorial(k) * factorial(n)
 
     @given(st.integers(2, 40), st.integers(0, 80))
     def test_route2_matches_per_l_falling(self, k, n):
