@@ -66,11 +66,8 @@ def falling(x: Scalar, n: int) -> Scalar:
 
 
 def reciprocal_factorial_weight(m: int) -> Fraction:
-    """1/m! for m >= 0, and 0 for negative m.
-
-    The zero value for negative arguments is the convention that lets sums
-    with a 1/(l-1)! weight run from l = 0 without a special case.
-    """
+    """1/m! for m >= 0, and 0 for negative m: the factor that scales
+    log(1+t)^k to log(1+t)^k / k! in ``stirling1_from_log_series``."""
     if m < 0:
         return Fraction(0)
     return Fraction(1, factorial(m))

@@ -117,20 +117,17 @@ def lah_bruteforce(n: int, k: int) -> int:
 _TRIANGLE_WEIGHTS: dict[str, Callable[[int, int], int]] = {
     "lah": lambda n, k: n + k,
     "stirling1": lambda n, k: -n,
-    "pascal": lambda n, k: 1,
 }
 
 
 def triangle_rows(kind: str, max_n: int, max_k: int | None = None) -> Iterator[list[int]]:
-    """Rows 0..max_n of the "lah", "stirling1" or "pascal" triangle, by
-    the recurrence
+    """Rows 0..max_n of the "lah" or "stirling1" triangle, by the recurrence
 
         T(n+1, k) = T(n, k-1) + w(n, k) T(n, k),   T(0, 0) = 1,
 
-    with weight w = n+k for Lah, w = -n for Stirling and w = 1 for the
-    binomial coefficients. Row n holds columns 0..n, cut after column
-    ``max_k`` when it is given. Only the previous row is kept, so rows can
-    be consumed as they are produced.
+    with weight w = n+k for Lah and w = -n for Stirling. Row n holds
+    columns 0..n, cut after column ``max_k`` when it is given. Only the
+    previous row is kept, so rows can be consumed as they are produced.
     """
     if max_n < 0:
         raise ValueError("max_n must be non-negative")
@@ -142,18 +139,6 @@ def triangle_rows(kind: str, max_n: int, max_k: int | None = None) -> Iterator[l
         prev = [0, *row, 0]  # prev[k] = T(n, k-1), prev[k+1] = T(n, k)
         row = [prev[k] + weight(n, k) * prev[k + 1] for k in range(width)]
         yield row
-
-
-# a grid row needs one triangle, and its digits grow as the cube of its
-# size, so only the most recent sizes are kept
-@lru_cache(maxsize=2)
-def signed_pascal_rows(size: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 0..size-1 of the signed Pascal triangle, (-1)^k C(n, k) for
-    0 <= k <= n, by the additive recurrence rather than a closed form."""
-    if size < 0:
-        raise ValueError("size must be non-negative")
-    rows = triangle_rows("pascal", size - 1) if size else ()
-    return tuple(tuple(-c if k % 2 else c for k, c in enumerate(row)) for row in rows)
 
 
 def _triangle(kind: str, max_n: int) -> Triangle:

@@ -37,9 +37,6 @@ class TruncatedSeries(NamedTuple):
     def coeff(self, i: int) -> Scalar:
         return self.coeffs[i]
 
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_mul(self, other)
-
 
 def series_from_coeffs(values: Iterable[Scalar], order: int | None = None) -> TruncatedSeries:
     """Series with the given low-order coefficients, zero-padded to ``order``."""

@@ -18,7 +18,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .exact import ConsistencyError, Scalar, factorial
-from .numbers import lah, stirling1_from_rising_poly, stirling1_row
+from .numbers import lah, stirling1_row
+from .series import rising_factorial_poly
 
 
 class LaurentPoly(NamedTuple):
@@ -118,19 +119,11 @@ def exp_derivative_lah(k: int) -> ExpLaurentExpr:
     )
 
 
-def _rising_product_u_coeffs(m: int) -> list[int]:
-    # Coefficients of u(u+1)...(u+m-1): the coefficient of u^i is
-    # (-1)^(m-i) s(m, i), recovered from the Stirling expansion.
-    svals = stirling1_from_rising_poly(m)
-    return [(-1 if (m - i) % 2 else 1) * svals[i] for i in range(m + 1)]
-
-
 def rising_product_expr(m: int) -> ExpLaurentExpr:
     """u(u+1)...(u+m-1) * exp(-u/t), expanded in powers of u."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    coeffs = _rising_product_u_coeffs(m)
-    return expr_from_terms((coeffs[i], i, 0) for i in range(m + 1))
+    return expr_from_terms((c, i, 0) for i, c in enumerate(rising_factorial_poly(m).coeffs))
 
 
 def stirling_weighted_moment(m: int) -> LaurentPoly:
@@ -148,9 +141,10 @@ def route6_coefficient_chain(m: int, k: int) -> dict[int, int]:
     """Differentiate the Stirling-form moment k times and match it against
     the expression built from the Lah-coefficient derivative formula.
 
-    Side A is the k-fold t-derivative of ``stirling_weighted_moment(m)``.
-    Side B multiplies ``exp_derivative_lah(k)`` by u(u+1)...(u+m-1) and
-    integrates out u. The two Laurent polynomials must agree exactly; a
+    Side A is the k-fold t-derivative of ``stirling_weighted_moment(m)``,
+    whose Stirling numbers come from the triangle recurrence. Side B
+    multiplies ``exp_derivative_lah(k)`` by u(u+1)...(u+m-1), expanded by
+    polynomial products, and integrates out u. The two Laurent polynomials must agree exactly; a
     mismatch means a bug somewhere in the chain, never roundoff.
 
     Returns, for each i in 0..m, the alternating factorial-Lah sum
@@ -169,7 +163,7 @@ def route6_coefficient_chain(m: int, k: int) -> dict[int, int]:
         side_a = laurent_diff(side_a)
 
     derivative = exp_derivative_lah(k)
-    side_b = expr_moment_u(expr_mul_u_poly(derivative, _rising_product_u_coeffs(m)))
+    side_b = expr_moment_u(expr_mul_u_poly(derivative, rising_factorial_poly(m).coeffs))
 
     if side_a != side_b:
         raise ConsistencyError(f"moment chain mismatch at m={m}, k={k}")

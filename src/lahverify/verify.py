@@ -20,7 +20,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import mul
+from operator import mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -33,7 +33,7 @@ from .exact import (
     falling,
     rising,
 )
-from .numbers import lah_row, signed_pascal_rows
+from .numbers import lah_row
 from .series import series_binomial_power
 from .symbolic import route6_coefficient_chain
 
@@ -131,10 +131,16 @@ def chu_vandermonde_binomial(r: int, m: int, s: int, n: int) -> tuple[int, int]:
 
 def binomial_inversion(values: Sequence[int]) -> list[int]:
     """The self-inverse binomial transform
-    T(h)(k) = sum over l in 0..k of C(k, l) (-1)^l h(l), each output one
-    dot product with a row of the signed Pascal triangle."""
-    seq = tuple(values)
-    return [sum(map(mul, row, seq)) for row in signed_pascal_rows(len(seq))]
+    T(h)(k) = sum over l in 0..k of C(k, l) (-1)^l h(l) = ((1 - E)^k h)(0),
+    with E the shift h(l) -> h(l+1). Row 0 of a difference table is h, row
+    j+1 holds r(l) - r(l+1) for the entries r(l) of row j, and output k is
+    the head of row k."""
+    out = []
+    diffs = list(values)
+    while diffs:
+        out.append(diffs[0])
+        diffs = list(map(sub, diffs, diffs[1:]))
+    return out
 
 
 def hypergeom_2f1_terminating(a: int, b: int, c: int) -> Fraction:
@@ -170,12 +176,10 @@ def route1_gkp(inst: IdentityInstance) -> int:
     close it with the double-binomial identity at (l, m, s) = (k-1, -1, n),
     and scale back."""
     k, n = inst.k, inst.n
-    reduced = sum(
-        _sgn(l) * binomial_general(n + l, n) * binomial_general(k - 1, l - 1)
-        for l in range(1, k + 1)
-    )
-    lhs, rhs = gkp_identity(k - 1, -1, n, n)
-    if not (reduced == lhs == rhs == _sgn(k) * binomial_general(n + 1, k)):
+    # the left side, term i = l, is the reduced sum
+    # sum over l in 1..k of (-1)^l C(n+l, n) C(k-1, l-1)
+    reduced, closed = gkp_identity(k - 1, -1, n, n)
+    if not (reduced == closed == _sgn(k) * binomial_general(n + 1, k)):
         raise ConsistencyError(f"binomial-identity route broke at k={k}, n={n}")
     return factorial(k) * factorial(n) * reduced
 
@@ -213,8 +217,7 @@ def route3_convolution(inst: IdentityInstance) -> int:
     k, n = inst.k, inst.n
     # only x^k of the product is compared: sum over i of [x^i] * [x^(k-i)]
     convolved = sum(map(mul, series_binomial_power(-(n + 1), k).coeffs, _route3_factor(k)))
-    direct = series_binomial_power(-(n - k + 2), k)
-    if convolved != direct.coeff(k):
+    if convolved != binomial_general(-(n - k + 2), k):
         raise ConsistencyError(f"convolution route broke at k={k}, n={n}")
     return convolved * factorial(k) * factorial(n)
 
@@ -223,19 +226,18 @@ def route4_inversion(inst: IdentityInstance) -> int:
     """Route 4: with a(l) = (n+l)!/(l-1)! and
     b(l) = (-1)^l n! (n+1)! / ((n-l+1)! (l-1)!), check by direct summation
     that the binomial transform sends b to a; the transform is an
-    involution, so it also sends a to b, and b(k) (k-1)! is the sum. The
-    1/(-1)! weights are taken as 0, which confines both sequences to their
-    natural support. Both are exact integer quotients, and a remainder
-    raises."""
+    involution, so it also sends a to b, and b(k) (k-1)! is the sum. Both
+    sequences are 0 at l = 0 and running products from a(1) = -b(1) = (n+1)!:
+
+        a(l+1) = a(l) (n+l+1) / l,   b(l+1) = -b(l) (n-l+1) / l,
+
+    so b is 0 from l = n+2 on. Every step is an exact integer quotient, and
+    a remainder raises."""
     k, n = inst.k, inst.n
-    n_fact, n1_fact = factorial(n), factorial(n + 1)
-    a_seq = [0] + [exact_quotient(factorial(n + l), factorial(l - 1)) for l in range(1, k + 1)]
-    b_seq = [
-        _sgn(l) * exact_quotient(n_fact * n1_fact, factorial(n - l + 1) * factorial(l - 1))
-        if 1 <= l <= n + 1
-        else 0
-        for l in range(k + 1)
-    ]
+    n1_fact = factorial(n + 1)
+    steps = range(1, k)
+    a_seq = [0, *accumulate(steps, lambda a, l: exact_quotient(a * (n + l + 1), l), initial=n1_fact)]
+    b_seq = [0, *accumulate(steps, lambda b, l: exact_quotient(-b * (n - l + 1), l), initial=-n1_fact)]
     if binomial_inversion(b_seq) != a_seq:
         raise ConsistencyError(f"inversion dual identity broke at k={k}, n={n}")
     return b_seq[k] * factorial(k - 1)

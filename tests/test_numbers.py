@@ -13,12 +13,10 @@ from lahverify.numbers import (
     lah_row,
     lah_triangle,
     ordered_block_partitions,
-    signed_pascal_rows,
     stirling1,
     stirling1_from_log_series,
     stirling1_from_rising_poly,
     stirling1_triangle,
-    triangle_rows,
 )
 
 
@@ -126,22 +124,9 @@ class TestRowCaches:
         for n in range(31):
             assert lah_row(n) == tuple(lah(n, k) for k in range(n + 1)) == tuple(triangle.row(n))
 
-    def test_pascal_triangle_rows_match_stdlib(self):
-        for n, row in enumerate(triangle_rows("pascal", 40)):
-            assert row == [math.comb(n, k) for k in range(n + 1)]
-
-    def test_signed_pascal_rows_match_stdlib(self):
-        assert signed_pascal_rows(0) == ()
-        for size in (1, 2, 7, 41):
-            assert signed_pascal_rows(size) == tuple(
-                tuple((-1) ** k * math.comb(n, k) for k in range(n + 1)) for n in range(size)
-            )
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             lah_row(-1)
-        with pytest.raises(ValueError):
-            signed_pascal_rows(-1)
 
 
 class TestStirlingFirstKind:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lahverify.exact import ConsistencyError, binomial_general, factorial, falling, rising
-from lahverify.numbers import lah, lah_row, lah_triangle, signed_pascal_rows
+from lahverify.numbers import lah, lah_row, lah_triangle
 from lahverify.series import (
     falling_factorial_poly,
     poly_add,
@@ -54,9 +54,9 @@ SPOT_VALUES = {
 }
 
 
-# plain loop forms of the binomial transform, the terminating 2F1 and
-# r2's row sum, kept as references: the properties below require exact
-# equality with them
+# plain loop forms of the binomial transform, the terminating 2F1, r2's
+# row sum, r1's reduced sum and r4's factorial-quotient sequences, kept as
+# references: the properties below require exact equality with them
 
 
 def _inversion_reference(values):
@@ -76,6 +76,26 @@ def _hypergeom_reference(a, b, c):
 
 def _route2_row_sum_reference(k, n):
     return factorial(n) * sum(lah(k, l) * falling(-(n + 1), l) for l in range(k + 1))
+
+
+def _route1_reduced_reference(k, n):
+    return sum(
+        (-1) ** l * binomial_general(n + l, n) * binomial_general(k - 1, l - 1)
+        for l in range(1, k + 1)
+    )
+
+
+def _route4_sequences_reference(k, n):
+    # a(l) = (n+l)!/(l-1)! and b(l) = (-1)^l n! (n+1)! / ((n-l+1)! (l-1)!),
+    # both 0 where a factorial in the denominator has a negative argument
+    a_seq = [0] + [factorial(n + l) // factorial(l - 1) for l in range(1, k + 1)]
+    b_seq = [
+        (-1) ** l * factorial(n) * factorial(n + 1) // (factorial(n - l + 1) * factorial(l - 1))
+        if 1 <= l <= n + 1
+        else 0
+        for l in range(k + 1)
+    ]
+    return a_seq, b_seq
 
 
 class TestInstance:
@@ -169,6 +189,10 @@ class TestGkpIdentity:
                 for l in range(1, k + 1)
             )
             assert reduced == lhs
+
+    @given(st.integers(2, 40), st.integers(0, 80))
+    def test_left_side_is_route1_reduced_sum(self, k, n):
+        assert gkp_identity(k - 1, -1, n, n)[0] == _route1_reduced_reference(k, n)
 
     def test_negative_l_rejected(self):
         with pytest.raises(ValueError):
@@ -298,6 +322,12 @@ class TestRoutes:
     def test_route2_matches_per_l_falling(self, k, n):
         assert route2_factorial_gf(IdentityInstance(k, n)) == _route2_row_sum_reference(k, n)
 
+    @given(st.integers(2, 40), st.integers(0, 80))
+    def test_route4_matches_factorial_quotient_sequences(self, k, n):
+        a_seq, b_seq = _route4_sequences_reference(k, n)
+        assert binomial_inversion(b_seq) == a_seq
+        assert route4_inversion(IdentityInstance(k, n)) == b_seq[k] * factorial(k - 1)
+
     def test_route4_integer_on_block(self):
         for k in range(2, 31):
             for n in range(0, 61):
@@ -356,6 +386,62 @@ class TestInternalGuards:
             assert list(r.errors) == ["r5"]
             assert "hypergeometric route broke at k=3" in r.errors["r5"]
             assert not r.all_match
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_wrong_route1_side_is_reported(self, monkeypatch, side):
+        import lahverify.verify as verify_mod
+
+        gkp = verify_mod.gkp_identity
+
+        def one_side_off(l, m, s, n):
+            sides = list(gkp(l, m, s, n))
+            sides[side] += 1
+            return tuple(sides)
+
+        monkeypatch.setattr(verify_mod, "gkp_identity", one_side_off)
+        for r in verify_row(3, range(0, 4), routes=("r1", "r3")):
+            assert r.route_values["r1"] is None
+            assert r.errors == {"r1": f"binomial-identity route broke at k=3, n={r.instance.n}"}
+            assert r.route_values["r3"] == r.reference
+
+    def test_wrong_route3_coefficient_is_reported(self, monkeypatch):
+        import lahverify.verify as verify_mod
+
+        power = verify_mod.series_binomial_power
+
+        def last_negative_coeff_off(e, order):
+            # (1+x)^-(n+1) gets its x^k coefficient off by one; the cached
+            # factor (1+x)^(k-1) is untouched
+            series = power(e, order)
+            return series._replace(coeffs=(*series.coeffs[:-1], series.coeffs[-1] + (e < 0)))
+
+        monkeypatch.setattr(verify_mod, "series_binomial_power", last_negative_coeff_off)
+        for r in verify_row(3, range(0, 4), routes=("r1", "r3")):
+            assert r.route_values["r3"] is None
+            assert r.errors == {"r3": f"convolution route broke at k=3, n={r.instance.n}"}
+            assert r.route_values["r1"] == r.reference
+
+    def test_wrong_route4_step_is_reported(self, monkeypatch):
+        import lahverify.verify as verify_mod
+
+        exact_quotient = verify_mod.exact_quotient
+        divisors = []
+
+        def one_step_off(num, den):
+            # the first division by 3 in the row, the last step of one of
+            # the two sequences of its first instance, returns q+1
+            divisors.append(den)
+            return exact_quotient(num, den) + (divisors.count(3) == 1 and den == 3)
+
+        monkeypatch.setattr(verify_mod, "exact_quotient", one_step_off)
+        first, *rest = verify_row(4, range(0, 6))
+        # every step of both sequences of every instance is a checked division
+        assert divisors == [1, 2, 3] * 2 * 6
+        assert first.route_values["r4"] is None
+        assert first.errors == {"r4": "inversion dual identity broke at k=4, n=0"}
+        assert all(v == first.reference for name, v in first.route_values.items() if name != "r4")
+        assert not first.all_match
+        assert all(r.all_match and r.errors == {} for r in rest)
 
     def test_failed_chain_marks_every_instance_of_the_row(self, monkeypatch):
         import lahverify.verify as verify_mod
@@ -447,7 +533,7 @@ class TestVerifyGrid:
             return closed_form(n, k)
 
         monkeypatch.setattr(numbers_mod, "lah", counting_lah)
-        caches = (lah_row, signed_pascal_rows, verify_mod._route3_factor)
+        caches = (lah_row, verify_mod._route3_factor)
         for cache in caches:
             cache.cache_clear()
         reports = verify_grid(range(2, 6), range(0, 8), routes=("r2", "r3", "r4"))
@@ -457,11 +543,10 @@ class TestVerifyGrid:
         # (hits, misses): each cache is built once per row and read for every n
         assert {cache: cache.cache_info()[:2] for cache in caches} == {
             lah_row: (4 * 8 * 2 - 4, 4),
-            signed_pascal_rows: (4 * 8 - 4, 4),
             verify_mod._route3_factor: (4 * 8 - 4, 4),
         }
 
-    @pytest.mark.parametrize("name", ["lah_row", "signed_pascal_rows", "_route3_factor"])
+    @pytest.mark.parametrize("name", ["lah_row", "_route3_factor"])
     def test_row_caches_are_bounded_and_immutable(self, name):
         import lahverify.verify as verify_mod
 
