@@ -26,8 +26,8 @@ def emit_report(reports: Sequence[VerificationReport], fmt: str = "text") -> str
     field, or ``rN=error`` in text.
     """
     if fmt == "json":
-        # imported here, like the process pool, because only JSON output
-        # needs it and every start of the CLI would pay for the import
+        # imported here because only JSON output needs it and every start
+        # of the CLI would pay for the import
         import json
 
         payload = [
@@ -148,8 +148,8 @@ def _run_verify(ns: argparse.Namespace) -> int:
         raise ValueError("empty n range: --n-max must be >= --n-min")
     if ns.jobs < 1:
         raise ValueError("--jobs must be at least 1")
-    # imported here, like json and the process pool, so that the other
-    # commands never load the routes and the symbolic calculus
+    # imported here, like json, so that the other commands never load the
+    # routes and the symbolic calculus
     from .verify import verify_grid
 
     reports = verify_grid(

@@ -19,10 +19,10 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import mul, sub
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exact import (
     ConsistencyError,
@@ -76,7 +76,7 @@ class VerificationReport(NamedTuple):
     errors: Mapping[str, str] = MappingProxyType({})
 
     def __reduce__(self):
-        # a mappingproxy cannot be pickled, and pool workers send reports back by pickle
+        # a mappingproxy cannot be pickled, and forked workers send reports back by pickle
         return VerificationReport, (
             self.instance, self.reference, self.route_values, self.all_match, dict(self.errors)
         )
@@ -232,13 +232,16 @@ def route4_inversion(inst: IdentityInstance) -> int:
         a(l+1) = a(l) (n+l+1) / l,   b(l+1) = -b(l) (n-l+1) / l,
 
     so b is 0 from l = n+2 on. Every step is an exact integer quotient, and
-    a remainder raises."""
+    a remainder raises. For even k the transform carries b(k) into a(k)
+    with sign +1, so the same error in the last step of both products
+    would pass it; a(k) = (n+k)!/(k-1)! is also checked against the
+    rising factorial k(k+1)...(k+n)."""
     k, n = inst.k, inst.n
     n1_fact = factorial(n + 1)
     steps = range(1, k)
     a_seq = [0, *accumulate(steps, lambda a, l: exact_quotient(a * (n + l + 1), l), initial=n1_fact)]
     b_seq = [0, *accumulate(steps, lambda b, l: exact_quotient(-b * (n - l + 1), l), initial=-n1_fact)]
-    if binomial_inversion(b_seq) != a_seq:
+    if binomial_inversion(b_seq) != a_seq or a_seq[k] != rising(k, n + 1):
         raise ConsistencyError(f"inversion dual identity broke at k={k}, n={n}")
     return b_seq[k] * factorial(k - 1)
 
@@ -335,6 +338,52 @@ def verify_instance(inst: IdentityInstance, routes: Iterable[str] = ROUTE_NAMES)
     return verify_row(inst.k, (inst.n,), routes)[0]
 
 
+def _fork_share(share: Sequence[int], ns: Sequence[int], route_names: Sequence[str]) -> tuple[int, IO[bytes]]:
+    """Fork a child that verifies the rows of ``share`` and pickles
+    ``("ok", {k: reports})`` or ``("raised", exc)`` into a pipe; returns
+    the child's pid and the read end of the pipe."""
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child never returns into the caller and never flushes the
+        # stdio buffers it inherited: it leaves through os._exit only
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as out:
+                try:
+                    result = ("ok", {k: verify_row(k, ns, route_names) for k in share})
+                except Exception as exc:
+                    result = ("raised", exc)
+                pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    # closed before the next fork, so only this child holds the write end
+    # and the pipe reads EOF as soon as it exits
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _collect(
+    reader: IO[bytes], share: Sequence[int], ns: Sequence[int], route_names: Sequence[str]
+) -> dict[int, list[VerificationReport]]:
+    """The reports a child sent for ``share``; a child's exception is
+    re-raised as it was, and rows of a child that exited without a result
+    are verified here."""
+    import pickle
+
+    try:
+        status, value = pickle.load(reader)
+    except (EOFError, pickle.UnpicklingError):
+        return {k: verify_row(k, ns, route_names) for k in share}
+    if status == "raised":
+        raise value
+    return value
+
+
 def verify_grid(
     k_values: Iterable[int],
     n_values: Iterable[int],
@@ -344,26 +393,35 @@ def verify_grid(
     """One report per (k, n), in (k, n)-lexicographic order.
 
     A row (one k, every n) is the unit of work. With jobs > 1 the rows
-    are evaluated in a process pool, one row per task and the largest k
-    first; the report order (and therefore any serialized output) is
-    identical regardless of the job count. The pool never has more
-    workers than rows or CPUs. Mismatches and failed route cross-checks
-    are reported, not raised.
+    are dealt out, largest k first, to min(jobs, rows, CPUs) shares: this
+    process verifies the last share and forks one child per other share,
+    which sends its reports back through a pipe. An exception raised in
+    a child is re-raised here, and the rows of a child that exits without
+    a result are verified here. Where ``os.fork`` is missing the rows run
+    serially. The report order (and therefore any serialized output) is
+    identical regardless of the job count. Mismatches and failed route
+    cross-checks are reported, not raised.
     """
     ns = sorted(set(n_values))
     rows = sorted(set(k_values)) if ns else []
     route_names = tuple(sorted(set(routes)))
     workers = min(jobs, len(rows), os.cpu_count() or 1)
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [report for k in rows for report in verify_row(k, ns, route_names)]
-    # imported here because importing the pool machinery adds tens of
-    # milliseconds to every start of the CLI, and serial runs never use it
-    from concurrent.futures import ProcessPoolExecutor
-
-    # the largest k is the slowest row; starting it first keeps a long row
-    # from being left to a single worker at the end
-    largest_first = rows[::-1]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        done = pool.map(verify_row, largest_first, repeat(ns), repeat(route_names), chunksize=1)
-        by_k = dict(zip(largest_first, done))
+    # the largest k is the slowest row; dealing the rows round-robin from
+    # the largest down gives every share about the same work, and this
+    # process, which also unpickles every child's reports, keeps the last
+    # and lightest share
+    *shares, own = (rows[::-1][i::workers] for i in range(workers))
+    children = []
+    try:
+        for share in shares:
+            children.append((*_fork_share(share, ns, route_names), share))
+        by_k = {k: verify_row(k, ns, route_names) for k in own}
+        for _, reader, share in children:
+            by_k.update(_collect(reader, share, ns, route_names))
+    finally:
+        for pid, reader, _ in children:
+            reader.close()
+            os.waitpid(pid, 0)
     return [report for k in rows for report in by_k[k]]

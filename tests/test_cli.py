@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -195,7 +194,7 @@ class TestVerifyCommand:
         assert lines[-2:] == ["... and 10 more mismatches", "0/20 instances verified"]
 
     # workers see the patched module only when they are forked from this process
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="needs forked pool workers")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failed_cross_check_gives_exit_one(self, capsys, monkeypatch, jobs):
         import lahverify.verify as verify_mod
@@ -214,6 +213,57 @@ class TestVerifyCommand:
             for k in (2, 3) for n in (0, 1)
         ]
         assert "0/4 instances verified" in err
+
+    GRID = ["verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "4",
+            "--routes", "r1,r4", "--format", "csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
+    @pytest.mark.parametrize("bad_k", [2, 3])
+    def test_worker_exception_reaches_the_parent(self, capsys, monkeypatch, bad_k):
+        # with two rows and two workers one row runs in this process and
+        # one in a child, so bad_k covers both
+        import lahverify.verify as verify_mod
+
+        verify_row = verify_mod.verify_row
+        parent = os.getpid()
+        rows_here = []
+
+        def raising_row(k, ns, routes):
+            if os.getpid() == parent:
+                rows_here.append(k)
+            if k == bad_k:
+                raise ValueError(f"no row {k}")
+            return verify_row(k, ns, routes)
+
+        monkeypatch.setattr(verify_mod, "verify_row", raising_row)
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+        serial = _run(capsys, self.GRID + ["--jobs", "1"])
+        rows_here.clear()
+        assert _run(capsys, self.GRID + ["--jobs", "2"]) == serial == (2, "", f"error: no row {bad_k}\n")
+        # the child's row, raising or not, is not verified again here
+        assert len(rows_here) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
+    def test_rows_of_a_worker_that_dies_are_verified_here(self, capsys, monkeypatch):
+        import lahverify.verify as verify_mod
+
+        verify_row = verify_mod.verify_row
+        parent = os.getpid()
+        rows_here = []
+
+        def dying_row(k, ns, routes):
+            if os.getpid() != parent:
+                os._exit(9)
+            rows_here.append(k)
+            return verify_row(k, ns, routes)
+
+        serial = _run(capsys, self.GRID + ["--jobs", "1"])
+        monkeypatch.setattr(verify_mod, "verify_row", dying_row)
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+        assert _run(capsys, self.GRID + ["--jobs", "2"]) == serial
+        assert serial[0] == 0
+        # the child's row was verified again in this process
+        assert sorted(rows_here) == [2, 3]
 
 
 class TestEmitReport:
@@ -305,6 +355,10 @@ def test_cli_import_leaves_pool_out():
     table = _loaded_by("-m", "lahverify", "table", "lah", "--max-n", "3")
     assert "lahverify.cli" in table
     assert not table & {"lahverify.verify", "lahverify.symbolic", "dataclasses"}
+    parallel = _loaded_by("-m", "lahverify", "verify", "--k-min", "2", "--k-max", "3", "--n-min", "0",
+                          "--n-max", "2", "--routes", "r1", "--jobs", "2")
+    assert "lahverify.verify" in parallel
+    assert not parallel & {"concurrent.futures", "multiprocessing"}
 
 
 def test_public_names_resolve_on_access():
@@ -318,6 +372,22 @@ def test_public_names_resolve_on_access():
     assert set(lahverify.__all__) <= set(dir(lahverify))
     with pytest.raises(AttributeError):
         lahverify.no_such_name
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
+def test_forked_workers_print_nothing():
+    # a child that returned into the CLI, or flushed the stdout buffer it
+    # inherited, would repeat report lines; stdout is block buffered, as
+    # it is by default for a pipe
+    env = {name: value for name, value in _fresh_env().items() if name != "PYTHONUNBUFFERED"}
+    argv = [sys.executable, "-m", "lahverify", "verify", "--k-min", "2", "--k-max", "9", "--n-min", "0",
+            "--n-max", "6", "--routes", "r1,r2", "--format", "text"]
+    serial, parallel = (subprocess.run(argv + ["--jobs", jobs], env=env, capture_output=True, text=True, timeout=120)
+                        for jobs in ("1", "2"))
+    lines = parallel.stdout.splitlines()
+    assert len(lines) == len(set(lines)) == 8 * 7
+    assert (parallel.returncode, parallel.stdout, parallel.stderr) == (0, serial.stdout, "56/56 instances verified\n")
+    assert serial.returncode == 0
 
 
 @pytest.mark.parametrize("argv, lines", [

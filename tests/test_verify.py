@@ -130,7 +130,7 @@ class TestValueTypes:
             value.extra = None
 
     def test_instance_and_report_survive_pickle(self):
-        # the process pool sends instances to workers and reports back
+        # forked workers send their reports, instances included, back by pickle
         inst = IdentityInstance(5, 7)
         report = VerificationReport(inst, 3, {"lhs_direct": 3, "r5": None}, False, {"r5": "broke"})
         for value in (inst, report):
@@ -443,6 +443,20 @@ class TestInternalGuards:
         assert not first.all_match
         assert all(r.all_match and r.errors == {} for r in rest)
 
+    def test_same_last_step_error_in_both_route4_products_is_reported(self, monkeypatch):
+        import lahverify.verify as verify_mod
+
+        exact_quotient = verify_mod.exact_quotient
+        # at k=4 the division by 3 is the last step of a(l) and of b(l);
+        # the difference table alone passes this fault for even k
+        monkeypatch.setattr(verify_mod, "exact_quotient", lambda num, den: exact_quotient(num, den) + (den == 3))
+        reports = verify_row(4, range(0, 6))
+        for r in reports:
+            assert r.route_values["r4"] is None
+            assert r.errors == {"r4": f"inversion dual identity broke at k=4, n={r.instance.n}"}
+            assert all(v == r.reference for name, v in r.route_values.items() if name != "r4")
+            assert not r.all_match
+
     def test_failed_chain_marks_every_instance_of_the_row(self, monkeypatch):
         import lahverify.verify as verify_mod
 
@@ -557,37 +571,35 @@ class TestVerifyGrid:
         assert all(type(entry) in (int, tuple) for entry in value)
 
     def test_pool_never_larger_than_instances_or_cpus(self, monkeypatch):
-        import concurrent.futures
-
         import lahverify.verify as verify_mod
 
-        sizes = []
+        real_fork = verify_mod.os.fork
+        forks = []
 
-        class SerialPool:
-            # records the requested worker count and maps in this process,
-            # so a large jobs value starts no worker at all
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def counting_fork():
+            # this process does one share and forks one child per other
+            # share, so a grid of w workers forks w - 1 children
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-            def __enter__(self):
-                return self
+        def forks_for(*args, **kwargs):
+            before = len(forks)
+            reports = verify_grid(*args, **kwargs)
+            return reports, len(forks) - before
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(verify_mod.os, "fork", counting_fork)
         monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 3)
         serial = verify_grid(range(2, 4), range(0, 4), routes=("r1",), jobs=1)
-        # two rows: the row count caps the pool below the CPU count
-        assert verify_grid(range(2, 4), range(0, 4), routes=("r1",), jobs=1000) == serial
-        # one row: no pool at all
-        assert verify_grid(range(2, 3), range(0, 2), routes=("r1",), jobs=1000) == serial[:2]
-        # four rows: the CPU count caps the pool
+        # two rows: the row count caps the workers below the CPU count
+        assert forks_for(range(2, 4), range(0, 4), routes=("r1",), jobs=1000) == (serial, 1)
+        # one row: no child at all
+        assert forks_for(range(2, 3), range(0, 2), routes=("r1",), jobs=1000) == (serial[:2], 0)
+        # four rows: the CPU count caps the workers
         serial_wide = verify_grid(range(2, 6), range(0, 2), routes=("r1",), jobs=1)
-        assert verify_grid(range(2, 6), range(0, 2), routes=("r1",), jobs=1000) == serial_wide
+        assert forks_for(range(2, 6), range(0, 2), routes=("r1",), jobs=1000) == (serial_wide, 2)
         monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
-        assert verify_grid(range(2, 4), range(0, 4), routes=("r1",), jobs=1000) == serial
-        assert sizes == [2, 3]
+        assert forks_for(range(2, 4), range(0, 4), routes=("r1",), jobs=1000) == (serial, 0)
+        # the serial grids above forked nothing either
+        assert len(forks) == 3
