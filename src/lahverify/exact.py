@@ -9,10 +9,13 @@ no overflow, ever.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-Scalar = int | Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Scalar = int | Fraction
 
 
 class ConsistencyError(ArithmeticError):
@@ -68,6 +71,10 @@ def falling(x: Scalar, n: int) -> Scalar:
 def reciprocal_factorial_weight(m: int) -> Fraction:
     """1/m! for m >= 0, and 0 for negative m: the factor that scales
     log(1+t)^k to log(1+t)^k / k! in ``stirling1_from_log_series``."""
+    # imported here, like every use of Fraction: the integer routes and
+    # commands never load the module
+    from fractions import Fraction
+
     if m < 0:
         return Fraction(0)
     return Fraction(1, factorial(m))

@@ -7,13 +7,14 @@ enumeration) so that the methods can be played against each other in tests.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .exact import binomial_general, factorial, reciprocal_factorial_weight
-from .series import rising_factorial_poly, series_from_coeffs, series_log1p, series_mul, series_scale
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 BRUTEFORCE_MAX_N = 9
 
@@ -182,6 +183,10 @@ def stirling1_from_rising_poly(n: int) -> list[int]:
     whose coefficient at x^k is (-1)^(n-k) s(n, k)."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    # series is imported by the two functions that use it, so that the
+    # number commands and the tables never load it
+    from .series import rising_factorial_poly
+
     # the product is monic of degree n, so no coefficient is trimmed
     return [(-1 if (n - k) % 2 else 1) * c for k, c in enumerate(rising_factorial_poly(n).coeffs)]
 
@@ -194,6 +199,8 @@ def stirling1_from_log_series(max_n: int, k: int) -> list[Fraction]:
     """
     if not 0 <= k <= max_n:
         raise ValueError("need 0 <= k <= max_n")
+    from .series import series_from_coeffs, series_log1p, series_mul, series_scale
+
     acc = series_from_coeffs([1], max_n)
     log_series = series_log1p(max_n)
     for _ in range(k):

@@ -6,10 +6,12 @@ and rational ones stay ``Fraction``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .exact import Scalar, binomial_general
+from .exact import binomial_general
+
+if TYPE_CHECKING:
+    from .exact import Scalar
 
 
 def _convolve(a: Sequence[Scalar], b: Sequence[Scalar], size: int) -> list[Scalar]:
@@ -64,6 +66,8 @@ def series_log1p(order: int) -> TruncatedSeries:
     """log(1+t) through t^order: coefficients 0, 1, -1/2, 1/3, ..."""
     if order < 0:
         raise ValueError("series order must be non-negative")
+    from fractions import Fraction
+
     cs = [0] + [Fraction(-1 if n % 2 == 0 else 1, n) for n in range(1, order + 1)]
     return TruncatedSeries(tuple(cs))
 

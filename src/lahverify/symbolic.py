@@ -15,11 +15,14 @@ semantic equality.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .exact import ConsistencyError, Scalar, factorial
+from .exact import ConsistencyError, factorial
 from .numbers import lah, stirling1_row
 from .series import rising_factorial_poly
+
+if TYPE_CHECKING:
+    from .exact import Scalar
 
 
 class LaurentPoly(NamedTuple):

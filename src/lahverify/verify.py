@@ -17,7 +17,6 @@ agreement across all of them is the point of the package.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul, sub
@@ -26,7 +25,6 @@ from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .exact import (
     ConsistencyError,
-    as_integer,
     binomial_general,
     exact_quotient,
     factorial,
@@ -35,7 +33,6 @@ from .exact import (
 )
 from .numbers import lah_row
 from .series import series_binomial_power
-from .symbolic import route6_coefficient_chain
 
 
 def _sgn(i: int) -> int:
@@ -143,11 +140,12 @@ def binomial_inversion(values: Sequence[int]) -> list[int]:
     return out
 
 
-def hypergeom_2f1_terminating(a: int, b: int, c: int) -> Fraction:
+def hypergeom_2f1_terminating(a: int, b: int, c: int) -> tuple[int, int]:
     """Terminating 2F1(a, b; c; 1) for a <= 0, summed term by term, each
     term the previous one times (a+l)(b+l) / ((c+l)(l+1)). The
     non-positive upper parameter makes the series a finite sum, so the
-    value is an exact rational."""
+    value is an exact rational, returned as an unreduced pair
+    (numerator, denominator) with a positive denominator."""
     if a > 0:
         raise ValueError("upper parameter must be a non-positive integer")
     if c < 1:
@@ -158,17 +156,18 @@ def hypergeom_2f1_terminating(a: int, b: int, c: int) -> Fraction:
         total += term
         q = (c + l) * (l + 1)
         total, term, den = total * q, term * (a + l) * (b + l), den * q
-    return Fraction(total, den)
+    return total, den
 
 
-def chu_vandermonde_closed(a: int, b: int, c: int) -> Fraction:
+def chu_vandermonde_closed(a: int, b: int, c: int) -> tuple[int, int]:
     """Closed form of the terminating 2F1 at unit argument:
-    2F1(-N, b; c; 1) = (c-b)_N / (c)_N with N = -a."""
+    2F1(-N, b; c; 1) = (c-b)_N / (c)_N with N = -a, returned as the
+    unreduced pair ((c-b)_N, (c)_N); the denominator is positive."""
     if a > 0:
         raise ValueError("upper parameter must be a non-positive integer")
     if c < 1:
         raise ValueError("lower parameter must be a positive integer")
-    return Fraction(rising(c - b, -a), rising(c, -a))
+    return rising(c - b, -a), rising(c, -a)
 
 
 def route1_gkp(inst: IdentityInstance) -> int:
@@ -222,6 +221,55 @@ def route3_convolution(inst: IdentityInstance) -> int:
     return convolved * factorial(k) * factorial(n)
 
 
+class _Route4Column(NamedTuple):
+    """r4's sequences for one n: a(0..K), b(0..K), the first output j at
+    which the binomial transform of b differs from a (K+1 if none), and
+    None, or the message of the checked quotient that raised in step K
+    and so cut the column short."""
+
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    first_mismatch: int
+    failure: str | None
+
+
+# r4's columns by n, least recently used first. A grid row reads every n,
+# so the bound must hold a whole n-range: a smaller LRU cache would miss
+# on every lookup. The large grid has 121 columns.
+ROUTE4_COLUMNS_MAX = 256
+_route4_columns: dict[int, _Route4Column] = {}
+
+
+def _route4_column(n: int, k: int) -> _Route4Column:
+    """The cached column for n, which reaches k unless a step below k
+    raised; a column too short for k is built again at k."""
+    column = _route4_columns.pop(n, None)
+    if column is None or len(column.a) <= k:
+        column = _route4_build_column(n, k)
+    _route4_columns[n] = column
+    if len(_route4_columns) > ROUTE4_COLUMNS_MAX:
+        del _route4_columns[next(iter(_route4_columns))]
+    return column
+
+
+def _route4_build_column(n: int, k: int) -> _Route4Column:
+    n1_fact = factorial(n + 1)
+    a_seq, b_seq = [0, n1_fact], [0, -n1_fact]
+    failure = None
+    try:
+        for l in range(1, k):
+            # a(l+1) is appended only with b(l+1), so both end at step l
+            # if either quotient raises
+            a_next = exact_quotient(a_seq[-1] * (n + l + 1), l)
+            b_seq.append(exact_quotient(-b_seq[-1] * (n - l + 1), l))
+            a_seq.append(a_next)
+    except ConsistencyError as exc:
+        failure = str(exc)
+    transform = binomial_inversion(b_seq)
+    first_mismatch = next((j for j, (t, a) in enumerate(zip(transform, a_seq)) if t != a), len(a_seq))
+    return _Route4Column(tuple(a_seq), tuple(b_seq), first_mismatch, failure)
+
+
 def route4_inversion(inst: IdentityInstance) -> int:
     """Route 4: with a(l) = (n+l)!/(l-1)! and
     b(l) = (-1)^l n! (n+1)! / ((n-l+1)! (l-1)!), check by direct summation
@@ -232,30 +280,35 @@ def route4_inversion(inst: IdentityInstance) -> int:
         a(l+1) = a(l) (n+l+1) / l,   b(l+1) = -b(l) (n-l+1) / l,
 
     so b is 0 from l = n+2 on. Every step is an exact integer quotient, and
-    a remainder raises. For even k the transform carries b(k) into a(k)
-    with sign +1, so the same error in the last step of both products
-    would pass it; a(k) = (n+k)!/(k-1)! is also checked against the
-    rising factorial k(k+1)...(k+n)."""
+    a remainder raises. Output j of the transform reads only b(0..j), so
+    the check for (k, n) is a prefix of the check for (K, n) when K >= k:
+    both sequences and the transform are built once per column n, at the
+    largest k asked for, and (k, n) passes when they agree on 0..k. For
+    even k the transform carries b(k) into a(k) with sign +1, so the same
+    error in the last step of both products would pass it; a(k) =
+    (n+k)!/(k-1)! is also checked against the rising factorial
+    k(k+1)...(k+n)."""
     k, n = inst.k, inst.n
-    n1_fact = factorial(n + 1)
-    steps = range(1, k)
-    a_seq = [0, *accumulate(steps, lambda a, l: exact_quotient(a * (n + l + 1), l), initial=n1_fact)]
-    b_seq = [0, *accumulate(steps, lambda b, l: exact_quotient(-b * (n - l + 1), l), initial=-n1_fact)]
-    if binomial_inversion(b_seq) != a_seq or a_seq[k] != rising(k, n + 1):
+    column = _route4_column(n, k)
+    if len(column.a) <= k:
+        # a checked quotient in a step below k raised
+        raise ConsistencyError(column.failure)
+    if column.first_mismatch <= k or column.a[k] != rising(k, n + 1):
         raise ConsistencyError(f"inversion dual identity broke at k={k}, n={n}")
-    return b_seq[k] * factorial(k - 1)
+    return column.b[k] * factorial(k - 1)
 
 
 def route5_hypergeom(inst: IdentityInstance) -> int:
     """Route 5: the sum equals -k! (n+1)! 2F1(1-k, n+2; 2; 1); the
     terminating series and its Chu-Vandermonde closed form are evaluated
-    independently and must agree, and the scaled value must be integral."""
+    independently as integer pairs and must agree by cross-multiplication,
+    and the scaled value must be an exact integer quotient."""
     k, n = inst.k, inst.n
-    closed = chu_vandermonde_closed(1 - k, n + 2, 2)
-    summed = hypergeom_2f1_terminating(1 - k, n + 2, 2)
-    if closed != summed:
+    closed_num, closed_den = chu_vandermonde_closed(1 - k, n + 2, 2)
+    summed_num, summed_den = hypergeom_2f1_terminating(1 - k, n + 2, 2)
+    if closed_num * summed_den != summed_num * closed_den:
         raise ConsistencyError(f"hypergeometric route broke at k={k}, n={n}")
-    return as_integer(-factorial(k) * factorial(n + 1) * closed)
+    return exact_quotient(-factorial(k) * factorial(n + 1) * closed_num, closed_den)
 
 
 def route6_row(k: int, ns: Sequence[int]) -> dict[int, int]:
@@ -265,6 +318,9 @@ def route6_row(k: int, ns: Sequence[int]) -> dict[int, int]:
     each bracketed sum off its i = n slot. The bracket is the target sum
     up to the sign (-1)^k from reversing the summation index. The chain
     compares its Stirling side with its Lah side once for the row."""
+    # imported here, so that a grid without r6 never loads the calculus
+    from .symbolic import route6_coefficient_chain
+
     brackets = route6_coefficient_chain(max(k, max(ns) + 1), k)
     return {n: _sgn(k) * brackets[n] for n in ns}
 
@@ -341,11 +397,18 @@ def verify_instance(inst: IdentityInstance, routes: Iterable[str] = ROUTE_NAMES)
 def _fork_share(share: Sequence[int], ns: Sequence[int], route_names: Sequence[str]) -> tuple[int, IO[bytes]]:
     """Fork a child that verifies the rows of ``share`` and pickles
     ``("ok", {k: reports})`` or ``("raised", exc)`` into a pipe; returns
-    the child's pid and the read end of the pipe."""
+    the child's pid and the read end of the pipe. When the pipe or the
+    child cannot be made, the OSError is raised and no descriptor stays
+    open."""
     import pickle
 
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid == 0:
         # the child never returns into the caller and never flushes the
         # stdio buffers it inherited: it leaves through os._exit only
@@ -392,22 +455,22 @@ def verify_grid(
 ) -> list[VerificationReport]:
     """One report per (k, n), in (k, n)-lexicographic order.
 
-    A row (one k, every n) is the unit of work. With jobs > 1 the rows
-    are dealt out, largest k first, to min(jobs, rows, CPUs) shares: this
-    process verifies the last share and forks one child per other share,
-    which sends its reports back through a pipe. An exception raised in
-    a child is re-raised here, and the rows of a child that exits without
-    a result are verified here. Where ``os.fork`` is missing the rows run
-    serially. The report order (and therefore any serialized output) is
-    identical regardless of the job count. Mismatches and failed route
-    cross-checks are reported, not raised.
+    A row (one k, every n) is the unit of work, and every process verifies
+    its rows largest k first, so that r4 builds each of its columns once.
+    With jobs > 1 the rows are dealt out, largest k first, to
+    min(jobs, rows, CPUs) shares: this process verifies the last share and
+    forks one child per other share, which sends its reports back through
+    a pipe. An exception raised in a child is re-raised here, and the rows
+    of a child that exits without a result, or that could not be forked,
+    are verified here. Where ``os.fork`` is missing the rows run serially.
+    The report order (and therefore any serialized output) is identical
+    regardless of the job count. Mismatches and failed route cross-checks
+    are reported, not raised.
     """
     ns = sorted(set(n_values))
     rows = sorted(set(k_values)) if ns else []
     route_names = tuple(sorted(set(routes)))
-    workers = min(jobs, len(rows), os.cpu_count() or 1)
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [report for k in rows for report in verify_row(k, ns, route_names)]
+    workers = max(1, min(jobs, len(rows), os.cpu_count() or 1)) if hasattr(os, "fork") else 1
     # the largest k is the slowest row; dealing the rows round-robin from
     # the largest down gives every share about the same work, and this
     # process, which also unpickles every child's reports, keeps the last
@@ -416,8 +479,11 @@ def verify_grid(
     children = []
     try:
         for share in shares:
-            children.append((*_fork_share(share, ns, route_names), share))
-        by_k = {k: verify_row(k, ns, route_names) for k in own}
+            try:
+                children.append((*_fork_share(share, ns, route_names), share))
+            except OSError:
+                own.extend(share)
+        by_k = {k: verify_row(k, ns, route_names) for k in sorted(own, reverse=True)}
         for _, reader, share in children:
             by_k.update(_collect(reader, share, ns, route_names))
     finally:

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -199,7 +198,7 @@ class TestVerifyCommand:
     def test_failed_cross_check_gives_exit_one(self, capsys, monkeypatch, jobs):
         import lahverify.verify as verify_mod
 
-        monkeypatch.setattr(verify_mod, "chu_vandermonde_closed", lambda a, b, c: Fraction(7))
+        monkeypatch.setattr(verify_mod, "chu_vandermonde_closed", lambda a, b, c: (7, 1))
         code, out, err = _run(
             capsys,
             ["verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "1",
@@ -264,6 +263,37 @@ class TestVerifyCommand:
         assert serial[0] == 0
         # the child's row was verified again in this process
         assert sorted(rows_here) == [2, 3]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
+    @pytest.mark.parametrize("failing", ["fork", "pipe"])
+    def test_rows_of_a_worker_that_cannot_start_are_verified_here(self, capsys, monkeypatch, failing):
+        import errno
+
+        import lahverify.verify as verify_mod
+
+        pipe = os.pipe
+        opened = []
+
+        def recorded_pipe():
+            if failing == "pipe":
+                raise OSError(errno.EMFILE, "Too many open files")
+            fds = pipe()
+            opened.extend(fds)
+            return fds
+
+        def failing_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        serial = _run(capsys, self.GRID + ["--jobs", "1"])
+        monkeypatch.setattr(verify_mod.os, "pipe", recorded_pipe)
+        monkeypatch.setattr(verify_mod.os, "fork", failing_fork)
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+        assert _run(capsys, self.GRID + ["--jobs", "2"]) == serial
+        assert serial[0] == 0
+        assert len(opened) == (2 if failing == "fork" else 0)
+        for fd in opened:
+            with pytest.raises(OSError):
+                os.fstat(fd)
 
 
 class TestEmitReport:
@@ -352,13 +382,19 @@ def test_cli_import_leaves_pool_out():
     assert "lahverify.numbers" in loaded
     assert not loaded & {"concurrent.futures", "json", "lahverify.verify", "lahverify.symbolic", "dataclasses"}
     assert "dataclasses" not in _loaded_by("-c", "import lahverify.verify")
-    table = _loaded_by("-m", "lahverify", "table", "lah", "--max-n", "3")
-    assert "lahverify.cli" in table
-    assert not table & {"lahverify.verify", "lahverify.symbolic", "dataclasses"}
-    parallel = _loaded_by("-m", "lahverify", "verify", "--k-min", "2", "--k-max", "3", "--n-min", "0",
-                          "--n-max", "2", "--routes", "r1", "--jobs", "2")
+    for argv in (["table", "lah", "--max-n", "3"], ["lah", "--n", "3", "--k", "2"]):
+        command = _loaded_by("-m", "lahverify", *argv)
+        assert "lahverify.cli" in command
+        assert not command & {"lahverify.verify", "lahverify.symbolic", "lahverify.series", "fractions",
+                              "dataclasses"}
+    grid = ["-m", "lahverify", "verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "2"]
+    parallel = _loaded_by(*grid, "--routes", "r1", "--jobs", "2")
     assert "lahverify.verify" in parallel
     assert not parallel & {"concurrent.futures", "multiprocessing"}
+    r1_to_r5 = _loaded_by(*grid, "--routes", "r1,r2,r3,r4,r5")
+    assert "lahverify.verify" in r1_to_r5
+    assert not r1_to_r5 & {"fractions", "lahverify.symbolic"}
+    assert "lahverify.symbolic" in _loaded_by(*grid, "--routes", "r6")
 
 
 def test_public_names_resolve_on_access():

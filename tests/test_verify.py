@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import pickle
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lahverify.exact import ConsistencyError, binomial_general, factorial, falling, rising
+from lahverify.exact import ConsistencyError, as_integer, binomial_general, factorial, falling, rising
 from lahverify.numbers import lah, lah_row, lah_triangle
 from lahverify.series import (
     falling_factorial_poly,
@@ -21,6 +22,7 @@ from lahverify.series import (
 )
 from lahverify.symbolic import exp_derivative_lah, stirling_weighted_moment
 from lahverify.verify import (
+    ROUTE4_COLUMNS_MAX,
     ROUTE_FUNCTIONS,
     ROUTE_NAMES,
     IdentityInstance,
@@ -96,6 +98,17 @@ def _route4_sequences_reference(k, n):
         for l in range(k + 1)
     ]
     return a_seq, b_seq
+
+
+@pytest.fixture
+def route4_columns():
+    """r4's column cache, empty before and after the test, so that a column
+    built under an injected fault never reaches another test."""
+    import lahverify.verify as verify_mod
+
+    verify_mod._route4_columns.clear()
+    yield verify_mod._route4_columns
+    verify_mod._route4_columns.clear()
 
 
 class TestInstance:
@@ -238,14 +251,14 @@ class TestHypergeometric:
     def test_empty_sum_is_one(self):
         for b in (-3, 0, 2, 11):
             for c in (1, 2, 7):
-                assert hypergeom_2f1_terminating(0, b, c) == 1
-                assert chu_vandermonde_closed(0, b, c) == 1
+                assert Fraction(*hypergeom_2f1_terminating(0, b, c)) == 1
+                assert Fraction(*chu_vandermonde_closed(0, b, c)) == 1
 
     def test_examples(self):
-        assert hypergeom_2f1_terminating(-1, 3, 2) == Fraction(-1, 2)
-        assert hypergeom_2f1_terminating(-2, 3, 2) == 0
-        assert chu_vandermonde_closed(-1, 3, 2) == Fraction(-1, 2)
-        assert chu_vandermonde_closed(-2, 3, 2) == 0
+        assert Fraction(*hypergeom_2f1_terminating(-1, 3, 2)) == Fraction(-1, 2)
+        assert Fraction(*hypergeom_2f1_terminating(-2, 3, 2)) == 0
+        assert chu_vandermonde_closed(-1, 3, 2) == (-1, 2)
+        assert Fraction(*chu_vandermonde_closed(-2, 3, 2)) == 0
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -259,15 +272,26 @@ class TestHypergeometric:
 
     @given(st.integers(-25, 0), st.integers(-40, 40), st.integers(1, 40))
     def test_matches_rising_factorial_terms(self, a, b, c):
-        value = hypergeom_2f1_terminating(a, b, c)
-        assert type(value) is Fraction
-        assert value == _hypergeom_reference(a, b, c)
+        num, den = hypergeom_2f1_terminating(a, b, c)
+        assert type(num) is type(den) is int and den > 0
+        assert Fraction(num, den) == _hypergeom_reference(a, b, c)
 
     def test_series_matches_closed_form_block(self):
         for a in range(-8, 1):
             for b in range(-8, 9):
                 for c in range(1, 9):
-                    assert hypergeom_2f1_terminating(a, b, c) == chu_vandermonde_closed(a, b, c)
+                    assert Fraction(*hypergeom_2f1_terminating(a, b, c)) == Fraction(*chu_vandermonde_closed(a, b, c))
+
+    @given(st.integers(2, 40), st.integers(0, 80))
+    def test_route5_pairs_match_fraction_forms(self, k, n):
+        # r5's integer pairs against the Fraction sum and the Fraction closed
+        # form, and its value against the value taken from the Fraction
+        closed = Fraction(rising(-n, k - 1), rising(2, k - 1))
+        assert Fraction(*hypergeom_2f1_terminating(1 - k, n + 2, 2)) == _hypergeom_reference(1 - k, n + 2, 2) == closed
+        num, den = chu_vandermonde_closed(1 - k, n + 2, 2)
+        assert type(num) is type(den) is int and den > 0 and Fraction(num, den) == closed
+        value = route5_hypergeom(IdentityInstance(k, n))
+        assert type(value) is int and value == as_integer(-factorial(k) * factorial(n + 1) * closed)
 
 
 class TestBinomialInversion:
@@ -360,7 +384,7 @@ class TestInternalGuards:
     def test_route5_raises_on_closed_form_disagreement(self, monkeypatch):
         import lahverify.verify as verify_mod
 
-        monkeypatch.setattr(verify_mod, "chu_vandermonde_closed", lambda a, b, c: Fraction(7))
+        monkeypatch.setattr(verify_mod, "chu_vandermonde_closed", lambda a, b, c: (7, 1))
         with pytest.raises(ConsistencyError):
             route5_hypergeom(IdentityInstance(3, 4))
 
@@ -377,7 +401,7 @@ class TestInternalGuards:
     def test_failed_cross_check_is_reported_not_raised(self, monkeypatch):
         import lahverify.verify as verify_mod
 
-        monkeypatch.setattr(verify_mod, "chu_vandermonde_closed", lambda a, b, c: Fraction(7))
+        monkeypatch.setattr(verify_mod, "chu_vandermonde_closed", lambda a, b, c: (7, 1))
         reports = verify_row(3, range(0, 3), routes=("r1", "r5"))
         assert [r.instance.n for r in reports] == [0, 1, 2]
         for r in reports:
@@ -421,7 +445,7 @@ class TestInternalGuards:
             assert r.errors == {"r3": f"convolution route broke at k=3, n={r.instance.n}"}
             assert r.route_values["r1"] == r.reference
 
-    def test_wrong_route4_step_is_reported(self, monkeypatch):
+    def test_wrong_route4_step_is_reported(self, monkeypatch, route4_columns):
         import lahverify.verify as verify_mod
 
         exact_quotient = verify_mod.exact_quotient
@@ -435,15 +459,16 @@ class TestInternalGuards:
 
         monkeypatch.setattr(verify_mod, "exact_quotient", one_step_off)
         first, *rest = verify_row(4, range(0, 6))
-        # every step of both sequences of every instance is a checked division
-        assert divisors == [1, 2, 3] * 2 * 6
+        # every step of both sequences of every column is a checked division,
+        # the step of a(l) before that of b(l); then r5 divides by (2)_3 = 24
+        assert divisors == [1, 1, 2, 2, 3, 3, 24] * 6
         assert first.route_values["r4"] is None
         assert first.errors == {"r4": "inversion dual identity broke at k=4, n=0"}
         assert all(v == first.reference for name, v in first.route_values.items() if name != "r4")
         assert not first.all_match
         assert all(r.all_match and r.errors == {} for r in rest)
 
-    def test_same_last_step_error_in_both_route4_products_is_reported(self, monkeypatch):
+    def test_same_last_step_error_in_both_route4_products_is_reported(self, monkeypatch, route4_columns):
         import lahverify.verify as verify_mod
 
         exact_quotient = verify_mod.exact_quotient
@@ -458,12 +483,12 @@ class TestInternalGuards:
             assert not r.all_match
 
     def test_failed_chain_marks_every_instance_of_the_row(self, monkeypatch):
-        import lahverify.verify as verify_mod
+        import lahverify.symbolic as symbolic_mod
 
         def broken_chain(m, k):
             raise ConsistencyError(f"moment chain mismatch at m={m}, k={k}")
 
-        monkeypatch.setattr(verify_mod, "route6_coefficient_chain", broken_chain)
+        monkeypatch.setattr(symbolic_mod, "route6_coefficient_chain", broken_chain)
         reports = verify_grid(range(2, 4), range(0, 3), routes=("r1", "r6"))
         assert len(reports) == 6
         for r in reports:
@@ -471,6 +496,94 @@ class TestInternalGuards:
             assert r.errors == {"r6": f"moment chain mismatch at m=3, k={r.instance.k}"}
             assert r.route_values["r1"] == r.reference
             assert not r.all_match
+
+
+class TestRoute4Columns:
+    KS, NS = range(2, 8), range(0, 6)
+    # the transform output, or the step l (division by l, making a(l+1) and
+    # b(l+1)), that a fault breaks: (k, n) must fail exactly when k >= 4
+    FAULT_AT = {"transform": 4, "quotient": 3}
+
+    def _grid(self, build, monkeypatch):
+        import lahverify.verify as verify_mod
+
+        if build == "ascending":
+            # every row finds the columns of the row below it too short
+            by_k = {k: verify_row(k, self.NS, ("r1", "r4")) for k in self.KS}
+            return [r for k in self.KS for r in by_k[k]]
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+        return verify_grid(self.KS, self.NS, ("r1", "r4"), jobs=int(build[-1]))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
+    @pytest.mark.parametrize("build", ["jobs-1", "jobs-2", "ascending"])
+    @pytest.mark.parametrize("fault", ["transform", "quotient"])
+    def test_fault_fails_every_k_that_reads_it(self, monkeypatch, route4_columns, fault, build):
+        import lahverify.verify as verify_mod
+
+        at = self.FAULT_AT[fault]
+        if fault == "transform":
+            inversion = verify_mod.binomial_inversion
+
+            def output_off(values):
+                out = inversion(values)
+                if len(out) > at:
+                    out[at] += 1
+                return out
+
+            monkeypatch.setattr(verify_mod, "binomial_inversion", output_off)
+            message = "inversion dual identity broke at k={k}, n={n}"
+        else:
+            exact_quotient = verify_mod.exact_quotient
+
+            def step_raises(num, den):
+                if den == at:
+                    raise ConsistencyError("integer quotient has a non-zero remainder")
+                return exact_quotient(num, den)
+
+            monkeypatch.setattr(verify_mod, "exact_quotient", step_raises)
+            message = "integer quotient has a non-zero remainder"
+        reports = self._grid(build, monkeypatch)
+        assert [tuple(r.instance) for r in reports] == [(k, n) for k in self.KS for n in self.NS]
+        for r in reports:
+            k, n = r.instance
+            assert r.route_values["r1"] == r.reference
+            if k >= 4:
+                assert r.route_values["r4"] is None, (k, n)
+                assert r.errors == {"r4": message.format(k=k, n=n)}
+            else:
+                assert r.all_match and r.errors == {}, (k, n)
+
+    def test_one_transform_per_column(self, monkeypatch, route4_columns):
+        # a row reads every n of the grid, so the cache holds a whole
+        # north-star n-range, and the largest row builds each column
+        import lahverify.verify as verify_mod
+
+        lengths = []
+        inversion = verify_mod.binomial_inversion
+
+        def counting_inversion(values):
+            lengths.append(len(values))
+            return inversion(values)
+
+        monkeypatch.setattr(verify_mod, "binomial_inversion", counting_inversion)
+        reports = verify_grid(range(2, 6), range(0, 121), routes=("r4",))
+        assert all(r.all_match for r in reports)
+        assert lengths == [6] * 121
+        assert ROUTE4_COLUMNS_MAX >= 121
+
+    def test_column_cache_bounded_tuples_clearable(self, route4_columns):
+        for n in range(ROUTE4_COLUMNS_MAX + 5):
+            route4_inversion(IdentityInstance(3, n))
+        # the least recently used columns went first
+        assert list(route4_columns) == list(range(5, ROUTE4_COLUMNS_MAX + 5))
+        route4_inversion(IdentityInstance(2, 5))
+        assert list(route4_columns)[-1] == 5
+        for column in route4_columns.values():
+            assert isinstance(column, tuple) and type(column.a) is type(column.b) is tuple
+            assert len(column.a) == len(column.b) == column.first_mismatch == 4 and column.failure is None
+        route4_columns.clear()
+        assert route4_inversion(IdentityInstance(3, 5)) == rhs_reference(IdentityInstance(3, 5))
+        assert list(route4_columns) == [5]
 
 
 class TestVerifyInstance:
@@ -521,19 +634,20 @@ class TestVerifyGrid:
         assert all(r.route_values["r1"] == 10**9 for r in reports)
 
     def test_one_chain_per_row(self, monkeypatch):
-        import lahverify.verify as verify_mod
+        import lahverify.symbolic as symbolic_mod
 
         calls = []
-        chain = verify_mod.route6_coefficient_chain
+        chain = symbolic_mod.route6_coefficient_chain
 
         def counting_chain(m, k):
             calls.append((m, k))
             return chain(m, k)
 
-        monkeypatch.setattr(verify_mod, "route6_coefficient_chain", counting_chain)
+        monkeypatch.setattr(symbolic_mod, "route6_coefficient_chain", counting_chain)
         reports = verify_grid(range(2, 6), range(0, 8), routes=("r6",))
         assert all(r.all_match for r in reports)
-        assert calls == [(8, 2), (8, 3), (8, 4), (8, 5)]
+        # rows run largest k first
+        assert calls == [(8, 5), (8, 4), (8, 3), (8, 2)]
 
     def test_row_caches_built_once_per_row(self, monkeypatch):
         import lahverify.numbers as numbers_mod
@@ -552,8 +666,9 @@ class TestVerifyGrid:
             cache.cache_clear()
         reports = verify_grid(range(2, 6), range(0, 8), routes=("r2", "r3", "r4"))
         assert all(r.all_match for r in reports)
-        # one Lah row per k, from the closed form, read by lhs_direct and r2
-        assert calls == [(k, l) for k in range(2, 6) for l in range(k + 1)]
+        # one Lah row per k, largest k first, from the closed form, read by
+        # lhs_direct and r2
+        assert calls == [(k, l) for k in range(5, 1, -1) for l in range(k + 1)]
         # (hits, misses): each cache is built once per row and read for every n
         assert {cache: cache.cache_info()[:2] for cache in caches} == {
             lah_row: (4 * 8 * 2 - 4, 4),
