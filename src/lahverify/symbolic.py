@@ -140,6 +140,11 @@ def stirling_weighted_moment(m: int) -> LaurentPoly:
     )
 
 
+def _lah_bracket(derivative: ExpLaurentExpr, i: int) -> int:
+    """The sum over the terms c u^a t^b of ``derivative`` of c (a+i)!."""
+    return sum(c * factorial(a + i) for (a, _b), c in derivative.terms.items())
+
+
 def route6_coefficient_chain(m: int, k: int) -> dict[int, int]:
     """Differentiate the Stirling-form moment k times and match it against
     the expression built from the Lah-coefficient derivative formula.
@@ -152,9 +157,11 @@ def route6_coefficient_chain(m: int, k: int) -> dict[int, int]:
 
     Returns, for each i in 0..m, the alternating factorial-Lah sum
 
-        sum over l in 0..k-1 of (-1)^l (i+k-l)! L(k, k-l)
+        sum over l in 0..k-1 of (-1)^l (i+k-l)! L(k, k-l),
 
-    read off the structure of side B before the Stirling weights collapse it.
+    which side B holds at t-power i-k+1, times the coefficient of u^i in
+    u(u+1)...(u+m-1); each bracket returned must match it there. The
+    coefficient of u^0 is 0, so the chain cannot check bracket 0.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -166,12 +173,13 @@ def route6_coefficient_chain(m: int, k: int) -> dict[int, int]:
         side_a = laurent_diff(side_a)
 
     derivative = exp_derivative_lah(k)
-    side_b = expr_moment_u(expr_mul_u_poly(derivative, rising_factorial_poly(m).coeffs))
+    rising_coeffs = rising_factorial_poly(m).coeffs
+    side_b = expr_moment_u(expr_mul_u_poly(derivative, rising_coeffs))
 
     if side_a != side_b:
         raise ConsistencyError(f"moment chain mismatch at m={m}, k={k}")
 
-    return {
-        i: sum(c * factorial(a + i) for (a, _b), c in derivative.terms.items())
-        for i in range(m + 1)
-    }
+    brackets = {i: _lah_bracket(derivative, i) for i in range(m + 1)}
+    if any(rising_coeffs[i] * brackets[i] != side_b.coeff(i - k + 1) for i in range(m + 1)):
+        raise ConsistencyError(f"moment chain brackets disagree with side B at m={m}, k={k}")
+    return brackets

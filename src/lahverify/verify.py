@@ -131,13 +131,20 @@ def binomial_inversion(values: Sequence[int]) -> list[int]:
     T(h)(k) = sum over l in 0..k of C(k, l) (-1)^l h(l) = ((1 - E)^k h)(0),
     with E the shift h(l) -> h(l+1). Row 0 of a difference table is h, row
     j+1 holds r(l) - r(l+1) for the entries r(l) of row j, and output k is
-    the head of row k."""
-    out = []
-    diffs = list(values)
-    while diffs:
-        out.append(diffs[0])
-        diffs = list(map(sub, diffs, diffs[1:]))
-    return out
+    the head of row k. The table grows one value of h at a time."""
+    edge: list[int] = []
+    return [_transform_step(edge, value) for value in values]
+
+
+def _transform_step(edge: list[int], value: int) -> int:
+    """Append ``value`` to row 0 of the difference table whose signed row
+    ends ``edge`` holds, (-1)^j times the last entry of row j, and return
+    the head of the new last row, the next output. ``edge`` grows in place:
+    the new signed end of row j is that of row j-1 minus the old one of row
+    j-1, one subtraction per row."""
+    edge[:] = accumulate(edge, sub, initial=value)
+    # output len(edge) - 1 is odd when len(edge) is even
+    return edge[-1] if len(edge) % 2 else -edge[-1]
 
 
 def hypergeom_2f1_terminating(a: int, b: int, c: int) -> tuple[int, int]:
@@ -221,53 +228,21 @@ def route3_convolution(inst: IdentityInstance) -> int:
     return convolved * factorial(k) * factorial(n)
 
 
-class _Route4Column(NamedTuple):
-    """r4's sequences for one n: a(0..K), b(0..K), the first output j at
-    which the binomial transform of b differs from a (K+1 if none), and
-    None, or the message of the checked quotient that raised in step K
-    and so cut the column short."""
-
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    first_mismatch: int
-    failure: str | None
-
-
-# r4's columns by n, least recently used first. A grid row reads every n,
-# so the bound must hold a whole n-range: a smaller LRU cache would miss
-# on every lookup. The large grid has 121 columns.
+# r4's columns by n. A grid row reads every n, so the bound must hold a
+# whole n-range: a smaller LRU cache would miss on every lookup. The large
+# grid has 121 columns.
 ROUTE4_COLUMNS_MAX = 256
-_route4_columns: dict[int, _Route4Column] = {}
 
 
-def _route4_column(n: int, k: int) -> _Route4Column:
-    """The cached column for n, which reaches k unless a step below k
-    raised; a column too short for k is built again at k."""
-    column = _route4_columns.pop(n, None)
-    if column is None or len(column.a) <= k:
-        column = _route4_build_column(n, k)
-    _route4_columns[n] = column
-    if len(_route4_columns) > ROUTE4_COLUMNS_MAX:
-        del _route4_columns[next(iter(_route4_columns))]
-    return column
-
-
-def _route4_build_column(n: int, k: int) -> _Route4Column:
+@lru_cache(maxsize=ROUTE4_COLUMNS_MAX)
+def _route4_column(n: int) -> tuple[list[int], list[int], list[bool], list[int]]:
+    """r4's column for n up to L = 1, which ``route4_inversion`` grows in
+    place: a(0..L), b(0..L), for each j <= L whether outputs 0..j of the
+    transform of b equal a(0..j), and the transform's row ends after b(L)."""
     n1_fact = factorial(n + 1)
-    a_seq, b_seq = [0, n1_fact], [0, -n1_fact]
-    failure = None
-    try:
-        for l in range(1, k):
-            # a(l+1) is appended only with b(l+1), so both end at step l
-            # if either quotient raises
-            a_next = exact_quotient(a_seq[-1] * (n + l + 1), l)
-            b_seq.append(exact_quotient(-b_seq[-1] * (n - l + 1), l))
-            a_seq.append(a_next)
-    except ConsistencyError as exc:
-        failure = str(exc)
-    transform = binomial_inversion(b_seq)
-    first_mismatch = next((j for j, (t, a) in enumerate(zip(transform, a_seq)) if t != a), len(a_seq))
-    return _Route4Column(tuple(a_seq), tuple(b_seq), first_mismatch, failure)
+    edge = [0]
+    agrees = [True, _transform_step(edge, -n1_fact) == n1_fact]
+    return [0, n1_fact], [0, -n1_fact], agrees, edge
 
 
 def route4_inversion(inst: IdentityInstance) -> int:
@@ -282,20 +257,24 @@ def route4_inversion(inst: IdentityInstance) -> int:
     so b is 0 from l = n+2 on. Every step is an exact integer quotient, and
     a remainder raises. Output j of the transform reads only b(0..j), so
     the check for (k, n) is a prefix of the check for (K, n) when K >= k:
-    both sequences and the transform are built once per column n, at the
-    largest k asked for, and (k, n) passes when they agree on 0..k. For
-    even k the transform carries b(k) into a(k) with sign +1, so the same
-    error in the last step of both products would pass it; a(k) =
-    (n+k)!/(k-1)! is also checked against the rising factorial
-    k(k+1)...(k+n)."""
+    the column n keeps both sequences and the transform, grows them one
+    step at a time up to the largest k asked for so far, and (k, n) passes
+    when they agree on 0..k. A step whose quotient raises is not kept, so
+    every k that needs it raises again. For even k the transform carries
+    b(k) into a(k) with sign +1, so the same error in the last step of
+    both products would pass it; a(k) = (n+k)!/(k-1)! is also checked
+    against the rising factorial k(k+1)...(k+n)."""
     k, n = inst.k, inst.n
-    column = _route4_column(n, k)
-    if len(column.a) <= k:
-        # a checked quotient in a step below k raised
-        raise ConsistencyError(column.failure)
-    if column.first_mismatch <= k or column.a[k] != rising(k, n + 1):
+    a_seq, b_seq, agrees, edge = _route4_column(n)
+    for l in range(len(a_seq) - 1, k):
+        a_next = exact_quotient(a_seq[l] * (n + l + 1), l)
+        b_next = exact_quotient(-b_seq[l] * (n - l + 1), l)
+        a_seq.append(a_next)
+        b_seq.append(b_next)
+        agrees.append(_transform_step(edge, b_next) == a_next and agrees[l])
+    if not agrees[k] or a_seq[k] != rising(k, n + 1):
         raise ConsistencyError(f"inversion dual identity broke at k={k}, n={n}")
-    return column.b[k] * factorial(k - 1)
+    return b_seq[k] * factorial(k - 1)
 
 
 def route5_hypergeom(inst: IdentityInstance) -> int:
@@ -455,9 +434,8 @@ def verify_grid(
 ) -> list[VerificationReport]:
     """One report per (k, n), in (k, n)-lexicographic order.
 
-    A row (one k, every n) is the unit of work, and every process verifies
-    its rows largest k first, so that r4 builds each of its columns once.
-    With jobs > 1 the rows are dealt out, largest k first, to
+    A row (one k, every n) is the unit of work, and rows may run in any
+    order. With jobs > 1 the rows are dealt out, largest k first, to
     min(jobs, rows, CPUs) shares: this process verifies the last share and
     forks one child per other share, which sends its reports back through
     a pipe. An exception raised in a child is re-raised here, and the rows
@@ -483,7 +461,7 @@ def verify_grid(
                 children.append((*_fork_share(share, ns, route_names), share))
             except OSError:
                 own.extend(share)
-        by_k = {k: verify_row(k, ns, route_names) for k in sorted(own, reverse=True)}
+        by_k = {k: verify_row(k, ns, route_names) for k in own}
         for _, reader, share in children:
             by_k.update(_collect(reader, share, ns, route_names))
     finally:

@@ -213,6 +213,24 @@ class TestVerifyCommand:
         ]
         assert "0/4 instances verified" in err
 
+    def test_wrong_route6_bracket_gives_error_line(self, capsys, monkeypatch):
+        # r6 reads each n off the bracket at i = n, so a bracket that side B
+        # did not hold must fail the chain, not pass as a plain mismatch
+        import lahverify.symbolic as symbolic_mod
+
+        bracket = symbolic_mod._lah_bracket
+        monkeypatch.setattr(symbolic_mod, "_lah_bracket", lambda derivative, i: bracket(derivative, i) + (i == 7))
+        code, out, err = _run(
+            capsys,
+            ["verify", "--k-min", "3", "--k-max", "3", "--n-min", "0", "--n-max", "7",
+             "--routes", "r6", "--format", "csv"],
+        )
+        assert code == 1
+        assert [line.split(",")[-2:] for line in out.splitlines()[1:]] == [["", "false"]] * 8
+        assert [line for line in err.splitlines() if line.startswith(("error:", "mismatch:"))] == [
+            f"error: r6 at k=3, n={n}: moment chain brackets disagree with side B at m=8, k=3" for n in range(8)
+        ]
+
     GRID = ["verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "4",
             "--routes", "r1,r4", "--format", "csv"]
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -102,13 +103,13 @@ def _route4_sequences_reference(k, n):
 
 @pytest.fixture
 def route4_columns():
-    """r4's column cache, empty before and after the test, so that a column
-    built under an injected fault never reaches another test."""
+    """r4's cached column function, empty before and after the test, so
+    that a column grown under an injected fault never reaches another test."""
     import lahverify.verify as verify_mod
 
-    verify_mod._route4_columns.clear()
-    yield verify_mod._route4_columns
-    verify_mod._route4_columns.clear()
+    verify_mod._route4_column.cache_clear()
+    yield verify_mod._route4_column
+    verify_mod._route4_column.cache_clear()
 
 
 class TestInstance:
@@ -508,7 +509,7 @@ class TestRoute4Columns:
         import lahverify.verify as verify_mod
 
         if build == "ascending":
-            # every row finds the columns of the row below it too short
+            # every row grows the columns of the row below it
             by_k = {k: verify_row(k, self.NS, ("r1", "r4")) for k in self.KS}
             return [r for k in self.KS for r in by_k[k]]
         monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
@@ -522,15 +523,14 @@ class TestRoute4Columns:
 
         at = self.FAULT_AT[fault]
         if fault == "transform":
-            inversion = verify_mod.binomial_inversion
+            step = verify_mod._transform_step
 
-            def output_off(values):
-                out = inversion(values)
-                if len(out) > at:
-                    out[at] += 1
-                return out
+            def output_off(edge, value):
+                out = step(edge, value)
+                # the edge has grown to one signed row end per output so far
+                return out + (len(edge) - 1 == at)
 
-            monkeypatch.setattr(verify_mod, "binomial_inversion", output_off)
+            monkeypatch.setattr(verify_mod, "_transform_step", output_off)
             message = "inversion dual identity broke at k={k}, n={n}"
         else:
             exact_quotient = verify_mod.exact_quotient
@@ -555,35 +555,60 @@ class TestRoute4Columns:
 
     def test_one_transform_per_column(self, monkeypatch, route4_columns):
         # a row reads every n of the grid, so the cache holds a whole
-        # north-star n-range, and the largest row builds each column
+        # north-star n-range, and each column grows one transform step per
+        # output: the first for output 1, then one per step l
         import lahverify.verify as verify_mod
 
-        lengths = []
-        inversion = verify_mod.binomial_inversion
+        outputs = Counter()
+        step = verify_mod._transform_step
 
-        def counting_inversion(values):
-            lengths.append(len(values))
-            return inversion(values)
+        def counting_step(edge, value):
+            out = step(edge, value)
+            outputs[len(edge) - 1] += 1
+            return out
 
-        monkeypatch.setattr(verify_mod, "binomial_inversion", counting_inversion)
+        monkeypatch.setattr(verify_mod, "_transform_step", counting_step)
         reports = verify_grid(range(2, 6), range(0, 121), routes=("r4",))
         assert all(r.all_match for r in reports)
-        assert lengths == [6] * 121
-        assert ROUTE4_COLUMNS_MAX >= 121
+        assert outputs == {j: 121 for j in range(1, 6)}
+        assert route4_columns.cache_parameters()["maxsize"] >= 121
 
-    def test_column_cache_bounded_tuples_clearable(self, route4_columns):
-        for n in range(ROUTE4_COLUMNS_MAX + 5):
+    def test_ascending_caller_grows_each_column_once(self, monkeypatch, route4_columns):
+        import lahverify.verify as verify_mod
+
+        divisors = Counter()
+        exact_quotient = verify_mod.exact_quotient
+
+        def counting_quotient(num, den):
+            divisors[den] += 1
+            return exact_quotient(num, den)
+
+        monkeypatch.setattr(verify_mod, "exact_quotient", counting_quotient)
+        for k in range(2, 31):
+            for n in range(0, 61):
+                inst = IdentityInstance(k, n)
+                assert route4_inversion(inst) == rhs_reference(inst), (k, n)
+        # step l divides by l: two checked quotients, a(l+1) and b(l+1), per
+        # column n and step l, however many k read the column
+        assert divisors == {l: 2 * 61 for l in range(1, 30)}
+
+    def test_column_cache_bounded_and_clearable(self, route4_columns):
+        maxsize = route4_columns.cache_parameters()["maxsize"]
+        assert maxsize == ROUTE4_COLUMNS_MAX
+        for n in range(maxsize + 5):
             route4_inversion(IdentityInstance(3, n))
-        # the least recently used columns went first
-        assert list(route4_columns) == list(range(5, ROUTE4_COLUMNS_MAX + 5))
+        assert route4_columns.cache_info()[1:] == (maxsize + 5, maxsize, maxsize)
+        # the least recently used columns went first: n = 5 is still held,
+        # n = 4 is built again
         route4_inversion(IdentityInstance(2, 5))
-        assert list(route4_columns)[-1] == 5
-        for column in route4_columns.values():
-            assert isinstance(column, tuple) and type(column.a) is type(column.b) is tuple
-            assert len(column.a) == len(column.b) == column.first_mismatch == 4 and column.failure is None
-        route4_columns.clear()
+        route4_inversion(IdentityInstance(3, 4))
+        assert route4_columns.cache_info()[:2] == (1, maxsize + 6)
+        for n in (4, 5):
+            a_seq, b_seq, agrees, edge = route4_columns(n)
+            assert len(a_seq) == len(b_seq) == len(agrees) == len(edge) == 4 and all(agrees)
+        route4_columns.cache_clear()
         assert route4_inversion(IdentityInstance(3, 5)) == rhs_reference(IdentityInstance(3, 5))
-        assert list(route4_columns) == [5]
+        assert route4_columns.cache_info().currsize == 1
 
 
 class TestVerifyInstance:
@@ -646,7 +671,7 @@ class TestVerifyGrid:
         monkeypatch.setattr(symbolic_mod, "route6_coefficient_chain", counting_chain)
         reports = verify_grid(range(2, 6), range(0, 8), routes=("r6",))
         assert all(r.all_match for r in reports)
-        # rows run largest k first
+        # one process deals itself every row, largest k first
         assert calls == [(8, 5), (8, 4), (8, 3), (8, 2)]
 
     def test_row_caches_built_once_per_row(self, monkeypatch):
@@ -666,7 +691,7 @@ class TestVerifyGrid:
             cache.cache_clear()
         reports = verify_grid(range(2, 6), range(0, 8), routes=("r2", "r3", "r4"))
         assert all(r.all_match for r in reports)
-        # one Lah row per k, largest k first, from the closed form, read by
+        # one Lah row per k, in the order dealt, from the closed form, read by
         # lhs_direct and r2
         assert calls == [(k, l) for k in range(5, 1, -1) for l in range(k + 1)]
         # (hits, misses): each cache is built once per row and read for every n
