@@ -26,21 +26,17 @@ def emit_report(reports: Sequence[VerificationReport], fmt: str = "text") -> str
     field, or ``rN=error`` in text.
     """
     if fmt == "json":
-        # imported here because only JSON output needs it and every start
-        # of the CLI would pay for the import
-        import json
-
-        payload = [
-            {
-                "k": r.instance.k,
-                "n": r.instance.n,
-                "reference": str(r.reference),
-                "routes": {name: None if v is None else str(v) for name, v in r.route_values.items()},
-                "all_match": r.all_match,
-            }
-            for r in reports
-        ]
-        return json.dumps(payload, separators=(",", ":"))
+        # written directly, so that no command loads json: the schema is
+        # fixed, and no character of it needs escaping, since route names
+        # are identifiers and values are decimal strings
+        objects = []
+        for r in reports:
+            routes = ",".join(f'"{name}":' + ("null" if v is None else f'"{v}"') for name, v in r.route_values.items())
+            objects.append(
+                f'{{"k":{r.instance.k},"n":{r.instance.n},"reference":"{r.reference}",'
+                f'"routes":{{{routes}}},"all_match":{"true" if r.all_match else "false"}}}'
+            )
+        return "[" + ",".join(objects) + "]"
     if fmt == "csv":
         names = list(reports[0].route_values) if reports else []
         lines = [",".join(["k", "n", "reference", *names, "all_match"])]
@@ -148,8 +144,8 @@ def _run_verify(ns: argparse.Namespace) -> int:
         raise ValueError("empty n range: --n-max must be >= --n-min")
     if ns.jobs < 1:
         raise ValueError("--jobs must be at least 1")
-    # imported here, like json, so that the other commands never load the
-    # routes and the symbolic calculus
+    # imported here, so that the other commands never load the routes and
+    # the symbolic calculus
     from .verify import verify_grid
 
     reports = verify_grid(
@@ -207,14 +203,18 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     """Console entry point; exits 1 without a traceback when the reader
-    of stdout closes it early (e.g. ``| head -1``)."""
+    of stdout or stderr closes it early (e.g. ``| head -1``).
+
+    After flushing stdout and stderr it leaves through ``os._exit``, so
+    the interpreter neither clears its modules nor runs its shutdown
+    collections or ``atexit`` handlers, which for a short command cost more
+    than the command. ``run`` returns normally, for callers in process."""
     try:
         code = run(sys.argv[1:])
-        # a closed stdout must fail here, not in the flush at exit
+        # a closed stream must fail here, where it is handled
         sys.stdout.flush()
+        sys.stderr.flush()
     except BrokenPipeError:
-        # the Python documentation's SIGPIPE recipe: stdout goes to devnull
-        # so that the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
-    sys.exit(code)
+        # nothing is flushed after this, so the unwritten rest is dropped
+        code = 1
+    os._exit(code)

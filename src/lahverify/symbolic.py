@@ -160,26 +160,26 @@ def route6_coefficient_chain(m: int, k: int) -> dict[int, int]:
         sum over l in 0..k-1 of (-1)^l (i+k-l)! L(k, k-l),
 
     which side B holds at t-power i-k+1, times the coefficient of u^i in
-    u(u+1)...(u+m-1); each bracket returned must match it there. The
-    coefficient of u^0 is 0, so the chain cannot check bracket 0.
+    u(u+1)...(u+m-1); each bracket returned must match it there. That
+    coefficient is 0 for i = 0, so the chain also runs at m = 0, where the
+    product is 1 and side A is the moment t of exp(-u/t) itself: its side
+    B holds bracket 0 at t-power 1-k.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     if not 1 <= k <= m + 1:
         raise ValueError("need 1 <= k <= m + 1")
 
-    side_a = stirling_weighted_moment(m)
-    for _ in range(k):
-        side_a = laurent_diff(side_a)
-
     derivative = exp_derivative_lah(k)
-    rising_coeffs = rising_factorial_poly(m).coeffs
-    side_b = expr_moment_u(expr_mul_u_poly(derivative, rising_coeffs))
-
-    if side_a != side_b:
-        raise ConsistencyError(f"moment chain mismatch at m={m}, k={k}")
-
     brackets = {i: _lah_bracket(derivative, i) for i in range(m + 1)}
-    if any(rising_coeffs[i] * brackets[i] != side_b.coeff(i - k + 1) for i in range(m + 1)):
-        raise ConsistencyError(f"moment chain brackets disagree with side B at m={m}, k={k}")
+    for order in (m, 0):
+        side_a = stirling_weighted_moment(order)
+        for _ in range(k):
+            side_a = laurent_diff(side_a)
+        rising_coeffs = rising_factorial_poly(order).coeffs
+        side_b = expr_moment_u(expr_mul_u_poly(derivative, rising_coeffs))
+        if side_a != side_b:
+            raise ConsistencyError(f"moment chain mismatch at m={order}, k={k}")
+        if any(rising_coeffs[i] * brackets[i] != side_b.coeff(i - k + 1) for i in range(order + 1)):
+            raise ConsistencyError(f"moment chain brackets disagree with side B at m={order}, k={k}")
     return brackets

@@ -16,9 +16,10 @@ agreement across all of them is the point of the package.
 
 from __future__ import annotations
 
+import math
 import os
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul, sub
 from types import MappingProxyType
 from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -32,7 +33,6 @@ from .exact import (
     rising,
 )
 from .numbers import lah_row
-from .series import series_binomial_power
 
 
 def _sgn(i: int) -> int:
@@ -211,9 +211,9 @@ def route2_factorial_gf(inst: IdentityInstance) -> int:
 
 @lru_cache(maxsize=32)
 def _route3_factor(k: int) -> tuple[int, ...]:
-    # (1+x)^(k-1) through x^k, the factor of route 3 that every n shares,
-    # highest power first
-    return series_binomial_power(k - 1, k).coeffs[::-1]
+    # the coefficients of (1+x)^(k-1) through x^k, the factor of route 3
+    # that every n shares, highest power first
+    return tuple(binomial_general(k - 1, i) for i in range(k, -1, -1))
 
 
 def route3_convolution(inst: IdentityInstance) -> int:
@@ -222,7 +222,7 @@ def route3_convolution(inst: IdentityInstance) -> int:
     gives the sum."""
     k, n = inst.k, inst.n
     # only x^k of the product is compared: sum over i of [x^i] * [x^(k-i)]
-    convolved = sum(map(mul, series_binomial_power(-(n + 1), k).coeffs, _route3_factor(k)))
+    convolved = sum(map(mul, map(binomial_general, repeat(-(n + 1)), range(k + 1)), _route3_factor(k)))
     if convolved != binomial_general(-(n - k + 2), k):
         raise ConsistencyError(f"convolution route broke at k={k}, n={n}")
     return convolved * factorial(k) * factorial(n)
@@ -263,7 +263,7 @@ def route4_inversion(inst: IdentityInstance) -> int:
     every k that needs it raises again. For even k the transform carries
     b(k) into a(k) with sign +1, so the same error in the last step of
     both products would pass it; a(k) = (n+k)!/(k-1)! is also checked
-    against the rising factorial k(k+1)...(k+n)."""
+    against the rising factorial k(k+1)...(k+n), as ``math.perm(n+k, n+1)``."""
     k, n = inst.k, inst.n
     a_seq, b_seq, agrees, edge = _route4_column(n)
     for l in range(len(a_seq) - 1, k):
@@ -272,7 +272,7 @@ def route4_inversion(inst: IdentityInstance) -> int:
         a_seq.append(a_next)
         b_seq.append(b_next)
         agrees.append(_transform_step(edge, b_next) == a_next and agrees[l])
-    if not agrees[k] or a_seq[k] != rising(k, n + 1):
+    if not agrees[k] or a_seq[k] != math.perm(n + k, n + 1):
         raise ConsistencyError(f"inversion dual identity broke at k={k}, n={n}")
     return b_seq[k] * factorial(k - 1)
 

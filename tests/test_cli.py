@@ -8,10 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import lahverify
 from lahverify.cli import emit_report, run
-from lahverify.verify import ROUTE_FUNCTIONS, IdentityInstance, VerificationReport
+from lahverify.verify import ROUTE_FUNCTIONS, ROUTE_NAMES, IdentityInstance, VerificationReport
 
 
 def _run(capsys, argv):
@@ -215,21 +217,24 @@ class TestVerifyCommand:
 
     def test_wrong_route6_bracket_gives_error_line(self, capsys, monkeypatch):
         # r6 reads each n off the bracket at i = n, so a bracket that side B
-        # did not hold must fail the chain, not pass as a plain mismatch
+        # did not hold must fail the chain, not pass as a plain mismatch;
+        # bracket 0 is checked by the chain at m = 0, the others at m = 8
         import lahverify.symbolic as symbolic_mod
 
         bracket = symbolic_mod._lah_bracket
-        monkeypatch.setattr(symbolic_mod, "_lah_bracket", lambda derivative, i: bracket(derivative, i) + (i == 7))
-        code, out, err = _run(
-            capsys,
-            ["verify", "--k-min", "3", "--k-max", "3", "--n-min", "0", "--n-max", "7",
-             "--routes", "r6", "--format", "csv"],
-        )
-        assert code == 1
-        assert [line.split(",")[-2:] for line in out.splitlines()[1:]] == [["", "false"]] * 8
-        assert [line for line in err.splitlines() if line.startswith(("error:", "mismatch:"))] == [
-            f"error: r6 at k=3, n={n}: moment chain brackets disagree with side B at m=8, k=3" for n in range(8)
-        ]
+        for wrong, m in ((7, 8), (0, 0)):
+            monkeypatch.setattr(symbolic_mod, "_lah_bracket",
+                                lambda derivative, i, wrong=wrong: bracket(derivative, i) + (i == wrong))
+            code, out, err = _run(
+                capsys,
+                ["verify", "--k-min", "3", "--k-max", "3", "--n-min", "0", "--n-max", "7",
+                 "--routes", "r6", "--format", "csv"],
+            )
+            assert code == 1
+            assert [line.split(",")[-2:] for line in out.splitlines()[1:]] == [["", "false"]] * 8
+            assert [line for line in err.splitlines() if line.startswith(("error:", "mismatch:"))] == [
+                f"error: r6 at k=3, n={n}: moment chain brackets disagree with side B at m={m}, k=3" for n in range(8)
+            ]
 
     GRID = ["verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "4",
             "--routes", "r1,r4", "--format", "csv"]
@@ -356,6 +361,30 @@ class TestEmitReport:
         reports = [self._single_report()]
         assert emit_report(reports, "json") == emit_report(reports, "json")
 
+    VALUES = st.one_of(st.none(), st.integers(), st.integers(-10**400, -10**200))
+    REPORTS = st.lists(st.builds(
+        VerificationReport,
+        st.builds(IdentityInstance, st.integers(2, 10**6), st.integers(0, 10**6)),
+        st.one_of(st.integers(), st.integers(-10**400, -10**200)),
+        st.dictionaries(st.sampled_from(("lhs_direct", *ROUTE_NAMES)), VALUES),
+        st.booleans(),
+    ), max_size=4)
+
+    @given(REPORTS)
+    def test_json_equals_json_module(self, reports):
+        # the writer spells out the schema that json.dumps gave
+        payload = [
+            {
+                "k": r.instance.k,
+                "n": r.instance.n,
+                "reference": str(r.reference),
+                "routes": {name: None if v is None else str(v) for name, v in r.route_values.items()},
+                "all_match": r.all_match,
+            }
+            for r in reports
+        ]
+        assert emit_report(reports, "json") == json.dumps(payload, separators=(",", ":"))
+
 
 class TestDeterminism:
     ARGV = ["verify", "--k-min", "2", "--k-max", "4", "--n-min", "0", "--n-max", "5",
@@ -379,6 +408,11 @@ class TestDeterminism:
 def _fresh_env() -> dict[str, str]:
     src = str(Path(lahverify.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": src}
+
+
+def _block_buffered_env() -> dict[str, str]:
+    # stdout block buffered, as it is by default for a pipe
+    return {name: value for name, value in _fresh_env().items() if name != "PYTHONUNBUFFERED"}
 
 
 def _loaded_by(*args: str) -> set[str]:
@@ -409,10 +443,10 @@ def test_cli_import_leaves_pool_out():
     parallel = _loaded_by(*grid, "--routes", "r1", "--jobs", "2")
     assert "lahverify.verify" in parallel
     assert not parallel & {"concurrent.futures", "multiprocessing"}
-    r1_to_r5 = _loaded_by(*grid, "--routes", "r1,r2,r3,r4,r5")
+    r1_to_r5 = _loaded_by(*grid, "--routes", "r1,r2,r3,r4,r5", "--format", "json")
     assert "lahverify.verify" in r1_to_r5
-    assert not r1_to_r5 & {"fractions", "lahverify.symbolic"}
-    assert "lahverify.symbolic" in _loaded_by(*grid, "--routes", "r6")
+    assert not r1_to_r5 & {"fractions", "json", "lahverify.symbolic", "lahverify.series"}
+    assert {"lahverify.symbolic", "lahverify.series"} <= _loaded_by(*grid, "--routes", "r6")
 
 
 def test_public_names_resolve_on_access():
@@ -431,9 +465,8 @@ def test_public_names_resolve_on_access():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
 def test_forked_workers_print_nothing():
     # a child that returned into the CLI, or flushed the stdout buffer it
-    # inherited, would repeat report lines; stdout is block buffered, as
-    # it is by default for a pipe
-    env = {name: value for name, value in _fresh_env().items() if name != "PYTHONUNBUFFERED"}
+    # inherited, would repeat report lines
+    env = _block_buffered_env()
     argv = [sys.executable, "-m", "lahverify", "verify", "--k-min", "2", "--k-max", "9", "--n-min", "0",
             "--n-max", "6", "--routes", "r1,r2", "--format", "text"]
     serial, parallel = (subprocess.run(argv + ["--jobs", jobs], env=env, capture_output=True, text=True, timeout=120)
@@ -452,9 +485,8 @@ def test_forked_workers_print_nothing():
 def test_closed_stdout_exits_one_quietly(argv, lines):
     # the reader takes some lines and closes the pipe, as `| head -1` does:
     # mid-stream for outputs of megabytes, far more than a pipe buffer
-    # holds, and before the first write for a short one; stdout is block
-    # buffered, as it is by default for a pipe
-    env = {name: value for name, value in _fresh_env().items() if name != "PYTHONUNBUFFERED"}
+    # holds, and before the first write for a short one
+    env = _block_buffered_env()
     proc = subprocess.Popen([sys.executable, "-m", "lahverify", *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     for _ in range(lines):
@@ -463,3 +495,58 @@ def test_closed_stdout_exits_one_quietly(argv, lines):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "2", "--routes", "r1"],
+    ["verify", "--k-min", "1", "--k-max", "3", "--n-min", "0", "--n-max", "2"],
+], ids=["summary", "usage-error"])
+def test_closed_stderr_exits_one(argv):
+    # the reader of stderr is gone before the first line is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "lahverify", *argv], env=_block_buffered_env(),
+                              stdout=subprocess.DEVNULL, stderr=write_end, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+
+
+@pytest.mark.parametrize("argv, r5_fault, code, last_err", [
+    # a JSON report of about 2 MB, far more than a pipe buffer holds
+    (["verify", "--k-min", "2", "--k-max", "40", "--n-min", "0", "--n-max", "80", "--routes", "r2",
+      "--format", "json"], False, 0, "3159/3159 instances verified"),
+    (["verify", "--k-min", "1", "--k-max", "3", "--n-min", "0", "--n-max", "2"], False, 2,
+     "error: verify requires --k-min >= 2"),
+    (["verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "1", "--routes", "r5",
+      "--format", "csv"], True, 1, "0/4 instances verified"),
+], ids=["large-json", "usage-error", "failed-cross-check"])
+def test_main_delivers_what_run_printed(capsys, monkeypatch, argv, r5_fault, code, last_err):
+    # main leaves through os._exit, which flushes no buffer, so it must
+    # flush all that run printed first; the fault is injected alike in a
+    # wrapper that calls main and in this process
+    import lahverify.verify as verify_mod
+
+    script = "\n".join([
+        "import sys",
+        "import lahverify.cli",
+        "import lahverify.verify",
+        "lahverify.verify.chu_vandermonde_closed = lambda a, b, c: (7, 1)" if r5_fault else "",
+        f"sys.argv[1:] = {argv!r}",
+        "lahverify.cli.main()",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], env=_block_buffered_env(), capture_output=True, text=True,
+                          timeout=120)
+    if r5_fault:
+        monkeypatch.setattr(verify_mod, "chu_vandermonde_closed", lambda a, b, c: (7, 1))
+    assert (done.returncode, done.stdout, done.stderr) == _run(capsys, argv)
+    assert done.returncode == code
+    assert done.stderr.splitlines()[-1] == last_err
+    if r5_fault:
+        assert [line for line in done.stderr.splitlines() if line.startswith("error:")] == [
+            f"error: r5 at k={k}, n={n}: hypergeometric route broke at k={k}, n={n}"
+            for k in (2, 3) for n in (0, 1)
+        ]
+    if code == 0:
+        assert len(done.stdout) > 1 << 16

@@ -432,15 +432,15 @@ class TestInternalGuards:
     def test_wrong_route3_coefficient_is_reported(self, monkeypatch):
         import lahverify.verify as verify_mod
 
-        power = verify_mod.series_binomial_power
+        binomial = verify_mod.binomial_general
 
-        def last_negative_coeff_off(e, order):
-            # (1+x)^-(n+1) gets its x^k coefficient off by one; the cached
-            # factor (1+x)^(k-1) is untouched
-            series = power(e, order)
-            return series._replace(coeffs=(*series.coeffs[:-1], series.coeffs[-1] + (e < 0)))
+        def negative_x2_coeff_off(e, j):
+            # (1+x)^-(n+1) gets its x^2 coefficient off by one; the cached
+            # factor (1+x)^(k-1), the closed form's x^3 coefficient and r1's
+            # binomials, whose upper arguments are non-negative, are untouched
+            return binomial(e, j) + (e < 0 and j == 2)
 
-        monkeypatch.setattr(verify_mod, "series_binomial_power", last_negative_coeff_off)
+        monkeypatch.setattr(verify_mod, "binomial_general", negative_x2_coeff_off)
         for r in verify_row(3, range(0, 4), routes=("r1", "r3")):
             assert r.route_values["r3"] is None
             assert r.errors == {"r3": f"convolution route broke at k=3, n={r.instance.n}"}
