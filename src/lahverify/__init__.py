@@ -17,16 +17,15 @@ __version__ = "0.1.0"
 _SUBMODULE = {
     name: module
     for module, names in (
-        ("exact", "ConsistencyError as_integer binomial_general exact_quotient factorial falling "
+        ("exact", "ConsistencyError binomial_general exact_quotient factorial falling "
                   "reciprocal_factorial_weight rising"),
         ("numbers", "BRUTEFORCE_MAX_N Triangle lah lah_bruteforce lah_triangle ordered_block_partitions "
                     "stirling1 stirling1_from_log_series stirling1_from_rising_poly stirling1_triangle"),
-        ("series", "Polynomial TruncatedSeries falling_factorial_poly poly_add poly_eval poly_from_coeffs "
-                   "poly_mul poly_scale rising_factorial_poly series_binomial_power series_from_coeffs "
-                   "series_log1p series_mul series_scale"),
+        ("series", "Polynomial TruncatedSeries poly_from_coeffs poly_mul rising_factorial_poly "
+                   "series_binomial_power series_from_coeffs series_log1p series_mul series_scale"),
         ("symbolic", "ExpLaurentExpr LaurentPoly exp_derivative_lah expr_diff_t expr_from_terms expr_moment_u "
-                     "expr_mul_u_poly laurent_add laurent_diff laurent_from_terms rising_product_expr "
-                     "route6_coefficient_chain stirling_weighted_moment"),
+                     "expr_mul_u_poly laurent_diff laurent_from_terms route6_coefficient_chain "
+                     "stirling_weighted_moment"),
         ("verify", "ROUTE_FUNCTIONS ROUTE_NAMES IdentityInstance VerificationReport binomial_inversion "
                    "chu_vandermonde_binomial chu_vandermonde_closed gkp_identity hypergeom_2f1_terminating "
                    "lhs_direct rhs_reference route1_gkp route2_factorial_gf route3_convolution "

@@ -175,7 +175,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
     0 means success (all instances verified for the verify command), 1
     means at least one verification mismatch, 2 means a usage or domain
-    error.
+    error, or that memory ran out.
     """
     # exact results can exceed the interpreter's default int-to-str limit
     # of 4300 digits; the setting exists from Python 3.10.7 on
@@ -198,6 +198,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # the failed allocation's memory is free again once it unwinds to here
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

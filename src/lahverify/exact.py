@@ -88,11 +88,3 @@ def exact_quotient(num: int, den: int) -> int:
         raise ConsistencyError("integer quotient has a non-zero remainder")
     return quotient
 
-
-def as_integer(value: Scalar) -> int:
-    """Integral value of an exact scalar; a genuine fraction is an error."""
-    if isinstance(value, int):
-        return value
-    if value.denominator != 1:
-        raise ConsistencyError(f"expected an integer, got {value}")
-    return value.numerator

@@ -101,35 +101,12 @@ def poly_from_coeffs(values: Iterable[Scalar]) -> Polynomial:
     return Polynomial(tuple(cs))
 
 
-POLY_ZERO = poly_from_coeffs([])
 POLY_ONE = poly_from_coeffs([1])
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     # a zero factor gives size <= 0 or an all-zero list, which trims to ()
     return poly_from_coeffs(_convolve(a.coeffs, b.coeffs, len(a.coeffs) + len(b.coeffs) - 1))
-
-
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    size = max(len(a.coeffs), len(b.coeffs))
-    out: list[Scalar] = [0] * size
-    for i, c in enumerate(a.coeffs):
-        out[i] += c
-    for i, c in enumerate(b.coeffs):
-        out[i] += c
-    return poly_from_coeffs(out)
-
-
-def poly_scale(a: Polynomial, c: Scalar) -> Polynomial:
-    return poly_from_coeffs(c * v for v in a.coeffs)
-
-
-def poly_eval(p: Polynomial, x: Scalar) -> Scalar:
-    """Exact evaluation by Horner's rule; the zero polynomial evaluates to 0."""
-    acc: Scalar = 0
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def rising_factorial_poly(n: int) -> Polynomial:
@@ -139,10 +116,3 @@ def rising_factorial_poly(n: int) -> Polynomial:
         p = poly_mul(p, poly_from_coeffs([j, 1]))
     return p
 
-
-def falling_factorial_poly(n: int) -> Polynomial:
-    """x(x-1)...(x-n+1) expanded in the monomial basis."""
-    p = POLY_ONE
-    for j in range(n):
-        p = poly_mul(p, poly_from_coeffs([-j, 1]))
-    return p

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .exact import ConsistencyError, factorial
+from .exact import ConsistencyError, exact_quotient, factorial
 from .numbers import lah, stirling1_row
 from .series import rising_factorial_poly
 
@@ -45,12 +45,6 @@ def laurent_from_terms(pairs: Iterable[tuple[Scalar, int]]) -> LaurentPoly:
         else:
             merged.pop(b, None)
     return LaurentPoly(merged)
-
-
-def laurent_add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    pairs = [(c, b) for b, c in p.terms.items()]
-    pairs.extend((c, b) for b, c in q.terms.items())
-    return laurent_from_terms(pairs)
 
 
 def laurent_diff(p: LaurentPoly) -> LaurentPoly:
@@ -122,13 +116,6 @@ def exp_derivative_lah(k: int) -> ExpLaurentExpr:
     )
 
 
-def rising_product_expr(m: int) -> ExpLaurentExpr:
-    """u(u+1)...(u+m-1) * exp(-u/t), expanded in powers of u."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    return expr_from_terms((c, i, 0) for i, c in enumerate(rising_factorial_poly(m).coeffs))
-
-
 def stirling_weighted_moment(m: int) -> LaurentPoly:
     """The u-moment of u(u+1)...(u+m-1) * exp(-u/t), written directly in
     Stirling form: sum over i of (-1)^(m-i) i! s(m, i) t^(i+1)."""
@@ -150,20 +137,21 @@ def route6_coefficient_chain(m: int, k: int) -> dict[int, int]:
     the expression built from the Lah-coefficient derivative formula.
 
     Side A is the k-fold t-derivative of ``stirling_weighted_moment(m)``,
-    whose Stirling numbers come from the triangle recurrence. Side B
-    multiplies ``exp_derivative_lah(k)`` by u(u+1)...(u+m-1), expanded by
-    polynomial products, and integrates out u. The two Laurent polynomials must agree exactly; a
-    mismatch means a bug somewhere in the chain, never roundoff.
+    whose Stirling numbers come from the triangle recurrence. Side B is the
+    u-moment of ``exp_derivative_lah(k)`` times u(u+1)...(u+m-1), whose
+    coefficients r_i come from polynomial products. Every term c u^a t^b of
+    the derivative has a + b = -k, so the u^i part of the product
+    integrates to t^(i-k+1) alone, with coefficient r_i times the bracket
 
-    Returns, for each i in 0..m, the alternating factorial-Lah sum
+        sum over l in 0..k-1 of (-1)^l (i+k-l)! L(k, k-l).
 
-        sum over l in 0..k-1 of (-1)^l (i+k-l)! L(k, k-l),
+    The two Laurent polynomials must agree exactly; a mismatch means a bug
+    somewhere in the chain, never roundoff.
 
-    which side B holds at t-power i-k+1, times the coefficient of u^i in
-    u(u+1)...(u+m-1); each bracket returned must match it there. That
-    coefficient is 0 for i = 0, so the chain also runs at m = 0, where the
-    product is 1 and side A is the moment t of exp(-u/t) itself: its side
-    B holds bracket 0 at t-power 1-k.
+    Returns, for each i in 0..m, the bracket read off side A: its
+    coefficient at t^(i-k+1) divided exactly by r_i. For m >= 1, r_0 is 0,
+    so the chain also runs at m = 0, where the product is 1 and side A is
+    the moment t of exp(-u/t) itself, which holds bracket 0.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -171,15 +159,14 @@ def route6_coefficient_chain(m: int, k: int) -> dict[int, int]:
         raise ValueError("need 1 <= k <= m + 1")
 
     derivative = exp_derivative_lah(k)
-    brackets = {i: _lah_bracket(derivative, i) for i in range(m + 1)}
-    for order in (m, 0):
+    brackets: dict[int, int] = {}
+    for order in (0, m):
         side_a = stirling_weighted_moment(order)
         for _ in range(k):
             side_a = laurent_diff(side_a)
-        rising_coeffs = rising_factorial_poly(order).coeffs
-        side_b = expr_moment_u(expr_mul_u_poly(derivative, rising_coeffs))
+        rising_terms = [(i, r) for i, r in enumerate(rising_factorial_poly(order).coeffs) if r]
+        side_b = laurent_from_terms((r * _lah_bracket(derivative, i), i - k + 1) for i, r in rising_terms)
         if side_a != side_b:
             raise ConsistencyError(f"moment chain mismatch at m={order}, k={k}")
-        if any(rising_coeffs[i] * brackets[i] != side_b.coeff(i - k + 1) for i in range(order + 1)):
-            raise ConsistencyError(f"moment chain brackets disagree with side B at m={order}, k={k}")
+        brackets.update((i, exact_quotient(side_a.coeff(i - k + 1), r)) for i, r in rising_terms)
     return brackets

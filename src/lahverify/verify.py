@@ -81,11 +81,10 @@ class VerificationReport(NamedTuple):
 
 def rhs_reference(inst: IdentityInstance) -> int:
     """Closed-form value: 0 below the diagonal band, otherwise the signed
-    ratio (-1)^k n! (n+1)! / (n-k+1)!."""
+    ratio (-1)^k n! (n+1)! / (n-k+1)!, formed without a division as
+    (-1)^k n! (n+1)(n)...(n-k+2), which ``math.perm`` makes 0 for n <= k-2."""
     k, n = inst.k, inst.n
-    if n <= k - 2:
-        return 0
-    return _sgn(k) * (factorial(n) * factorial(n + 1) // factorial(n - k + 1))
+    return _sgn(k) * factorial(n) * math.perm(n + 1, k)
 
 
 def lhs_direct(inst: IdentityInstance) -> int:
@@ -294,9 +293,10 @@ def route6_row(k: int, ns: Sequence[int]) -> dict[int, int]:
     """Route 6 for every n of one grid row: run the symbolic
     moment-differentiation chain once at m = max(k, max(ns)+1), the
     smallest order whose coefficient range covers every i = n, and read
-    each bracketed sum off its i = n slot. The bracket is the target sum
-    up to the sign (-1)^k from reversing the summation index. The chain
-    compares its Stirling side with its Lah side once for the row."""
+    each bracketed sum off its i = n slot of the Stirling side. The bracket
+    is the target sum up to the sign (-1)^k from reversing the summation
+    index. The chain compares its Stirling side with its Lah side once for
+    the row."""
     # imported here, so that a grid without r6 never loads the calculus
     from .symbolic import route6_coefficient_chain
 

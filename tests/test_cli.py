@@ -216,9 +216,9 @@ class TestVerifyCommand:
         assert "0/4 instances verified" in err
 
     def test_wrong_route6_bracket_gives_error_line(self, capsys, monkeypatch):
-        # r6 reads each n off the bracket at i = n, so a bracket that side B
-        # did not hold must fail the chain, not pass as a plain mismatch;
-        # bracket 0 is checked by the chain at m = 0, the others at m = 8
+        # side B is built from the brackets, so a wrong one must fail the
+        # chain, not pass as a plain mismatch; bracket 0 is checked by the
+        # chain at m = 0, the others at m = 8
         import lahverify.symbolic as symbolic_mod
 
         bracket = symbolic_mod._lah_bracket
@@ -233,7 +233,7 @@ class TestVerifyCommand:
             assert code == 1
             assert [line.split(",")[-2:] for line in out.splitlines()[1:]] == [["", "false"]] * 8
             assert [line for line in err.splitlines() if line.startswith(("error:", "mismatch:"))] == [
-                f"error: r6 at k=3, n={n}: moment chain brackets disagree with side B at m={m}, k=3" for n in range(8)
+                f"error: r6 at k=3, n={n}: moment chain mismatch at m={m}, k=3" for n in range(8)
             ]
 
     GRID = ["verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "4",
@@ -511,6 +511,22 @@ def test_closed_stderr_exits_one(argv):
     finally:
         os.close(write_end)
     assert done.returncode == 1
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS, which Linux enforces")
+def test_out_of_memory_is_one_error_line():
+    # an n range far larger than memory, under an address-space limit set
+    # in the child alone
+    import resource
+
+    limit = 128 << 20
+    done = subprocess.run(
+        [sys.executable, "-m", "lahverify", "verify", "--k-min", "2", "--k-max", "2", "--n-min", "0",
+         "--n-max", "1000000000", "--routes", "r1"],
+        env=_fresh_env(), capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("argv, r5_fault, code, last_err", [

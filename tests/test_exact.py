@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lahverify.exact import (
     ConsistencyError,
-    as_integer,
     binomial_general,
     exact_quotient,
     factorial,
@@ -130,12 +129,6 @@ class TestWeightsAndCoercion:
         assert reciprocal_factorial_weight(-1) == 0
         assert reciprocal_factorial_weight(0) == 1
         assert reciprocal_factorial_weight(4) == Fraction(1, 24)
-
-    def test_as_integer(self):
-        assert as_integer(7) == 7
-        assert as_integer(Fraction(42, 6)) == 7
-        with pytest.raises(ConsistencyError):
-            as_integer(Fraction(1, 2))
 
     def test_exact_quotient(self):
         assert exact_quotient(42, 6) == 7

@@ -8,23 +8,30 @@ from hypothesis import strategies as st
 
 from lahverify.exact import factorial
 from lahverify.numbers import stirling1
+from lahverify.series import rising_factorial_poly
 from lahverify.symbolic import (
     ExpLaurentExpr,
     LaurentPoly,
+    _lah_bracket,
     exp_derivative_lah,
     expr_diff_t,
     expr_from_terms,
     expr_moment_u,
     expr_mul_u_poly,
-    laurent_add,
     laurent_diff,
     laurent_from_terms,
-    rising_product_expr,
     route6_coefficient_chain,
     stirling_weighted_moment,
 )
 
 EXP_KERNEL = expr_from_terms([(1, 0, 0)])  # exp(-u/t) itself
+
+
+def rising_product_expr(m: int) -> ExpLaurentExpr:
+    """u(u+1)...(u+m-1) * exp(-u/t), expanded in powers of u: the
+    expression whose moment the Stirling form is checked against."""
+    return expr_from_terms((c, i, 0) for i, c in enumerate(rising_factorial_poly(m).coeffs))
+
 
 term_strategy = st.tuples(
     st.fractions(min_value=-9, max_value=9, max_denominator=5),
@@ -108,6 +115,12 @@ class TestDerivativeClosedForm:
             e = expr_diff_t(e)
             assert e == exp_derivative_lah(k)
 
+    def test_terms_are_homogeneous(self):
+        # every term c u^a t^b has a + b = -k, which makes route 6's side B
+        # one bracket per power of t
+        for k in range(1, 13):
+            assert all(a + b == -k for a, b in exp_derivative_lah(k).terms)
+
 
 class TestMomentChain:
     def test_rising_product_expr_small(self):
@@ -135,6 +148,24 @@ class TestMomentChain:
                 )
                 assert derived == expected
 
+    def test_grouped_side_b_matches_moment_of_product(self):
+        # the chain's side B, one bracket per power of t, against the moment
+        # of the derivative times u(u+1)...(u+m-1), multiplied out term by
+        # term; each value returned times its rising coefficient is there
+        for m in range(1, 13):
+            rising_coeffs = rising_factorial_poly(m).coeffs
+            for k in range(1, m + 2):
+                derivative = exp_derivative_lah(k)
+                product_moment = expr_moment_u(expr_mul_u_poly(derivative, rising_coeffs))
+                grouped = laurent_from_terms(
+                    (r * _lah_bracket(derivative, i), i - k + 1) for i, r in enumerate(rising_coeffs)
+                )
+                assert grouped == product_moment
+                brackets = route6_coefficient_chain(m, k)
+                assert sorted(brackets) == list(range(m + 1))
+                for i in range(1, m + 1):
+                    assert brackets[i] * rising_coeffs[i] == product_moment.coeff(i - k + 1)
+
     def test_chain_hand_example(self):
         # m=1, k=1: moment of u * exp(-u/t) is t^2 and its derivative is 2t;
         # the k=1 brackets are (i+1)!
@@ -161,11 +192,6 @@ class TestMomentChain:
 
 
 class TestLaurentHelpers:
-    def test_add(self):
-        p = laurent_from_terms([(1, 0), (2, 3)])
-        q = laurent_from_terms([(-1, 0), (5, -2)])
-        assert laurent_add(p, q).terms == {3: 2, -2: 5}
-
     def test_coeff_accessor(self):
         p = laurent_from_terms([(Fraction(7, 3), -1)])
         assert p.coeff(-1) == Fraction(7, 3)

@@ -9,17 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lahverify.exact import ConsistencyError, as_integer, binomial_general, factorial, falling, rising
+from lahverify.exact import ConsistencyError, binomial_general, factorial, falling, rising
 from lahverify.numbers import lah, lah_row, lah_triangle
 from lahverify.series import (
-    falling_factorial_poly,
-    poly_add,
     poly_from_coeffs,
-    poly_scale,
+    poly_mul,
     rising_factorial_poly,
     series_binomial_power,
     series_mul,
-    POLY_ZERO,
 )
 from lahverify.symbolic import exp_derivative_lah, stirling_weighted_moment
 from lahverify.verify import (
@@ -292,7 +289,7 @@ class TestHypergeometric:
         num, den = chu_vandermonde_closed(1 - k, n + 2, 2)
         assert type(num) is type(den) is int and den > 0 and Fraction(num, den) == closed
         value = route5_hypergeom(IdentityInstance(k, n))
-        assert type(value) is int and value == as_integer(-factorial(k) * factorial(n + 1) * closed)
+        assert type(value) is int and value == -factorial(k) * factorial(n + 1) * closed
 
 
 class TestBinomialInversion:
@@ -374,11 +371,16 @@ class TestRoutes:
     def test_factorial_generating_function_as_polynomials(self):
         # row identity behind route 2: x(x+1)...(x+n-1) equals the
         # Lah-weighted sum of falling factorial polynomials
+        # falling_polys[k] is x(x-1)...(x-k+1)
+        falling_polys = [poly_from_coeffs([1])]
+        for j in range(12):
+            falling_polys.append(poly_mul(falling_polys[-1], poly_from_coeffs([-j, 1])))
         for n in range(13):
-            acc = POLY_ZERO
+            summed = [0] * (n + 1)
             for k in range(n + 1):
-                acc = poly_add(acc, poly_scale(falling_factorial_poly(k), lah(n, k)))
-            assert acc == rising_factorial_poly(n)
+                for i, c in enumerate(falling_polys[k].coeffs):
+                    summed[i] += lah(n, k) * c
+            assert poly_from_coeffs(summed) == rising_factorial_poly(n)
 
 
 class TestInternalGuards:
