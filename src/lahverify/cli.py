@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .numbers import lah, stirling1, triangle_rows
 
@@ -14,6 +14,21 @@ if TYPE_CHECKING:
 
 MISMATCH_LINES = 10
 SHOWN_DIGITS = 40
+
+
+def _fields(
+    reports: Sequence[VerificationReport], quote: str, failed: str
+) -> Iterator[tuple[str, str, str, dict[str, str], str]]:
+    """Per report: k, n, the reference, the route fields by name, all_match.
+    The reference is written in decimal once, and a route value equal to
+    it reuses that string; a failed route's field is ``failed``."""
+    for r in reports:
+        reference = quote + str(r.reference) + quote
+        routes = {
+            name: failed if v is None else reference if v == r.reference else quote + str(v) + quote
+            for name, v in r.route_values.items()
+        }
+        yield str(r.instance.k), str(r.instance.n), reference, routes, "true" if r.all_match else "false"
 
 
 def emit_report(reports: Sequence[VerificationReport], fmt: str = "text") -> str:
@@ -29,38 +44,24 @@ def emit_report(reports: Sequence[VerificationReport], fmt: str = "text") -> str
         # written directly, so that no command loads json: the schema is
         # fixed, and no character of it needs escaping, since route names
         # are identifiers and values are decimal strings
-        objects = []
-        for r in reports:
-            routes = ",".join(f'"{name}":' + ("null" if v is None else f'"{v}"') for name, v in r.route_values.items())
-            objects.append(
-                f'{{"k":{r.instance.k},"n":{r.instance.n},"reference":"{r.reference}",'
-                f'"routes":{{{routes}}},"all_match":{"true" if r.all_match else "false"}}}'
-            )
-        return "[" + ",".join(objects) + "]"
+        return "[" + ",".join(
+            f'{{"k":{k},"n":{n},"reference":{reference},"routes":{{'
+            + ",".join(f'"{name}":{v}' for name, v in routes.items())
+            + f'}},"all_match":{match}}}'
+            for k, n, reference, routes, match in _fields(reports, '"', "null")
+        ) + "]"
     if fmt == "csv":
         names = list(reports[0].route_values) if reports else []
         lines = [",".join(["k", "n", "reference", *names, "all_match"])]
-        for r in reports:
-            lines.append(
-                ",".join(
-                    [
-                        str(r.instance.k),
-                        str(r.instance.n),
-                        str(r.reference),
-                        *("" if r.route_values[name] is None else str(r.route_values[name]) for name in names),
-                        "true" if r.all_match else "false",
-                    ]
-                )
-            )
+        for k, n, reference, routes, match in _fields(reports, "", ""):
+            lines.append(",".join([k, n, reference, *(routes[name] for name in names), match]))
         return "\n".join(lines)
     if fmt == "text":
-        lines = []
-        for r in reports:
-            parts = [f"k={r.instance.k}", f"n={r.instance.n}", f"reference={r.reference}"]
-            parts.extend(f"{name}={'error' if v is None else v}" for name, v in r.route_values.items())
-            parts.append(f"all_match={'true' if r.all_match else 'false'}")
-            lines.append(" ".join(parts))
-        return "\n".join(lines)
+        return "\n".join(
+            " ".join([f"k={k}", f"n={n}", f"reference={reference}", *(f"{name}={v}" for name, v in routes.items()),
+                      f"all_match={match}"])
+            for k, n, reference, routes, match in _fields(reports, "", "error")
+        )
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -227,17 +227,12 @@ def route3_convolution(inst: IdentityInstance) -> int:
     return convolved * factorial(k) * factorial(n)
 
 
-# r4's columns by n. A grid row reads every n, so the bound must hold a
-# whole n-range: a smaller LRU cache would miss on every lookup. The large
-# grid has 121 columns.
-ROUTE4_COLUMNS_MAX = 256
-
-
-@lru_cache(maxsize=ROUTE4_COLUMNS_MAX)
+@lru_cache(maxsize=None)
 def _route4_column(n: int) -> tuple[list[int], list[int], list[bool], list[int]]:
     """r4's column for n up to L = 1, which ``route4_inversion`` grows in
     place: a(0..L), b(0..L), for each j <= L whether outputs 0..j of the
-    transform of b equal a(0..j), and the transform's row ends after b(L)."""
+    transform of b equal a(0..j), and the transform's row ends after b(L).
+    Unbounded, since each grid row reads every n; ``verify_grid`` clears it."""
     n1_fact = factorial(n + 1)
     edge = [0]
     agrees = [True, _transform_step(edge, -n1_fact) == n1_fact]
@@ -261,8 +256,9 @@ def route4_inversion(inst: IdentityInstance) -> int:
     when they agree on 0..k. A step whose quotient raises is not kept, so
     every k that needs it raises again. For even k the transform carries
     b(k) into a(k) with sign +1, so the same error in the last step of
-    both products would pass it; a(k) = (n+k)!/(k-1)! is also checked
-    against the rising factorial k(k+1)...(k+n), as ``math.perm(n+k, n+1)``."""
+    both products would pass it; a(k) = (n+k)!/(k-1)! is also checked as
+    a(k) (k-1)! = (n+k)! against ``factorial``, which shares no step with
+    the running products."""
     k, n = inst.k, inst.n
     a_seq, b_seq, agrees, edge = _route4_column(n)
     for l in range(len(a_seq) - 1, k):
@@ -271,7 +267,7 @@ def route4_inversion(inst: IdentityInstance) -> int:
         a_seq.append(a_next)
         b_seq.append(b_next)
         agrees.append(_transform_step(edge, b_next) == a_next and agrees[l])
-    if not agrees[k] or a_seq[k] != math.perm(n + k, n + 1):
+    if not agrees[k] or a_seq[k] * factorial(k - 1) != factorial(n + k):
         raise ConsistencyError(f"inversion dual identity broke at k={k}, n={n}")
     return b_seq[k] * factorial(k - 1)
 
@@ -465,6 +461,7 @@ def verify_grid(
         for _, reader, share in children:
             by_k.update(_collect(reader, share, ns, route_names))
     finally:
+        _route4_column.cache_clear()
         for pid, reader, _ in children:
             reader.close()
             os.waitpid(pid, 0)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -360,6 +361,32 @@ class TestEmitReport:
     def test_byte_stable(self):
         reports = [self._single_report()]
         assert emit_report(reports, "json") == emit_report(reports, "json")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_one_decimal_conversion_per_value(self, fmt):
+        # a report whose routes all match converts its reference only; a
+        # mismatching route value converts once more
+        converted = Counter()
+
+        class Counted(int):
+            def __str__(self):
+                converted[int(self)] += 1
+                return super().__str__()
+
+        ref, other, wrong1, wrong2 = (-(10**60) - i for i in range(4))
+        rows = [
+            (IdentityInstance(3, 4), ref, {"lhs_direct": ref, "r1": ref, "r4": ref, "r5": ref}, True),
+            (IdentityInstance(3, 5), other, {"lhs_direct": other, "r1": wrong1, "r4": wrong2, "r5": None}, False),
+        ]
+        plain = [VerificationReport(inst, r, values, match) for inst, r, values, match in rows]
+        counted = [
+            VerificationReport(
+                inst, Counted(r), {name: None if v is None else Counted(v) for name, v in values.items()}, match
+            )
+            for inst, r, values, match in rows
+        ]
+        assert emit_report(counted, fmt) == emit_report(plain, fmt)
+        assert converted == {ref: 1, other: 1, wrong1: 1, wrong2: 1}
 
     VALUES = st.one_of(st.none(), st.integers(), st.integers(-10**400, -10**200))
     REPORTS = st.lists(st.builds(

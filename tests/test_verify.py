@@ -20,7 +20,6 @@ from lahverify.series import (
 )
 from lahverify.symbolic import exp_derivative_lah, stirling_weighted_moment
 from lahverify.verify import (
-    ROUTE4_COLUMNS_MAX,
     ROUTE_FUNCTIONS,
     ROUTE_NAMES,
     IdentityInstance,
@@ -555,10 +554,10 @@ class TestRoute4Columns:
             else:
                 assert r.all_match and r.errors == {}, (k, n)
 
-    def test_one_transform_per_column(self, monkeypatch, route4_columns):
-        # a row reads every n of the grid, so the cache holds a whole
-        # north-star n-range, and each column grows one transform step per
-        # output: the first for output 1, then one per step l
+    @staticmethod
+    def _count_outputs(monkeypatch):
+        # the transform steps made, by output: the first for output 1, then
+        # one per step l
         import lahverify.verify as verify_mod
 
         outputs = Counter()
@@ -570,10 +569,15 @@ class TestRoute4Columns:
             return out
 
         monkeypatch.setattr(verify_mod, "_transform_step", counting_step)
+        return outputs
+
+    def test_one_transform_per_column(self, monkeypatch, route4_columns):
+        # a row reads every n of the grid, and each column grows one
+        # transform step per output over the north-star n-range
+        outputs = self._count_outputs(monkeypatch)
         reports = verify_grid(range(2, 6), range(0, 121), routes=("r4",))
         assert all(r.all_match for r in reports)
         assert outputs == {j: 121 for j in range(1, 6)}
-        assert route4_columns.cache_parameters()["maxsize"] >= 121
 
     def test_ascending_caller_grows_each_column_once(self, monkeypatch, route4_columns):
         import lahverify.verify as verify_mod
@@ -594,23 +598,28 @@ class TestRoute4Columns:
         # column n and step l, however many k read the column
         assert divisors == {l: 2 * 61 for l in range(1, 30)}
 
-    def test_column_cache_bounded_and_clearable(self, route4_columns):
-        maxsize = route4_columns.cache_parameters()["maxsize"]
-        assert maxsize == ROUTE4_COLUMNS_MAX
-        for n in range(maxsize + 5):
-            route4_inversion(IdentityInstance(3, n))
-        assert route4_columns.cache_info()[1:] == (maxsize + 5, maxsize, maxsize)
-        # the least recently used columns went first: n = 5 is still held,
-        # n = 4 is built again
-        route4_inversion(IdentityInstance(2, 5))
-        route4_inversion(IdentityInstance(3, 4))
-        assert route4_columns.cache_info()[:2] == (1, maxsize + 6)
-        for n in (4, 5):
-            a_seq, b_seq, agrees, edge = route4_columns(n)
-            assert len(a_seq) == len(b_seq) == len(agrees) == len(edge) == 4 and all(agrees)
-        route4_columns.cache_clear()
-        assert route4_inversion(IdentityInstance(3, 5)) == rhs_reference(IdentityInstance(3, 5))
-        assert route4_columns.cache_info().currsize == 1
+    def test_columns_kept_for_one_grid(self, monkeypatch, route4_columns):
+        # the columns of a grid's whole n-range are kept however long it
+        # is, and freed when verify_grid returns or raises
+        import lahverify.verify as verify_mod
+
+        outputs = self._count_outputs(monkeypatch)
+        reports = verify_grid(range(2, 6), range(0, 301), routes=("r4",))
+        assert all(r.all_match for r in reports)
+        assert outputs == {j: 301 for j in range(1, 6)}
+        assert route4_columns.cache_info().currsize == 0
+
+        held = []
+
+        def raising_quotient(num, den):
+            held.append(route4_columns.cache_info().currsize)
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(verify_mod, "exact_quotient", raising_quotient)
+        with pytest.raises(RuntimeError, match="injected"):
+            verify_grid(range(2, 6), range(0, 4), routes=("r4",))
+        assert held == [1]
+        assert route4_columns.cache_info().currsize == 0
 
 
 class TestVerifyInstance:
