@@ -122,15 +122,26 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_table(ns: argparse.Namespace) -> int:
     if ns.max_n < 0:
         raise ValueError("--max-n must be non-negative")
-    # rows are printed as they are produced, so memory stays at one row
-    rows = triangle_rows(ns.kind, ns.max_n)
-    if ns.fmt == "csv":
-        print("n,k,value")
-        for n, row in enumerate(rows):
-            print("\n".join(f"{n},{k},{v}" for k, v in enumerate(row)))
-    else:
-        for row in rows:
-            print(" ".join(map(str, row)))
+    # printing is the command's whole job, and an int's decimal string
+    # costs time quadratic in its digits: a Decimal holds base-10**19 limbs,
+    # so its string is linear. The context holds every entry exactly, and
+    # traps rounding, should an entry ever need more than its precision.
+    # decimal is imported here, so that no other command loads it.
+    from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
+                         InvalidOperation, Overflow, Rounded, localcontext)
+
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
+    with localcontext(exact):
+        # rows are printed as they are produced, so memory stays at one row
+        rows = triangle_rows(ns.kind, ns.max_n, start=Decimal(1))
+        if ns.fmt == "csv":
+            print("n,k,value")
+            for n, row in enumerate(rows):
+                print("\n".join(f"{n},{k},{v!s}" for k, v in enumerate(row)))
+        else:
+            for row in rows:
+                print(" ".join(map(str, row)))
     return 0
 
 

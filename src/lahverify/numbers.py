@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, TypeVar
 
 from .exact import binomial_general, factorial, reciprocal_factorial_weight
 
 if TYPE_CHECKING:
+    from decimal import Decimal
     from fractions import Fraction
 
 BRUTEFORCE_MAX_N = 9
@@ -115,25 +116,32 @@ def lah_bruteforce(n: int, k: int) -> int:
     return sum(1 for _ in ordered_block_partitions(n, k))
 
 
+_Entry = TypeVar("_Entry", int, "Decimal")
+
 _TRIANGLE_WEIGHTS: dict[str, Callable[[int, int], int]] = {
     "lah": lambda n, k: n + k,
     "stirling1": lambda n, k: -n,
 }
 
 
-def triangle_rows(kind: str, max_n: int, max_k: int | None = None) -> Iterator[list[int]]:
+def triangle_rows(kind: str, max_n: int, max_k: int | None = None, start: _Entry = 1) -> Iterator[list[_Entry]]:
     """Rows 0..max_n of the "lah" or "stirling1" triangle, by the recurrence
 
-        T(n+1, k) = T(n, k-1) + w(n, k) T(n, k),   T(0, 0) = 1,
+        T(n+1, k) = T(n, k-1) + w(n, k) T(n, k),   T(0, 0) = start,
 
     with weight w = n+k for Lah and w = -n for Stirling. Row n holds
     columns 0..n, cut after column ``max_k`` when it is given. Only the
     previous row is kept, so rows can be consumed as they are produced.
+
+    Every entry has the type of ``start``, the int 1 by default. The one
+    other caller is the ``table`` command, which passes ``Decimal(1)`` and
+    runs the rows in an exact decimal context, so that printing an entry
+    is linear in its digits.
     """
     if max_n < 0:
         raise ValueError("max_n must be non-negative")
     weight = _TRIANGLE_WEIGHTS[kind]
-    row = [1]
+    row = [start]
     yield row
     for n in range(max_n):
         width = n + 2 if max_k is None else min(n + 2, max_k + 1)

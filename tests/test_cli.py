@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import lahverify
 from lahverify.cli import emit_report, run
+from lahverify.numbers import triangle_rows
 from lahverify.verify import ROUTE_FUNCTIONS, ROUTE_NAMES, IdentityInstance, VerificationReport
 
 
@@ -68,6 +70,33 @@ class TestTableCommand:
         code, _, err = _run(capsys, ["table", "lah", "--max-n", "-2"])
         assert code == 2
         assert "error:" in err
+
+    @staticmethod
+    def _int_rendering(kind, max_n, fmt):
+        rows = triangle_rows(kind, max_n)
+        if fmt == "csv":
+            return "".join(["n,k,value\n", *(f"{n},{k},{v}\n" for n, row in enumerate(rows) for k, v in enumerate(row))])
+        return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("kind", ["lah", "stirling1"])
+    def test_decimal_rows_print_the_int_rows(self, capsys, kind, fmt):
+        code, out, err = _run(capsys, ["table", kind, "--max-n", "120", "--format", fmt])
+        assert (code, err) == (0, "")
+        assert out == self._int_rendering(kind, 120, fmt)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("kind", ["lah", "stirling1"])
+    def test_entry_beyond_the_precision_is_never_rounded(self, capsys, monkeypatch, kind, fmt):
+        # row 60 holds entries of more than 30 digits; a context that
+        # rounded them would print them in exponent form
+        monkeypatch.setattr(decimal, "MAX_PREC", 30)
+        with pytest.raises((decimal.Rounded, decimal.Inexact)):
+            run(["table", kind, "--max-n", "60", "--format", fmt])
+        out = capsys.readouterr().out.splitlines()
+        expected = self._int_rendering(kind, 60, fmt).splitlines()
+        assert 0 < len(out) < len(expected)
+        assert out == expected[: len(out)]
 
 
 class TestVerifyCommand:
@@ -459,21 +488,27 @@ def test_cli_import_leaves_pool_out():
     assert not {name for name in _loaded_by("-c", "import lahverify") if name.startswith("lahverify.")}
     loaded = _loaded_by("-c", "import lahverify.cli")
     assert "lahverify.numbers" in loaded
-    assert not loaded & {"concurrent.futures", "json", "lahverify.verify", "lahverify.symbolic", "dataclasses"}
+    assert not loaded & {"concurrent.futures", "json", "lahverify.verify", "lahverify.symbolic", "dataclasses",
+                         "decimal"}
     assert "dataclasses" not in _loaded_by("-c", "import lahverify.verify")
-    for argv in (["table", "lah", "--max-n", "3"], ["lah", "--n", "3", "--k", "2"]):
+    for argv in (["table", "lah", "--max-n", "3"], ["lah", "--n", "3", "--k", "2"],
+                 ["stirling1", "--n", "3", "--k", "2"]):
         command = _loaded_by("-m", "lahverify", *argv)
         assert "lahverify.cli" in command
         assert not command & {"lahverify.verify", "lahverify.symbolic", "lahverify.series", "fractions",
                               "dataclasses"}
+        # only the table command holds its entries in a decimal radix
+        assert ("decimal" in command) == (argv[0] == "table")
     grid = ["-m", "lahverify", "verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "2"]
     parallel = _loaded_by(*grid, "--routes", "r1", "--jobs", "2")
     assert "lahverify.verify" in parallel
-    assert not parallel & {"concurrent.futures", "multiprocessing"}
+    assert not parallel & {"concurrent.futures", "multiprocessing", "decimal"}
     r1_to_r5 = _loaded_by(*grid, "--routes", "r1,r2,r3,r4,r5", "--format", "json")
     assert "lahverify.verify" in r1_to_r5
-    assert not r1_to_r5 & {"fractions", "json", "lahverify.symbolic", "lahverify.series"}
-    assert {"lahverify.symbolic", "lahverify.series"} <= _loaded_by(*grid, "--routes", "r6")
+    assert not r1_to_r5 & {"fractions", "json", "lahverify.symbolic", "lahverify.series", "decimal"}
+    r6 = _loaded_by(*grid, "--routes", "r6")
+    assert {"lahverify.symbolic", "lahverify.series"} <= r6
+    assert "decimal" not in r6
 
 
 def test_public_names_resolve_on_access():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from lahverify.numbers import (
     stirling1_from_log_series,
     stirling1_from_rising_poly,
     stirling1_triangle,
+    triangle_rows,
 )
 
 
@@ -214,3 +216,20 @@ class TestTriangleType:
         triangle = Triangle(2, {(0, 0): 1, (1, 0): 0, (1, 1): 1, (2, 0): 0, (2, 1): 2, (2, 2): 1})
         assert triangle.row(2) == [0, 2, 1]
         assert triangle.row(0) == [1]
+
+
+class TestDecimalRows:
+    @pytest.mark.parametrize("max_k", [None, 0, 40])
+    @pytest.mark.parametrize("kind", ["lah", "stirling1"])
+    def test_decimal_start_gives_the_int_rows(self, kind, max_k):
+        # the exact context of the table command: no entry is ever rounded
+        exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                                traps=[decimal.Inexact, decimal.Rounded])
+        with decimal.localcontext(exact):
+            rows = list(triangle_rows(kind, 300, max_k, start=decimal.Decimal(1)))
+        expected = list(triangle_rows(kind, 300, max_k))
+        assert [len(row) for row in rows] == [len(row) for row in expected]
+        for row, int_row in zip(rows, expected):
+            assert all(isinstance(v, decimal.Decimal) for v in row)
+            assert [str(v) for v in row] == [str(v) for v in int_row]
+            assert [int(v) for v in row] == int_row
