@@ -19,7 +19,7 @@ _SUBMODULE = {
     for module, names in (
         ("exact", "ConsistencyError binomial_general exact_quotient factorial falling "
                   "reciprocal_factorial_weight rising"),
-        ("numbers", "BRUTEFORCE_MAX_N Triangle lah lah_bruteforce lah_triangle ordered_block_partitions "
+        ("numbers", "BRUTEFORCE_MAX_N lah lah_bruteforce lah_triangle ordered_block_partitions "
                     "stirling1 stirling1_from_log_series stirling1_from_rising_poly stirling1_triangle"),
         ("series", "Polynomial TruncatedSeries poly_from_coeffs poly_mul rising_factorial_poly "
                    "series_binomial_power series_from_coeffs series_log1p series_mul series_scale"),

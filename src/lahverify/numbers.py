@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
 from .exact import binomial_general, factorial, reciprocal_factorial_weight
 
@@ -18,24 +18,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 BRUTEFORCE_MAX_N = 9
-
-
-class Triangle(NamedTuple):
-    """Lower-triangular integer table indexed by (n, k), 0 <= k <= n <= max_n."""
-
-    max_n: int
-    entries: dict[tuple[int, int], int]
-
-    def value(self, n: int, k: int) -> int:
-        """Entry (n, k); positions with k < 0 or k > n read as 0."""
-        if not 0 <= n <= self.max_n:
-            raise ValueError(f"row {n} is outside the table (max_n={self.max_n})")
-        if k < 0 or k > n:
-            return 0
-        return self.entries[(n, k)]
-
-    def row(self, n: int) -> list[int]:
-        return [self.value(n, k) for k in range(n + 1)]
 
 
 def lah(n: int, k: int) -> int:
@@ -150,15 +132,11 @@ def triangle_rows(kind: str, max_n: int, max_k: int | None = None, start: _Entry
         yield row
 
 
-def _triangle(kind: str, max_n: int) -> Triangle:
-    rows = triangle_rows(kind, max_n)
-    return Triangle(max_n, {(n, k): v for n, row in enumerate(rows) for k, v in enumerate(row)})
-
-
-def lah_triangle(max_n: int) -> Triangle:
-    """Lah table built by the additive recurrence
-    L(n+1, k) = L(n, k-1) + (n+k) L(n, k), independent of the closed form."""
-    return _triangle("lah", max_n)
+def lah_triangle(max_n: int) -> list[list[int]]:
+    """Rows 0..max_n of the Lah triangle, row n holding L(n, 0..n), built by
+    the additive recurrence L(n+1, k) = L(n, k-1) + (n+k) L(n, k),
+    independent of the closed form."""
+    return list(triangle_rows("lah", max_n))
 
 
 def stirling1_row(n: int, max_k: int | None = None) -> list[int]:
@@ -181,9 +159,10 @@ def stirling1(n: int, k: int) -> int:
     return stirling1_row(n, k)[k] if k <= n else 0
 
 
-def stirling1_triangle(max_n: int) -> Triangle:
-    """Table of s(n, k) for 0 <= k <= n <= max_n, built row by row."""
-    return _triangle("stirling1", max_n)
+def stirling1_triangle(max_n: int) -> list[list[int]]:
+    """Rows 0..max_n of the Stirling triangle, row n holding s(n, 0..n),
+    built by the recurrence row by row."""
+    return list(triangle_rows("stirling1", max_n))
 
 
 def stirling1_from_rising_poly(n: int) -> list[int]:

@@ -179,12 +179,13 @@ def chu_vandermonde_closed(a: int, b: int, c: int) -> tuple[int, int]:
 def route1_gkp(inst: IdentityInstance) -> int:
     """Route 1: divide the sum by k! n! to get an alternating binomial sum,
     close it with the double-binomial identity at (l, m, s) = (k-1, -1, n),
-    and scale back."""
+    check that the sum equals the closed side (-1)^k C(n+1, n-k+1), and
+    scale the sum back."""
     k, n = inst.k, inst.n
     # the left side, term i = l, is the reduced sum
     # sum over l in 1..k of (-1)^l C(n+l, n) C(k-1, l-1)
     reduced, closed = gkp_identity(k - 1, -1, n, n)
-    if not (reduced == closed == _sgn(k) * binomial_general(n + 1, k)):
+    if reduced != closed:
         raise ConsistencyError(f"binomial-identity route broke at k={k}, n={n}")
     return factorial(k) * factorial(n) * reduced
 
@@ -228,48 +229,46 @@ def route3_convolution(inst: IdentityInstance) -> int:
 
 
 @lru_cache(maxsize=None)
-def _route4_column(n: int) -> tuple[list[int], list[int], list[bool], list[int]]:
+def _route4_column(n: int) -> tuple[list[int], list[bool], list[int]]:
     """r4's column for n up to L = 1, which ``route4_inversion`` grows in
-    place: a(0..L), b(0..L), for each j <= L whether outputs 0..j of the
-    transform of b equal a(0..j), and the transform's row ends after b(L).
-    Unbounded, since each grid row reads every n; ``verify_grid`` clears it."""
+    place: b(0..L), for each j <= L whether outputs 0..j of the transform
+    of b equal the closed form a(0..j), and the transform's row ends after
+    b(L). Unbounded, since each grid row reads every n; ``verify_grid``
+    clears it."""
     n1_fact = factorial(n + 1)
     edge = [0]
     agrees = [True, _transform_step(edge, -n1_fact) == n1_fact]
-    return [0, n1_fact], [0, -n1_fact], agrees, edge
+    return [0, -n1_fact], agrees, edge
 
 
 def route4_inversion(inst: IdentityInstance) -> int:
     """Route 4: with a(l) = (n+l)!/(l-1)! and
     b(l) = (-1)^l n! (n+1)! / ((n-l+1)! (l-1)!), check by direct summation
     that the binomial transform sends b to a; the transform is an
-    involution, so it also sends a to b, and b(k) (k-1)! is the sum. Both
-    sequences are 0 at l = 0 and running products from a(1) = -b(1) = (n+1)!:
+    involution, so it also sends a to b, and b(k) (k-1)! is the sum. b is 0
+    at l = 0 and a running product from b(1) = -(n+1)!:
 
-        a(l+1) = a(l) (n+l+1) / l,   b(l+1) = -b(l) (n-l+1) / l,
+        b(l+1) = -b(l) (n-l+1) / l,
 
     so b is 0 from l = n+2 on. Every step is an exact integer quotient, and
-    a remainder raises. Output j of the transform reads only b(0..j), so
-    the check for (k, n) is a prefix of the check for (K, n) when K >= k:
-    the column n keeps both sequences and the transform, grows them one
-    step at a time up to the largest k asked for so far, and (k, n) passes
-    when they agree on 0..k. A step whose quotient raises is not kept, so
-    every k that needs it raises again. For even k the transform carries
-    b(k) into a(k) with sign +1, so the same error in the last step of
-    both products would pass it; a(k) = (n+k)!/(k-1)! is also checked as
-    a(k) (k-1)! = (n+k)! against ``factorial``, which shares no step with
-    the running products."""
+    a remainder raises. Output j of the transform reads only b(0..j), and
+    is compared with the closed form as T(b)(j) (j-1)! = (n+j)!, so the
+    check for (k, n) is a prefix of the check for (K, n) when K >= k: the
+    column n keeps b and the transform, grows them one step at a time up
+    to the largest k asked for so far, and (k, n) passes when outputs 0..k
+    agree. A step whose quotient raises is not kept, so every k that needs
+    it raises again."""
     k, n = inst.k, inst.n
-    a_seq, b_seq, agrees, edge = _route4_column(n)
-    for l in range(len(a_seq) - 1, k):
-        a_next = exact_quotient(a_seq[l] * (n + l + 1), l)
-        b_next = exact_quotient(-b_seq[l] * (n - l + 1), l)
-        a_seq.append(a_next)
-        b_seq.append(b_next)
-        agrees.append(_transform_step(edge, b_next) == a_next and agrees[l])
-    if not agrees[k] or a_seq[k] * factorial(k - 1) != factorial(n + k):
+    b, agrees, edge = _route4_column(n)
+    for l in range(len(b) - 1, k):
+        b_next = exact_quotient(-b[l] * (n - l + 1), l)
+        # the step runs after a disagreement too, so the row ends stay in step with b
+        out = _transform_step(edge, b_next)
+        b.append(b_next)
+        agrees.append(out * factorial(l) == factorial(n + l + 1) and agrees[l])
+    if not agrees[k]:
         raise ConsistencyError(f"inversion dual identity broke at k={k}, n={n}")
-    return b_seq[k] * factorial(k - 1)
+    return b[k] * factorial(k - 1)
 
 
 def route5_hypergeom(inst: IdentityInstance) -> int:

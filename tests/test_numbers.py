@@ -8,7 +8,6 @@ import pytest
 
 from lahverify.exact import factorial
 from lahverify.numbers import (
-    Triangle,
     lah,
     lah_bruteforce,
     lah_row,
@@ -77,12 +76,12 @@ class TestBruteForce:
             lah_bruteforce(3, 0)
 
     def test_three_way_agreement_small(self):
-        triangle = lah_triangle(6)
+        rows = lah_triangle(6)
         for n in range(1, 7):
             for k in range(1, n + 1):
                 expected = lah(n, k)
                 assert lah_bruteforce(n, k) == expected
-                assert triangle.value(n, k) == expected
+                assert rows[n][k] == expected
 
     def test_row_sums_match_unfiltered_enumeration(self):
         for n in range(1, 9):
@@ -92,39 +91,28 @@ class TestBruteForce:
 
 class TestLahTriangle:
     def test_rows_up_to_two(self):
-        triangle = lah_triangle(2)
-        nonzero = {pos: v for pos, v in triangle.entries.items() if v}
-        assert nonzero == {(0, 0): 1, (1, 1): 1, (2, 1): 2, (2, 2): 1}
+        assert lah_triangle(2) == [[1], [0, 1], [0, 2, 1]]
 
     def test_row_three(self):
-        assert lah_triangle(3).row(3) == [0, 6, 6, 1]
+        assert lah_triangle(3)[3] == [0, 6, 6, 1]
 
     def test_zero_column(self):
-        triangle = lah_triangle(8)
+        rows = lah_triangle(8)
         for n in range(1, 9):
-            assert triangle.value(n, 0) == 0
+            assert rows[n][0] == 0
 
     def test_agrees_with_closed_form(self):
-        triangle = lah_triangle(12)
+        rows = lah_triangle(12)
         for n in range(13):
             for k in range(n + 1):
-                assert triangle.value(n, k) == lah(n, k)
-
-    def test_out_of_range_reads(self):
-        triangle = lah_triangle(4)
-        assert triangle.value(3, 4) == 0
-        assert triangle.value(3, -1) == 0
-        with pytest.raises(ValueError):
-            triangle.value(5, 1)
-        with pytest.raises(ValueError):
-            lah_triangle(-1)
+                assert rows[n][k] == lah(n, k)
 
 
 class TestRowCaches:
     def test_lah_row_is_closed_form_row(self):
-        triangle = lah_triangle(30)
+        rows = lah_triangle(30)
         for n in range(31):
-            assert lah_row(n) == tuple(lah(n, k) for k in range(n + 1)) == tuple(triangle.row(n))
+            assert lah_row(n) == tuple(lah(n, k) for k in range(n + 1)) == tuple(rows[n])
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -161,10 +149,9 @@ class TestStirlingFirstKind:
             stirling1(2, -1)
 
     def test_triangle_matches_recurrence(self):
-        triangle = stirling1_triangle(60)
+        rows = stirling1_triangle(60)
         for n in range(61):
-            for k in range(n + 3):
-                assert triangle.value(n, k) == stirling1(n, k)
+            assert rows[n] == [stirling1(n, k) for k in range(n + 1)]
 
 
 class TestStirlingFromRisingPoly:
@@ -210,12 +197,14 @@ class TestStirlingFromLogSeries:
 class TestTriangleType:
     def test_root_entry(self):
         for builder in (lah_triangle, stirling1_triangle):
-            assert builder(0).value(0, 0) == 1
+            assert builder(0) == [[1]]
 
     def test_rows_shape(self):
-        triangle = Triangle(2, {(0, 0): 1, (1, 0): 0, (1, 1): 1, (2, 0): 0, (2, 1): 2, (2, 2): 1})
-        assert triangle.row(2) == [0, 2, 1]
-        assert triangle.row(0) == [1]
+        # rows 0..max_n, row n holding columns 0..n
+        for builder in (lah_triangle, stirling1_triangle):
+            assert [len(row) for row in builder(5)] == [1, 2, 3, 4, 5, 6]
+            with pytest.raises(ValueError):
+                builder(-1)
 
 
 class TestDecimalRows:

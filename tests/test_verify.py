@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lahverify.exact import ConsistencyError, binomial_general, factorial, falling, rising
-from lahverify.numbers import lah, lah_row, lah_triangle
+from lahverify.numbers import lah, lah_row
 from lahverify.series import (
     poly_from_coeffs,
     poly_mul,
@@ -121,11 +121,10 @@ class TestInstance:
 
 
 class TestValueTypes:
-    # one value of each of the seven value types
+    # one value of each of the six value types
     VALUES = [
         IdentityInstance(3, 4),
         VerificationReport(IdentityInstance(2, 1), 2, {"r1": 2}, True),
-        lah_triangle(3),
         series_binomial_power(-2, 4),
         poly_from_coeffs([1, 2]),
         stirling_weighted_moment(3),
@@ -454,33 +453,35 @@ class TestInternalGuards:
         divisors = []
 
         def one_step_off(num, den):
-            # the first division by 3 in the row, the last step of one of
-            # the two sequences of its first instance, returns q+1
+            # the first division by 3 in the row, the last step of b(l) for
+            # its first instance, returns q+1
             divisors.append(den)
             return exact_quotient(num, den) + (divisors.count(3) == 1 and den == 3)
 
         monkeypatch.setattr(verify_mod, "exact_quotient", one_step_off)
         first, *rest = verify_row(4, range(0, 6))
-        # every step of both sequences of every column is a checked division,
-        # the step of a(l) before that of b(l); then r5 divides by (2)_3 = 24
-        assert divisors == [1, 1, 2, 2, 3, 3, 24] * 6
+        # every step of b(l) in every column is a checked division; then r5
+        # divides by (2)_3 = 24
+        assert divisors == [1, 2, 3, 24] * 6
         assert first.route_values["r4"] is None
         assert first.errors == {"r4": "inversion dual identity broke at k=4, n=0"}
         assert all(v == first.reference for name, v in first.route_values.items() if name != "r4")
         assert not first.all_match
         assert all(r.all_match and r.errors == {} for r in rest)
 
-    def test_same_last_step_error_in_both_route4_products_is_reported(self, monkeypatch, route4_columns):
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_same_last_step_error_in_both_route4_products_is_reported(self, monkeypatch, route4_columns, k):
         import lahverify.verify as verify_mod
 
         exact_quotient = verify_mod.exact_quotient
-        # at k=4 the division by 3 is the last step of a(l) and of b(l);
-        # the difference table alone passes this fault for even k
-        monkeypatch.setattr(verify_mod, "exact_quotient", lambda num, den: exact_quotient(num, den) + (den == 3))
-        reports = verify_row(4, range(0, 6))
+        # the division by k-1 is the last step of b(l), the one running
+        # product; output k of the transform carries b(k) with the sign
+        # (-1)^k, so the closed form of a(k) sees the error for odd and even k
+        monkeypatch.setattr(verify_mod, "exact_quotient", lambda num, den: exact_quotient(num, den) + (den == k - 1))
+        reports = verify_row(k, range(0, 6))
         for r in reports:
             assert r.route_values["r4"] is None
-            assert r.errors == {"r4": f"inversion dual identity broke at k=4, n={r.instance.n}"}
+            assert r.errors == {"r4": f"inversion dual identity broke at k={k}, n={r.instance.n}"}
             assert all(v == r.reference for name, v in r.route_values.items() if name != "r4")
             assert not r.all_match
 
@@ -579,6 +580,28 @@ class TestRoute4Columns:
         assert all(r.all_match for r in reports)
         assert outputs == {j: 121 for j in range(1, 6)}
 
+    def test_column_grows_past_a_disagreement(self, monkeypatch, route4_columns):
+        # output 2 is off, so every k fails; each step still runs the
+        # transform, and every list of the column has one entry per b(l)
+        import lahverify.verify as verify_mod
+
+        outputs = self._count_outputs(monkeypatch)
+        step = verify_mod._transform_step
+
+        def output_off(edge, value):
+            out = step(edge, value)
+            return out + (len(edge) - 1 == 2)
+
+        monkeypatch.setattr(verify_mod, "_transform_step", output_off)
+        for n in range(0, 4):
+            with pytest.raises(ConsistencyError, match=f"broke at k=5, n={n}"):
+                route4_inversion(IdentityInstance(5, n))
+            b, agrees, edge = route4_columns(n)
+            assert b == _route4_sequences_reference(5, n)[1]
+            assert agrees == [True, True, False, False, False, False]
+            assert len(edge) == len(b)
+        assert outputs == {j: 4 for j in range(1, 6)}
+
     def test_ascending_caller_grows_each_column_once(self, monkeypatch, route4_columns):
         import lahverify.verify as verify_mod
 
@@ -594,9 +617,9 @@ class TestRoute4Columns:
             for n in range(0, 61):
                 inst = IdentityInstance(k, n)
                 assert route4_inversion(inst) == rhs_reference(inst), (k, n)
-        # step l divides by l: two checked quotients, a(l+1) and b(l+1), per
-        # column n and step l, however many k read the column
-        assert divisors == {l: 2 * 61 for l in range(1, 30)}
+        # step l divides by l: one checked quotient, b(l+1), per column n
+        # and step l, however many k read the column
+        assert divisors == {l: 61 for l in range(1, 30)}
 
     def test_columns_kept_for_one_grid(self, monkeypatch, route4_columns):
         # the columns of a grid's whole n-range are kept however long it
