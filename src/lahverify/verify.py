@@ -421,6 +421,20 @@ def _collect(
     return value
 
 
+# The work, in units of (n values) x (sum of k), that each worker must have
+# for a fork to pay: on a 2-CPU host `--jobs 2` gains no wall time up to
+# about 9,000 units and gains clearly from about 14,000 (README)
+_FORK_GRAIN = 6000
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def verify_grid(
     k_values: Iterable[int],
     n_values: Iterable[int],
@@ -430,12 +444,17 @@ def verify_grid(
     """One report per (k, n), in (k, n)-lexicographic order.
 
     A row (one k, every n) is the unit of work, and rows may run in any
-    order. With jobs > 1 the rows are dealt out, largest k first, to
-    min(jobs, rows, CPUs) shares: this process verifies the last share and
-    forks one child per other share, which sends its reports back through
-    a pipe. An exception raised in a child is re-raised here, and the rows
-    of a child that exits without a result, or that could not be forked,
-    are verified here. Where ``os.fork`` is missing the rows run serially.
+    order. Every route sums O(k) terms per instance, so the grid's work is
+    the number of n values times the sum of its k values. The rows are
+    dealt out, largest k first, to min(jobs, rows, usable CPUs,
+    work // _FORK_GRAIN) shares, or to one: this process verifies the last
+    share and forks one child per other share, which sends its reports
+    back through a pipe. So jobs is an upper bound, and a grid with less
+    than twice the grain's work, or on one usable CPU, runs serially,
+    without a fork, a pipe or ``pickle``. An exception raised in a child is
+    re-raised here, and the rows of a child that exits without a result,
+    or that could not be forked, are verified here. Where ``os.fork`` is
+    missing the rows run serially.
     The report order (and therefore any serialized output) is identical
     regardless of the job count. Mismatches and failed route cross-checks
     are reported, not raised.
@@ -443,7 +462,8 @@ def verify_grid(
     ns = sorted(set(n_values))
     rows = sorted(set(k_values)) if ns else []
     route_names = tuple(sorted(set(routes)))
-    workers = max(1, min(jobs, len(rows), os.cpu_count() or 1)) if hasattr(os, "fork") else 1
+    work = len(ns) * sum(rows)
+    workers = max(1, min(jobs, len(rows), _usable_cpus(), work // _FORK_GRAIN)) if hasattr(os, "fork") else 1
     # the largest k is the slowest row; dealing the rows round-robin from
     # the largest down gives every share about the same work, and this
     # process, which also unpickles every child's reports, keeps the last

@@ -144,7 +144,7 @@ def test_criterion_8_spot_values():
                 assert route(inst) == expected, (k, n, name)
 
 
-def test_criterion_9_cli_determinism_and_fault_exit(capsys, monkeypatch):
+def test_criterion_9_cli_determinism_and_fault_exit(capsys, monkeypatch, forks):
     with criterion("criterion 9 (CLI byte determinism across --jobs; fault exit code)"):
         argv = ["verify", "--k-min", "2", "--k-max", "5", "--n-min", "0", "--n-max", "6",
                 "--routes", "all", "--format", "json"]
@@ -154,6 +154,8 @@ def test_criterion_9_cli_determinism_and_fault_exit(capsys, monkeypatch):
         out_parallel = capsys.readouterr().out
         assert code_serial == code_parallel == 0
         assert out_serial == out_parallel
+        # eight jobs on two CPUs
+        assert len(forks) == 1
 
         monkeypatch.setitem(ROUTE_FUNCTIONS, "r3", lambda inst: 123456789)
         code_fault = run(["verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "3",

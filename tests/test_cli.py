@@ -227,7 +227,7 @@ class TestVerifyCommand:
     # workers see the patched module only when they are forked from this process
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_failed_cross_check_gives_exit_one(self, capsys, monkeypatch, jobs):
+    def test_failed_cross_check_gives_exit_one(self, capsys, monkeypatch, forks, jobs):
         import lahverify.verify as verify_mod
 
         monkeypatch.setattr(verify_mod, "chu_vandermonde_closed", lambda a, b, c: (7, 1))
@@ -244,6 +244,7 @@ class TestVerifyCommand:
             for k in (2, 3) for n in (0, 1)
         ]
         assert "0/4 instances verified" in err
+        assert len(forks) == int(jobs) - 1
 
     def test_wrong_route6_bracket_gives_error_line(self, capsys, monkeypatch):
         # side B is built from the brackets, so a wrong one must fail the
@@ -271,7 +272,7 @@ class TestVerifyCommand:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
     @pytest.mark.parametrize("bad_k", [2, 3])
-    def test_worker_exception_reaches_the_parent(self, capsys, monkeypatch, bad_k):
+    def test_worker_exception_reaches_the_parent(self, capsys, monkeypatch, forks, bad_k):
         # with two rows and two workers one row runs in this process and
         # one in a child, so bad_k covers both
         import lahverify.verify as verify_mod
@@ -288,15 +289,15 @@ class TestVerifyCommand:
             return verify_row(k, ns, routes)
 
         monkeypatch.setattr(verify_mod, "verify_row", raising_row)
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
         serial = _run(capsys, self.GRID + ["--jobs", "1"])
         rows_here.clear()
         assert _run(capsys, self.GRID + ["--jobs", "2"]) == serial == (2, "", f"error: no row {bad_k}\n")
         # the child's row, raising or not, is not verified again here
         assert len(rows_here) == 1
+        assert len(forks) == 1
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
-    def test_rows_of_a_worker_that_dies_are_verified_here(self, capsys, monkeypatch):
+    def test_rows_of_a_worker_that_dies_are_verified_here(self, capsys, monkeypatch, forks):
         import lahverify.verify as verify_mod
 
         verify_row = verify_mod.verify_row
@@ -311,23 +312,25 @@ class TestVerifyCommand:
 
         serial = _run(capsys, self.GRID + ["--jobs", "1"])
         monkeypatch.setattr(verify_mod, "verify_row", dying_row)
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
         assert _run(capsys, self.GRID + ["--jobs", "2"]) == serial
         assert serial[0] == 0
+        assert len(forks) == 1
         # the child's row was verified again in this process
         assert sorted(rows_here) == [2, 3]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
     @pytest.mark.parametrize("failing", ["fork", "pipe"])
-    def test_rows_of_a_worker_that_cannot_start_are_verified_here(self, capsys, monkeypatch, failing):
+    def test_rows_of_a_worker_that_cannot_start_are_verified_here(self, capsys, monkeypatch, forks, failing):
         import errno
 
         import lahverify.verify as verify_mod
 
         pipe = os.pipe
         opened = []
+        attempts = []
 
         def recorded_pipe():
+            attempts.append("pipe")
             if failing == "pipe":
                 raise OSError(errno.EMFILE, "Too many open files")
             fds = pipe()
@@ -335,14 +338,16 @@ class TestVerifyCommand:
             return fds
 
         def failing_fork():
+            attempts.append("fork")
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
         serial = _run(capsys, self.GRID + ["--jobs", "1"])
         monkeypatch.setattr(verify_mod.os, "pipe", recorded_pipe)
         monkeypatch.setattr(verify_mod.os, "fork", failing_fork)
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
         assert _run(capsys, self.GRID + ["--jobs", "2"]) == serial
         assert serial[0] == 0
+        # the grid took the fork path, and the one child failed to start
+        assert attempts == (["pipe", "fork"] if failing == "fork" else ["pipe"])
         assert len(opened) == (2 if failing == "fork" else 0)
         for fd in opened:
             with pytest.raises(OSError):
@@ -446,19 +451,22 @@ class TestDeterminism:
     ARGV = ["verify", "--k-min", "2", "--k-max", "4", "--n-min", "0", "--n-max", "5",
             "--routes", "r1,r3,r4", "--format", "csv"]
 
-    def test_jobs_do_not_change_output(self, capsys):
+    def test_jobs_do_not_change_output(self, capsys, forks):
         code_a, out_a, _ = _run(capsys, self.ARGV + ["--jobs", "1"])
         code_b, out_b, _ = _run(capsys, self.ARGV + ["--jobs", "4"])
         assert code_a == code_b == 0
         assert out_a == out_b
+        # four jobs on two CPUs
+        assert len(forks) == 1
 
-    def test_jobs_do_not_change_r6_output(self, capsys):
+    def test_jobs_do_not_change_r6_output(self, capsys, forks):
         argv = ["verify", "--k-min", "2", "--k-max", "7", "--n-min", "0", "--n-max", "12",
                 "--routes", "r2,r6", "--format", "json"]
         code_a, out_a, _ = _run(capsys, argv + ["--jobs", "1"])
         code_b, out_b, _ = _run(capsys, argv + ["--jobs", "2"])
         assert code_a == code_b == 0
         assert out_a == out_b
+        assert len(forks) == 1
 
 
 def _fresh_env() -> dict[str, str]:
@@ -483,7 +491,7 @@ def _loaded_by(*args: str) -> set[str]:
     return imported(args) - imported(["-c", "pass"])
 
 
-def test_cli_import_leaves_pool_out():
+def test_cli_import_leaves_workers_out():
     # fresh interpreters, since this one has imported the whole package
     assert not {name for name in _loaded_by("-c", "import lahverify") if name.startswith("lahverify.")}
     loaded = _loaded_by("-c", "import lahverify.cli")
@@ -502,7 +510,8 @@ def test_cli_import_leaves_pool_out():
     grid = ["-m", "lahverify", "verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "2"]
     parallel = _loaded_by(*grid, "--routes", "r1", "--jobs", "2")
     assert "lahverify.verify" in parallel
-    assert not parallel & {"concurrent.futures", "multiprocessing", "decimal"}
+    # too little work to fork for, so nothing is pickled
+    assert not parallel & {"concurrent.futures", "multiprocessing", "decimal", "pickle"}
     r1_to_r5 = _loaded_by(*grid, "--routes", "r1,r2,r3,r4,r5", "--format", "json")
     assert "lahverify.verify" in r1_to_r5
     assert not r1_to_r5 & {"fractions", "json", "lahverify.symbolic", "lahverify.series", "decimal"}
@@ -524,19 +533,41 @@ def test_public_names_resolve_on_access():
         lahverify.no_such_name
 
 
+# the CLI on two usable CPUs, writing "forked" to stderr for each child
+_FORK_REPORTING_CLI = """
+import os
+from lahverify.cli import main
+os.sched_getaffinity = lambda pid: {0, 1}
+fork = os.fork
+def reporting_fork():
+    pid = fork()
+    if pid:
+        os.write(2, b"forked\\n")
+    return pid
+os.fork = reporting_fork
+main()
+"""
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
 def test_forked_workers_print_nothing():
     # a child that returned into the CLI, or flushed the stdout buffer it
-    # inherited, would repeat report lines
+    # inherited, would repeat report lines; the acceptance grid has the
+    # work to fork one child
+    from lahverify.verify import _FORK_GRAIN
+
+    assert 51 * sum(range(2, 26)) >= 2 * _FORK_GRAIN
     env = _block_buffered_env()
-    argv = [sys.executable, "-m", "lahverify", "verify", "--k-min", "2", "--k-max", "9", "--n-min", "0",
-            "--n-max", "6", "--routes", "r1,r2", "--format", "text"]
+    argv = [sys.executable, "-c", _FORK_REPORTING_CLI, "verify", "--k-min", "2", "--k-max", "25", "--n-min", "0",
+            "--n-max", "50", "--routes", "r1,r2", "--format", "text"]
     serial, parallel = (subprocess.run(argv + ["--jobs", jobs], env=env, capture_output=True, text=True, timeout=120)
                         for jobs in ("1", "2"))
     lines = parallel.stdout.splitlines()
-    assert len(lines) == len(set(lines)) == 8 * 7
-    assert (parallel.returncode, parallel.stdout, parallel.stderr) == (0, serial.stdout, "56/56 instances verified\n")
-    assert serial.returncode == 0
+    assert len(lines) == len(set(lines)) == 24 * 51
+    assert (parallel.returncode, parallel.stdout, parallel.stderr) == (
+        0, serial.stdout, "forked\n1224/1224 instances verified\n"
+    )
+    assert (serial.returncode, serial.stderr) == (0, "1224/1224 instances verified\n")
 
 
 @pytest.mark.parametrize("argv, lines", [

@@ -149,9 +149,15 @@ class TestStirlingFirstKind:
             stirling1(2, -1)
 
     def test_triangle_matches_recurrence(self):
+        # x(x-1)...(x-n+1) = sum over k of s(n, k) x^k, expanded here one
+        # factor at a time, and the rising-factorial polynomial: neither
+        # reads triangle_rows
         rows = stirling1_triangle(60)
+        falling = [1]
         for n in range(61):
-            assert rows[n] == [stirling1(n, k) for k in range(n + 1)]
+            assert rows[n] == falling == stirling1_from_rising_poly(n), n
+            # times (x - n)
+            falling = [low - n * high for low, high in zip([0, *falling], [*falling, 0])]
 
 
 class TestStirlingFromRisingPoly:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -507,20 +509,20 @@ class TestRoute4Columns:
     # b(l+1)), that a fault breaks: (k, n) must fail exactly when k >= 4
     FAULT_AT = {"transform": 4, "quotient": 3}
 
-    def _grid(self, build, monkeypatch):
-        import lahverify.verify as verify_mod
-
+    def _grid(self, build, forks):
         if build == "ascending":
             # every row grows the columns of the row below it
             by_k = {k: verify_row(k, self.NS, ("r1", "r4")) for k in self.KS}
             return [r for k in self.KS for r in by_k[k]]
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
-        return verify_grid(self.KS, self.NS, ("r1", "r4"), jobs=int(build[-1]))
+        jobs = int(build[-1])
+        reports = verify_grid(self.KS, self.NS, ("r1", "r4"), jobs=jobs)
+        assert len(forks) == jobs - 1
+        return reports
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
     @pytest.mark.parametrize("build", ["jobs-1", "jobs-2", "ascending"])
     @pytest.mark.parametrize("fault", ["transform", "quotient"])
-    def test_fault_fails_every_k_that_reads_it(self, monkeypatch, route4_columns, fault, build):
+    def test_fault_fails_every_k_that_reads_it(self, monkeypatch, route4_columns, forks, fault, build):
         import lahverify.verify as verify_mod
 
         at = self.FAULT_AT[fault]
@@ -544,7 +546,7 @@ class TestRoute4Columns:
 
             monkeypatch.setattr(verify_mod, "exact_quotient", step_raises)
             message = "integer quotient has a non-zero remainder"
-        reports = self._grid(build, monkeypatch)
+        reports = self._grid(build, forks)
         assert [tuple(r.instance) for r in reports] == [(k, n) for k in self.KS for n in self.NS]
         for r in reports:
             k, n = r.instance
@@ -681,10 +683,12 @@ class TestVerifyGrid:
         with pytest.raises(ValueError):
             verify_grid(range(1, 3), range(0, 2), routes=("r1",))
 
-    def test_jobs_do_not_change_reports(self):
+    def test_jobs_do_not_change_reports(self, forks):
         serial = verify_grid(range(2, 5), range(0, 4), routes=("r1", "r4"), jobs=1)
         parallel = verify_grid(range(2, 5), range(0, 4), routes=("r1", "r4"), jobs=3)
         assert serial == parallel
+        # three jobs on two CPUs
+        assert len(forks) == 1
 
     def test_mismatch_is_reported_not_raised(self, monkeypatch):
         monkeypatch.setitem(ROUTE_FUNCTIONS, "r1", lambda inst: 10**9)
@@ -744,27 +748,17 @@ class TestVerifyGrid:
         assert type(value) is tuple
         assert all(type(entry) in (int, tuple) for entry in value)
 
-    def test_pool_never_larger_than_instances_or_cpus(self, monkeypatch):
+    def test_workers_never_more_than_rows_cpus_or_work(self, monkeypatch, forks):
         import lahverify.verify as verify_mod
 
-        real_fork = verify_mod.os.fork
-        forks = []
-
-        def counting_fork():
+        def forks_for(*args, **kwargs):
             # this process does one share and forks one child per other
             # share, so a grid of w workers forks w - 1 children
-            pid = real_fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        def forks_for(*args, **kwargs):
             before = len(forks)
             reports = verify_grid(*args, **kwargs)
             return reports, len(forks) - before
 
-        monkeypatch.setattr(verify_mod.os, "fork", counting_fork)
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         serial = verify_grid(range(2, 4), range(0, 4), routes=("r1",), jobs=1)
         # two rows: the row count caps the workers below the CPU count
         assert forks_for(range(2, 4), range(0, 4), routes=("r1",), jobs=1000) == (serial, 1)
@@ -773,7 +767,61 @@ class TestVerifyGrid:
         # four rows: the CPU count caps the workers
         serial_wide = verify_grid(range(2, 6), range(0, 2), routes=("r1",), jobs=1)
         assert forks_for(range(2, 6), range(0, 2), routes=("r1",), jobs=1000) == (serial_wide, 2)
-        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: None)
+        # the work caps the workers: 2 values of n times 2 + 3 + 4 + 5 is 28
+        # units, the work of one worker at a grain of 15 and of two at 14
+        monkeypatch.setattr(verify_mod, "_FORK_GRAIN", 15)
+        assert forks_for(range(2, 6), range(0, 2), routes=("r1",), jobs=1000) == (serial_wide, 0)
+        monkeypatch.setattr(verify_mod, "_FORK_GRAIN", 14)
+        assert forks_for(range(2, 6), range(0, 2), routes=("r1",), jobs=1000) == (serial_wide, 1)
+        # no affinity mask and no CPU count: one CPU
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert forks_for(range(2, 4), range(0, 4), routes=("r1",), jobs=1000) == (serial, 0)
+        # no affinity mask: every CPU counts
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert forks_for(range(2, 6), range(0, 2), routes=("r1",), jobs=1000) == (serial_wide, 1)
         # the serial grids above forked nothing either
-        assert len(forks) == 3
+        assert len(forks) == 5
+
+    def test_one_usable_cpu_forks_nothing(self, monkeypatch, forks):
+        # the machine has two CPUs, but the affinity mask allows one
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial = verify_grid(range(2, 6), range(0, 4), routes=("r1",), jobs=1)
+        assert verify_grid(range(2, 6), range(0, 4), routes=("r1",), jobs=2) == serial
+        assert forks == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_fork_only_from_twice_the_grain(self, jobs):
+        # a fresh interpreter on as many usable CPUs as jobs, so that
+        # whether the run imports pickle shows; below twice the grain no
+        # child is forked, from it on one child, whatever the jobs
+        import lahverify.verify as verify_mod
+
+        rows = range(2, 30)
+        below = (2 * verify_mod._FORK_GRAIN - 1) // sum(rows)
+        script = f"""
+import os, sys
+import lahverify.verify as verify_mod
+os.sched_getaffinity = lambda pid: set(range({jobs}))
+fork = os.fork
+forks = []
+def counting_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counting_fork
+for n_count in ({below}, {below + 1}):
+    work = n_count * sum({rows!r})
+    parallel = verify_mod.verify_grid({rows!r}, range(n_count), ("r1",), jobs={jobs})
+    pickled = "pickle" in sys.modules
+    serial = verify_mod.verify_grid({rows!r}, range(n_count), ("r1",), jobs=1)
+    print(work // verify_mod._FORK_GRAIN, len(forks), pickled, parallel == serial)
+    forks.clear()
+"""
+        src = os.path.dirname(os.path.dirname(verify_mod.__file__))
+        out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.splitlines() == ["1 0 False True", "2 1 True True"]
