@@ -510,7 +510,8 @@ def test_cli_import_leaves_workers_out():
     grid = ["-m", "lahverify", "verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "2"]
     parallel = _loaded_by(*grid, "--routes", "r1", "--jobs", "2")
     assert "lahverify.verify" in parallel
-    # too little work to fork for, so nothing is pickled
+    # too little work to fork for, so nothing is pickled; the fork path's
+    # imports are checked by test_fork_only_from_twice_the_grain
     assert not parallel & {"concurrent.futures", "multiprocessing", "decimal", "pickle"}
     r1_to_r5 = _loaded_by(*grid, "--routes", "r1,r2,r3,r4,r5", "--format", "json")
     assert "lahverify.verify" in r1_to_r5

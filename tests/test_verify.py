@@ -796,7 +796,8 @@ class TestVerifyGrid:
     def test_fork_only_from_twice_the_grain(self, jobs):
         # a fresh interpreter on as many usable CPUs as jobs, so that
         # whether the run imports pickle shows; below twice the grain no
-        # child is forked, from it on one child, whatever the jobs
+        # child is forked, from it on one child, whatever the jobs, and
+        # neither side loads a process pool
         import lahverify.verify as verify_mod
 
         rows = range(2, 30)
@@ -817,11 +818,12 @@ for n_count in ({below}, {below + 1}):
     work = n_count * sum({rows!r})
     parallel = verify_mod.verify_grid({rows!r}, range(n_count), ("r1",), jobs={jobs})
     pickled = "pickle" in sys.modules
+    pools = sorted({{"concurrent.futures", "multiprocessing"}} & sys.modules.keys())
     serial = verify_mod.verify_grid({rows!r}, range(n_count), ("r1",), jobs=1)
-    print(work // verify_mod._FORK_GRAIN, len(forks), pickled, parallel == serial)
+    print(work // verify_mod._FORK_GRAIN, len(forks), pickled, pools, parallel == serial)
     forks.clear()
 """
         src = os.path.dirname(os.path.dirname(verify_mod.__file__))
         out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, check=True, timeout=120)
-        assert out.stdout.splitlines() == ["1 0 False True", "2 1 True True"]
+        assert out.stdout.splitlines() == ["1 0 False [] True", "2 1 True [] True"]
