@@ -167,16 +167,17 @@ def _run_verify(ns: argparse.Namespace) -> int:
         jobs=ns.jobs,
     )
     print(emit_report(reports, ns.fmt))
-    for r in reports:
-        for name, message in r.errors.items():
-            print(f"error: {name} at k={r.instance.k}, n={r.instance.n}: {message}", file=sys.stderr)
+    errors = [(r, name, message) for r in reports for name, message in r.errors.items()]
     mismatches = [
         (r, name, v) for r in reports for name, v in r.route_values.items() if v is not None and v != r.reference
     ]
-    for r, name, v in mismatches[:MISMATCH_LINES]:
-        print(f"mismatch: {name} at k={r.instance.k}, n={r.instance.n}: {_mismatch(r.reference, v)}", file=sys.stderr)
-    if len(mismatches) > MISMATCH_LINES:
-        print(f"... and {len(mismatches) - MISMATCH_LINES} more mismatches", file=sys.stderr)
+    # each kind prints at most MISMATCH_LINES lines and one that counts the rest
+    for kind, plural, found in (("error", "errors", errors), ("mismatch", "mismatches", mismatches)):
+        for r, name, detail in found[:MISMATCH_LINES]:
+            detail = _mismatch(r.reference, detail) if kind == "mismatch" else detail
+            print(f"{kind}: {name} at k={r.instance.k}, n={r.instance.n}: {detail}", file=sys.stderr)
+        if len(found) > MISMATCH_LINES:
+            print(f"... and {len(found) - MISMATCH_LINES} more {plural}", file=sys.stderr)
     matched = sum(1 for r in reports if r.all_match)
     print(f"{matched}/{len(reports)} instances verified", file=sys.stderr)
     return 0 if matched == len(reports) else 1

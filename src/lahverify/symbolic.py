@@ -15,10 +15,10 @@ semantic equality.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Hashable, Iterable, NamedTuple
 
-from .exact import ConsistencyError, exact_quotient, factorial
-from .numbers import lah, stirling1_row
+from .exact import ConsistencyError, exact_quotient, factorial, falling
+from .numbers import lah_row, stirling1_row
 from .series import rising_factorial_poly
 
 if TYPE_CHECKING:
@@ -34,22 +34,32 @@ class LaurentPoly(NamedTuple):
         return self.terms.get(exponent, 0)
 
 
+def _merge_terms(pairs: Iterable[tuple[Scalar, Hashable]]) -> dict:
+    """Sum the (coefficient, key) pairs by key, keeping no zero sums."""
+    merged: dict = {}
+    for c, key in pairs:
+        merged[key] = total = merged.get(key, 0) + c
+        if not total:
+            del merged[key]
+    return merged
+
+
 def laurent_from_terms(pairs: Iterable[tuple[Scalar, int]]) -> LaurentPoly:
     """Build a Laurent polynomial from (coefficient, exponent) pairs,
     merging like powers and dropping zeros."""
-    merged: dict[int, Scalar] = {}
-    for c, b in pairs:
-        total = merged.get(b, 0) + c
-        if total:
-            merged[b] = total
-        else:
-            merged.pop(b, None)
-    return LaurentPoly(merged)
+    return LaurentPoly(_merge_terms(pairs))
 
 
-def laurent_diff(p: LaurentPoly) -> LaurentPoly:
-    """d/dt: each c * t^b becomes c*b * t^(b-1); constants vanish."""
-    return laurent_from_terms((c * b, b - 1) for b, c in p.terms.items())
+def laurent_diff(p: LaurentPoly, times: int = 1) -> LaurentPoly:
+    """The ``times``-th t-derivative in one pass: each c * t^b becomes
+    c * b(b-1)...(b-times+1) * t^(b-times), or vanishes where that is 0.
+
+    >>> laurent_diff(laurent_from_terms([(1, 3), (2, -1), (5, 0)]), 2).terms
+    {1: 6, -3: 4}
+    """
+    if times < 0:
+        raise ValueError("derivative order must be non-negative")
+    return laurent_from_terms((c * falling(b, times), b - times) for b, c in p.terms.items())
 
 
 class ExpLaurentExpr(NamedTuple):
@@ -64,17 +74,10 @@ def expr_from_terms(triples: Iterable[tuple[Scalar, int, int]]) -> ExpLaurentExp
     Like terms are merged eagerly; a negative u-power is rejected because
     nothing in this calculus can produce one.
     """
-    merged: dict[tuple[int, int], Scalar] = {}
-    for c, a, b in triples:
-        if a < 0:
-            raise ValueError("u-exponent must stay non-negative")
-        key = (a, b)
-        total = merged.get(key, 0) + c
-        if total:
-            merged[key] = total
-        else:
-            merged.pop(key, None)
-    return ExpLaurentExpr(merged)
+    triples = list(triples)
+    if any(a < 0 for _c, a, _b in triples):
+        raise ValueError("u-exponent must stay non-negative")
+    return ExpLaurentExpr(_merge_terms((c, (a, b)) for c, a, b in triples))
 
 
 def expr_diff_t(e: ExpLaurentExpr) -> ExpLaurentExpr:
@@ -105,15 +108,14 @@ def expr_mul_u_poly(e: ExpLaurentExpr, u_coeffs: Iterable[Scalar]) -> ExpLaurent
 
 def exp_derivative_lah(k: int) -> ExpLaurentExpr:
     """The k-th t-derivative of exp(-u/t), assembled directly from its
-    closed form: the coefficients are signed Lah numbers,
+    closed form: the coefficients are signed Lah numbers from ``lah_row``,
 
         sum over l in 0..k-1 of (-1)^l L(k, k-l) u^(k-l) t^(l-2k) exp(-u/t).
     """
     if k < 1:
         raise ValueError("derivative order must be at least 1")
-    return expr_from_terms(
-        ((-1) ** l * lah(k, k - l), k - l, l - 2 * k) for l in range(k)
-    )
+    # l = k reads L(k, 0) = 0, which the merge drops
+    return expr_from_terms(((-1) ** l * c, k - l, l - 2 * k) for l, c in enumerate(reversed(lah_row(k))))
 
 
 def stirling_weighted_moment(m: int) -> LaurentPoly:
@@ -153,17 +155,13 @@ def route6_coefficient_chain(m: int, k: int) -> dict[int, int]:
     so the chain also runs at m = 0, where the product is 1 and side A is
     the moment t of exp(-u/t) itself, which holds bracket 0.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if not 1 <= k <= m + 1:
-        raise ValueError("need 1 <= k <= m + 1")
+    if m < 1 or not 1 <= k <= m + 1:
+        raise ValueError("need m >= 1 and 1 <= k <= m + 1")
 
     derivative = exp_derivative_lah(k)
     brackets: dict[int, int] = {}
     for order in (0, m):
-        side_a = stirling_weighted_moment(order)
-        for _ in range(k):
-            side_a = laurent_diff(side_a)
+        side_a = laurent_diff(stirling_weighted_moment(order), k)
         rising_terms = [(i, r) for i, r in enumerate(rising_factorial_poly(order).coeffs) if r]
         side_b = laurent_from_terms((r * _lah_bracket(derivative, i), i - k + 1) for i, r in rising_terms)
         if side_a != side_b:

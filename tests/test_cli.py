@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import lahverify
 from lahverify.cli import emit_report, run
+from lahverify.exact import ConsistencyError
 from lahverify.numbers import triangle_rows
 from lahverify.verify import ROUTE_FUNCTIONS, ROUTE_NAMES, IdentityInstance, VerificationReport
 
@@ -249,11 +250,11 @@ class TestVerifyCommand:
     def test_wrong_route6_bracket_gives_error_line(self, capsys, monkeypatch):
         # side B is built from the brackets, so a wrong one must fail the
         # chain, not pass as a plain mismatch; bracket 0 is checked by the
-        # chain at m = 0, the others at m = 8
+        # chain at m = 0, the others at m = 7, the largest n of the row
         import lahverify.symbolic as symbolic_mod
 
         bracket = symbolic_mod._lah_bracket
-        for wrong, m in ((7, 8), (0, 0)):
+        for wrong, m in ((7, 7), (0, 0)):
             monkeypatch.setattr(symbolic_mod, "_lah_bracket",
                                 lambda derivative, i, wrong=wrong: bracket(derivative, i) + (i == wrong))
             code, out, err = _run(
@@ -266,6 +267,46 @@ class TestVerifyCommand:
             assert [line for line in err.splitlines() if line.startswith(("error:", "mismatch:"))] == [
                 f"error: r6 at k=3, n={n}: moment chain mismatch at m={m}, k=3" for n in range(8)
             ]
+
+    def test_wrong_one_pass_derivative_gives_error_line(self, capsys, monkeypatch):
+        # a wrong falling factorial at t^4 breaks side A's k-th derivative
+        # only where the moment has a t^4 term, at m >= 3; for k = 2 the
+        # row's chain runs at m = max(1, n_max, 1), so n = 3 is the
+        # smallest grid that shows it, and 0 <= n <= 2 passes
+        import lahverify.symbolic as symbolic_mod
+
+        falling = symbolic_mod.falling
+        monkeypatch.setattr(symbolic_mod, "falling", lambda x, n: falling(x, n) + (x == 4))
+        argv = ["verify", "--k-min", "2", "--k-max", "2", "--routes", "r6", "--format", "csv"]
+        code, _out, err = _run(capsys, argv + ["--n-min", "0", "--n-max", "2"])
+        assert (code, err) == (0, "3/3 instances verified\n")
+        code, out, err = _run(capsys, argv + ["--n-min", "3", "--n-max", "3"])
+        assert code == 1
+        assert out.splitlines()[1:] == ["2,3,72,72,,false"]
+        assert err.splitlines() == [
+            "error: r6 at k=2, n=3: moment chain mismatch at m=3, k=2", "0/1 instances verified",
+        ]
+
+    @pytest.mark.parametrize("n_max", [9, 10])
+    def test_error_lines_stop_after_ten(self, capsys, monkeypatch, n_max):
+        # a failed chain fails every n of its row: 11 errors at 0 <= n <= 10
+        # is the smallest grid that needs the summary line
+        import lahverify.symbolic as symbolic_mod
+
+        def broken_chain(m, k):
+            raise ConsistencyError(f"moment chain mismatch at m={m}, k={k}")
+
+        monkeypatch.setattr(symbolic_mod, "route6_coefficient_chain", broken_chain)
+        code, _out, err = _run(
+            capsys,
+            ["verify", "--k-min", "3", "--k-max", "3", "--n-min", "0", "--n-max", str(n_max),
+             "--routes", "r6", "--format", "csv"],
+        )
+        assert code == 1
+        more = ["... and 1 more errors"] if n_max == 10 else []
+        assert err.splitlines() == [
+            f"error: r6 at k=3, n={n}: moment chain mismatch at m={n_max}, k=3" for n in range(10)
+        ] + more + [f"0/{n_max + 1} instances verified"]
 
     GRID = ["verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "4",
             "--routes", "r1,r4", "--format", "csv"]

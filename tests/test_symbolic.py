@@ -75,6 +75,37 @@ class TestDifferentiation:
         assert laurent_diff(p).terms == {1: 6, -2: -1}
 
 
+def _stepwise_diff(p: LaurentPoly, times: int) -> LaurentPoly:
+    # the times-th derivative as times single steps, c * t^b to c*b * t^(b-1)
+    for _ in range(times):
+        p = laurent_from_terms((c * b, b - 1) for b, c in p.terms.items())
+    return p
+
+
+laurent_strategy = st.builds(
+    laurent_from_terms,
+    st.lists(
+        st.tuples(st.integers(-50, 50) | st.fractions(min_value=-9, max_value=9, max_denominator=5),
+                  st.integers(-8, 8)),
+        max_size=8,
+    ),
+)
+
+
+class TestOnePassDerivative:
+    @given(laurent_strategy, st.integers(0, 8))
+    def test_equals_single_steps(self, p, times):
+        assert laurent_diff(p, times) == _stepwise_diff(p, times)
+
+    def test_zero_times_is_identity(self):
+        p = laurent_from_terms([(3, 2), (Fraction(1, 2), 0), (-1, -3)])
+        assert laurent_diff(p, 0) == p
+
+    def test_negative_times_rejected(self):
+        with pytest.raises(ValueError):
+            laurent_diff(laurent_from_terms([(1, 1)]), -1)
+
+
 class TestMoment:
     def test_second_moment(self):
         assert expr_moment_u(expr_from_terms([(1, 2, 0)])).terms == {3: 2}

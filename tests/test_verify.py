@@ -498,7 +498,8 @@ class TestInternalGuards:
         assert len(reports) == 6
         for r in reports:
             assert r.route_values["r6"] is None
-            assert r.errors == {"r6": f"moment chain mismatch at m=3, k={r.instance.k}"}
+            # the row's chain runs at m = max(k-1, 2, 1) = 2
+            assert r.errors == {"r6": f"moment chain mismatch at m=2, k={r.instance.k}"}
             assert r.route_values["r1"] == r.reference
             assert not r.all_match
 
@@ -709,8 +710,9 @@ class TestVerifyGrid:
         monkeypatch.setattr(symbolic_mod, "route6_coefficient_chain", counting_chain)
         reports = verify_grid(range(2, 6), range(0, 8), routes=("r6",))
         assert all(r.all_match for r in reports)
-        # one process deals itself every row, largest k first
-        assert calls == [(8, 5), (8, 4), (8, 3), (8, 2)]
+        # one process deals itself every row, largest k first, each at the
+        # smallest order that covers n = 7
+        assert calls == [(7, 5), (7, 4), (7, 3), (7, 2)]
 
     def test_row_caches_built_once_per_row(self, monkeypatch):
         import lahverify.numbers as numbers_mod
@@ -737,6 +739,32 @@ class TestVerifyGrid:
             lah_row: (4 * 8 * 2 - 4, 4),
             verify_mod._route3_factor: (4 * 8 - 4, 4),
         }
+
+    def test_route6_makes_no_lah_calls_of_its_own(self, monkeypatch):
+        # r6's derivative reads the Lah row that lhs_direct caches for its row
+        import lahverify.numbers as numbers_mod
+        import lahverify.symbolic as symbolic_mod
+        import lahverify.verify as verify_mod
+
+        calls = []
+        closed_form = numbers_mod.lah
+
+        def counting_lah(n, k):
+            calls.append((n, k))
+            return closed_form(n, k)
+
+        # every module that holds the closed form calls the counting one
+        for module in (numbers_mod, symbolic_mod, verify_mod):
+            if getattr(module, "lah", None) is closed_form:
+                monkeypatch.setattr(module, "lah", counting_lah)
+        counts = {}
+        for routes in (("r1",), ("r1", "r6")):
+            lah_row.cache_clear()
+            calls.clear()
+            assert all(r.all_match for r in verify_grid(range(2, 6), range(0, 8), routes=routes))
+            counts[routes] = len(calls)
+        # one closed-form Lah row L(k, 0..k) per k
+        assert counts == {("r1",): 3 + 4 + 5 + 6, ("r1", "r6"): 3 + 4 + 5 + 6}
 
     @pytest.mark.parametrize("name", ["lah_row", "_route3_factor"])
     def test_row_caches_are_bounded_and_immutable(self, name):
