@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .numbers import lah, stirling1, triangle_rows
@@ -88,38 +89,159 @@ def _parse_routes(raw: str) -> tuple[str, ...]:
     return tuple(dict.fromkeys(names))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lahverify",
-        description="Exact Lah/Stirling numbers and multi-route identity verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_lah = sub.add_parser("lah", help="print the Lah number L(n, k)")
-    p_lah.add_argument("--n", type=int, required=True)
-    p_lah.add_argument("--k", type=int, required=True)
-
-    p_stirling = sub.add_parser("stirling1", help="print the signed Stirling number s(n, k)")
-    p_stirling.add_argument("--n", type=int, required=True)
-    p_stirling.add_argument("--k", type=int, required=True)
-
-    p_table = sub.add_parser("table", help="print a full number triangle")
-    p_table.add_argument("kind", choices=("lah", "stirling1"))
-    p_table.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p_table.add_argument("--format", choices=("text", "csv"), default="text", dest="fmt")
-
-    p_verify = sub.add_parser("verify", help="verify the identity over a (k, n) grid")
-    p_verify.add_argument("--k-min", type=int, required=True, dest="k_min")
-    p_verify.add_argument("--k-max", type=int, required=True, dest="k_max")
-    p_verify.add_argument("--n-min", type=int, required=True, dest="n_min")
-    p_verify.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p_verify.add_argument("--routes", default="all")
-    p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text", dest="fmt")
-    p_verify.add_argument("--jobs", type=int, default=1)
-    return parser
+# The commands and their arguments, which _parse reads and _usage shows. Per
+# command: its help line, and per argument (a flag, or table's kind, the one
+# positional argument, which has no dashes) the attribute, how the value is
+# read (int, str, or a tuple of choices) and the default, where None marks
+# a required argument.
+_COMMANDS = {
+    "lah": ("print the Lah number L(n, k)", {"--n": ("n", int, None), "--k": ("k", int, None)}),
+    "stirling1": ("print the signed Stirling number s(n, k)", {"--n": ("n", int, None), "--k": ("k", int, None)}),
+    "table": ("print a full number triangle", {"kind": ("kind", ("lah", "stirling1"), None),
+                                               "--max-n": ("max_n", int, None),
+                                               "--format": ("fmt", ("text", "csv"), "text")}),
+    "verify": ("verify the identity over a (k, n) grid",
+               {"--k-min": ("k_min", int, None), "--k-max": ("k_max", int, None),
+                "--n-min": ("n_min", int, None), "--n-max": ("n_max", int, None),
+                "--routes": ("routes", str, "all"), "--format": ("fmt", ("text", "json", "csv"), "text"),
+                "--jobs": ("jobs", int, 1)}),
+}
 
 
-def _run_table(ns: argparse.Namespace) -> int:
+class _Exit(Exception):
+    """Ends parsing with (exit code, text): 0 and the help, for stdout, or
+    2 and a usage error, for stderr."""
+
+
+def _usage(command: str | None, error: str | None = None) -> _Exit:
+    """The help of ``command``, or of the program for None; or, given an
+    ``error``, the usage line and the error."""
+    if command is None:
+        about = "Exact Lah/Stirling numbers and multi-route identity verification."
+        words, rows = ["{" + ",".join(_COMMANDS) + "} ..."], [(name, spec[0]) for name, spec in _COMMANDS.items()]
+    else:
+        about, arguments = _COMMANDS[command]
+        words, rows = [command], [("-h, --help", "print this help and exit")]
+        for name, (attr, read, default) in arguments.items():
+            value = "{" + ",".join(read) + "}" if isinstance(read, tuple) else "INT" if read is int else attr.upper()
+            spelled = f"{name} {value}" if name[0] == "-" else value
+            words.append(spelled if default is None else f"[{spelled}]")
+            rows.append((spelled, "required" if default is None else f"default: {default}"))
+    usage = "usage: lahverify " + " ".join(words)
+    if error:
+        return _Exit(2, f"{usage}\nerror: {error}")
+    width = max(len(name) for name, _ in rows)
+    return _Exit(0, "\n".join([
+        usage, "", about, "", *(f"  {name.ljust(width)}  {text}" for name, text in rows), "",
+        "Flags come in any order, as --flag value or --flag=value, and any unique prefix of a flag names it;",
+        "a repeated flag keeps its last value. 'lahverify <command> --help' shows a command's flags.",
+    ]))
+
+
+def _read(tokens: Sequence[str], command: str | None) -> list:
+    """Reads each token as argparse does in Python 3.10 and 3.11, against
+    the flags of ``command``, or the help flags alone for None: None for
+    an argument, "--" for the first ``--`` (every token after it is an
+    argument), else (flag, the value given in the token or None), where
+    flag None is an unknown option. A prefix of two flags is an error."""
+    flags = ("-h", "--help", *(name for name in (_COMMANDS[command][1] if command else ()) if name[0] == "-"))
+    kinds: list = []
+    for i, token in enumerate(tokens):
+        if token == "--":
+            return kinds + ["--"] + [None] * (len(tokens) - i - 1)
+        name, eq, value = token.partition("=")
+        if token[:1] != "-" or token == "-":
+            kind = None
+        elif token in flags:
+            kind = (token, None)
+        elif eq and name in flags:
+            kind = (name, value)
+        else:
+            # a unique prefix names a long flag; -h, the one short flag,
+            # takes the rest of its token as its value
+            found = ([(flag, value if eq else None) for flag in flags if flag.startswith(name)] if token[1] == "-"
+                     else [("-h", token[2:])] if token[1] == "h" else [])
+            if len(found) > 1:
+                raise _usage(command, f"ambiguous option: {token} could match {', '.join(f for f, _ in found)}")
+            # what names no flag is an argument if it is a negative number or
+            # holds a space, else an unknown option
+            unknown = None if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token else (None, None)
+            kind = found[0] if found else unknown
+        if kind and kind[0] == "-h" and kind[1] and not kind[1].strip("h"):
+            kind = ("-h", None)  # -hh is -h given twice
+        kinds.append(kind)
+    return kinds
+
+
+def _check_help(command: str | None, value: str | None) -> None:
+    if value is None:
+        raise _usage(command)
+    raise _usage(command, f"argument -h/--help: ignored explicit argument {value!r}")
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """Reads ``argv`` against ``_COMMANDS`` into the command and each
+    attribute, as argparse did; raises ``_Exit`` for help and for usage
+    errors. A flag's value follows it, or its ``=``, the last of a
+    repeated flag counts, and an int is read by ``int()``."""
+    kinds = _read(argv, None)
+    # before the command only the help flags count; other options are
+    # unrecognized
+    i = 0
+    while i < len(argv) and isinstance(kinds[i], tuple):
+        if kinds[i][0]:
+            _check_help(None, kinds[i][1])
+        i += 1
+    if i == len(argv) or argv[i] not in _COMMANDS:
+        raise _usage(None, f"argument command: choose one of {', '.join(_COMMANDS)}")
+    command, args, unknown = argv[i], argv[i + 1:], list(argv[:i])
+    arguments = _COMMANDS[command][1]
+    positional = next((name for name in arguments if name[0] != "-"), None)
+    kinds = _read(args, command)
+    # a required argument is None until it is given
+    values = {"command": command, **{attr: default for attr, _, default in arguments.values()}}
+    i = 0
+    while i < len(args):
+        kind = kinds[i]
+        if isinstance(kind, tuple) and kind[0]:
+            name, value = kind
+            if name in ("-h", "--help"):
+                _check_help(command, value)
+            if value is None:
+                if i + 1 == len(args) or kinds[i + 1] is not None:
+                    raise _usage(command, f"argument {name}: expected one argument")
+                i += 1
+                value = args[i]
+        elif (positional and values[arguments[positional][0]] is None
+              and (kind is None or kind == "--" and i + 1 < len(args))):
+            # the positional takes this argument, or the one after a "--",
+            # and a "--" right after it
+            if kind == "--":
+                i += 1
+            name, value = positional, args[i]
+            if i + 1 < len(args) and kinds[i + 1] == "--":
+                i += 1
+        else:
+            unknown.append(args[i])
+            i += 1
+            continue
+        attr, read, _ = arguments[name]
+        if isinstance(read, tuple) and value not in read:
+            raise _usage(command, f"argument {name}: invalid choice: {value!r} (choose from {', '.join(read)})")
+        try:
+            values[attr] = value if isinstance(read, tuple) else read(value)
+        except ValueError:
+            raise _usage(command, f"argument {name}: invalid {read.__name__} value: {value!r}") from None
+        i += 1
+    missing = [name for name, (attr, _, _) in arguments.items() if values[attr] is None]
+    if missing:
+        raise _usage(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise _usage(command, f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(**values)
+
+
+def _run_table(ns: SimpleNamespace) -> int:
     if ns.max_n < 0:
         raise ValueError("--max-n must be non-negative")
     # printing is the command's whole job, and an int's decimal string
@@ -145,7 +267,7 @@ def _run_table(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _run_verify(ns: argparse.Namespace) -> int:
+def _run_verify(ns: SimpleNamespace) -> int:
     if ns.k_min < 2:
         raise ValueError("verify requires --k-min >= 2")
     if ns.k_max < ns.k_min:
@@ -186,20 +308,20 @@ def _run_verify(ns: argparse.Namespace) -> int:
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one CLI invocation; returns the process exit code.
 
-    0 means success (all instances verified for the verify command), 1
-    means at least one verification mismatch, 2 means a usage or domain
-    error, or that memory ran out.
+    0 means success (all instances verified for the verify command), or
+    that the help was printed; 1 means at least one verification
+    mismatch; 2 means a usage or domain error, or that memory ran out.
     """
     # exact results can exceed the interpreter's default int-to-str limit
     # of 4300 digits; the setting exists from Python 3.10.7 on
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
+        ns = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _Exit as stop:
+        code, text = stop.args
+        print(text, file=sys.stderr if code else sys.stdout)
+        return code
     try:
         if ns.command == "table":
             return _run_table(ns)

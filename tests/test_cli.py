@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import decimal
 import json
 import math
@@ -7,13 +8,16 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lahverify
+from lahverify import cli
 from lahverify.cli import emit_report, run
 from lahverify.exact import ConsistencyError
 from lahverify.numbers import triangle_rows
@@ -395,6 +399,215 @@ class TestVerifyCommand:
                 os.fstat(fd)
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    # the argparse parser the CLI used before its table of commands: the
+    # reference that the table's reading of argv is checked against
+    parser = argparse.ArgumentParser(
+        prog="lahverify",
+        description="Exact Lah/Stirling numbers and multi-route identity verification.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_lah = sub.add_parser("lah", help="print the Lah number L(n, k)")
+    p_lah.add_argument("--n", type=int, required=True)
+    p_lah.add_argument("--k", type=int, required=True)
+
+    p_stirling = sub.add_parser("stirling1", help="print the signed Stirling number s(n, k)")
+    p_stirling.add_argument("--n", type=int, required=True)
+    p_stirling.add_argument("--k", type=int, required=True)
+
+    p_table = sub.add_parser("table", help="print a full number triangle")
+    p_table.add_argument("kind", choices=("lah", "stirling1"))
+    p_table.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p_table.add_argument("--format", choices=("text", "csv"), default="text", dest="fmt")
+
+    p_verify = sub.add_parser("verify", help="verify the identity over a (k, n) grid")
+    p_verify.add_argument("--k-min", type=int, required=True, dest="k_min")
+    p_verify.add_argument("--k-max", type=int, required=True, dest="k_max")
+    p_verify.add_argument("--n-min", type=int, required=True, dest="n_min")
+    p_verify.add_argument("--n-max", type=int, required=True, dest="n_max")
+    p_verify.add_argument("--routes", default="all")
+    p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text", dest="fmt")
+    p_verify.add_argument("--jobs", type=int, default=1)
+    return parser
+
+
+# argparse of Python 3.13 reads "--" and a value given to -h otherwise;
+# the table reads argv as 3.10 and 3.11 do, which are the reference
+_SAME_ARGPARSE = sys.version_info[:2] in {(3, 10), (3, 11)}
+
+
+def _argparse_result(argv):
+    """(exit code, attributes or None) of the reference parser."""
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        try:
+            return 0, vars(_build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, None
+
+
+def _table_result(argv):
+    """(exit code, attributes or None) of the CLI's parser; checked
+    against the reference where that reads argv the same way."""
+    try:
+        result = 0, vars(cli._parse(argv))
+    except cli._Exit as stop:
+        result = stop.args[0], None
+    if _SAME_ARGPARSE:
+        assert result == _argparse_result(argv)
+    return result
+
+
+def _spellings(flag):
+    # the flag and each of its prefixes from "--" and one letter on
+    return [flag[:end] for end in range(3, len(flag) + 1)]
+
+
+_ALL_FLAGS = sorted({flag for _, arguments in cli._COMMANDS.values() for flag in arguments if flag[0] == "-"})
+_INTS = st.one_of(st.integers(-30, 30).map(str), st.sampled_from(
+    ["+5", "5_0", "-1_0", " 7 ", "07", "x", "", "1.5", "-.5", "-1e3", "٣", "-", "-5 ", "- 5"]))
+_WORDS = st.sampled_from(["lah", "stirling1", "text", "csv", "json", "yaml", "r1", "r2,r6", "all", "r7", "-x y", ""])
+_VALUES = st.one_of(_INTS, _WORDS)
+_FLAGS = st.one_of(
+    st.sampled_from(_ALL_FLAGS).flatmap(lambda flag: st.sampled_from(_spellings(flag))),
+    st.sampled_from(["-h", "--help", "--he", "--h", "-hh", "-hx", "-h=h", "-h=", "--help=1", "--bogus", "-x",
+                     "--", "-", "---", "--=1", "-h1"]),
+)
+# "--flag=--" is left out: there argparse stores the empty list (see
+# test_explicit_double_dash_is_a_value)
+_EQUALS = st.tuples(_FLAGS, _VALUES).map(lambda pair: "=".join(pair))
+_TOKENS = st.one_of(st.sampled_from([*cli._COMMANDS, "tab", "Lah"]), _FLAGS, _VALUES, _EQUALS)
+
+
+@st.composite
+def _invocations(draw):
+    """A command with each argument given zero to two times, a required
+    one mostly once and a flag as one token or two, in any order, and
+    now and then a stray token."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    groups = []
+    for name, (_, read, default) in cli._COMMANDS[command][1].items():
+        times = draw(st.sampled_from([1, 1, 1, 1, 2, 0] if default is None else [0, 1, 2]))
+        for _ in range(times):
+            value = draw(_INTS if read is int else st.sampled_from([*read, "yaml"]) if isinstance(read, tuple)
+                         else _WORDS)
+            if name[0] != "-":
+                groups.append([value])
+                continue
+            spelling = draw(st.sampled_from(_spellings(name)))
+            groups.append([f"{spelling}={value}"] if draw(st.booleans()) else [spelling, value])
+    argv = [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+    for token in draw(st.lists(_TOKENS, max_size=1 if draw(st.booleans()) else 0)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+class TestArguments:
+    """The table of commands reads argv as the argparse parser did: the
+    same attributes, or exit 2 where argparse refused, or 0 for help."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--jobs", "2", "--n-max=3", "--k-min", "2", "--n-min=0", "--k-max", "3"], 0),
+        (["verify", "--k-min=2", "--k-max=3", "--n-min=0", "--n-max=1", "--rout", "r1", "--form=csv"], 0),
+        (["table", "--max", "3", "lah"], 0),
+        (["lah", "--n", "3", "--k", "2"], 0),
+        (["lah", "--n=3", "--k=2"], 0),
+        (["verify", "--n", "0", "--k-min", "2", "--k-max", "3", "--n-max", "1"], 2),
+        (["verify", "--k-m", "2", "--k-max", "3", "--n-min", "0", "--n-max", "1"], 2),
+        (["verify", "--k-min", "2", "--k-max", "3", "--n=0", "--n-max", "1"], 2),
+        (["lah", "--n", "1", "--k", "1", "--n", "4"], 0),
+        (["lah", "--n", "+5", "--k", "5_0"], 0),
+        (["lah", "--n", "-1", "--k", "-20"], 0),
+        (["lah", "--n", "-1_0", "--k", "1"], 2),
+        (["lah", "--n", "3", "--k"], 2),
+        (["lah", "--n", "--k", "3"], 2),
+        (["lah", "--n", "3", "--k", "2", "--bogus", "1"], 2),
+        (["--bogus", "lah", "--n", "3", "--k", "2"], 2),
+        (["table", "lah", "stirling1", "--max-n", "3"], 2),
+        (["lah", "x", "--n", "1", "--k", "1"], 2),
+        (["lah", "--n", "x", "--k", "1"], 2),
+        (["lah", "--n", "1.5", "--k", "1"], 2),
+        (["table", "tree", "--max-n", "3"], 2),
+        (["table", "lah", "--max-n", "3", "--format", "json"], 2),
+        (["verify", "--k-min", "2", "--k-max", "3", "--n-min", "0"], 2),
+        (["table", "--max-n", "3"], 2),
+        (["lah"], 2),
+        ([], 2),
+        (["tab", "lah", "--max-n", "3"], 2),
+        (["table", "--format", "csv", "stirling1", "--max-n", "2"], 0),
+        (["table", "--max-n", "2", "--", "lah"], 0),
+        (["table", "--max-n", "2", "lah", "--"], 0),
+        (["lah", "--n", "1", "--k", "1", "--"], 2),
+        (["--help"], 0),
+        (["--he", "--bogus"], 0),
+        (["table", "--j", "-h"], 0),
+        (["verify", "-h"], 0),
+        (["table", "-hh"], 0),
+        (["table", "-hx"], 2),
+        (["lah", "--help=1"], 2),
+        (["lah", "--n", "x", "-h"], 2),
+        (["lah", "-h", "--n", "x"], 0),
+        (["verify", "-h", "--n", "1"], 2),
+    ])
+    def test_examples(self, argv, code):
+        assert _table_result(argv)[0] == code
+
+    @pytest.mark.skipif(not _SAME_ARGPARSE, reason="the reference reads argv as argparse of Python 3.10 and 3.11")
+    @settings(max_examples=400, deadline=None)
+    @given(_invocations())
+    def test_invocations_as_argparse(self, argv):
+        _table_result(argv)
+
+    @pytest.mark.skipif(not _SAME_ARGPARSE, reason="the reference reads argv as argparse of Python 3.10 and 3.11")
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_TOKENS, max_size=8))
+    def test_any_tokens_as_argparse(self, argv):
+        _table_result(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "lah", "--max-n", "2", "--format=--"],
+        ["lah", "--n=--", "--k", "1"],
+        ["verify", "--k-min", "2", "--k-max", "2", "--n-min", "0", "--n-max", "0", "--routes=--"],
+    ])
+    def test_explicit_double_dash_is_a_value(self, capsys, argv):
+        # argparse drops a "--" given after "=" and stores [], which
+        # printed the text table, or raised a TypeError for an int; the
+        # table reads "--" as the value, which no flag accepts
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith("error:")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["lah", "--help"], ["stirling1", "-h"], ["table", "-h"],
+                                      ["verify", "--help"], ["verify", "--k-min", "2", "--he"]])
+    def test_help_shows_commands_and_defaults(self, capsys, argv):
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, "")
+        usage = out.splitlines()[0]
+        assert usage.startswith("usage: lahverify ")
+        if len(argv) == 1:
+            assert usage == "usage: lahverify {lah,stirling1,table,verify} ..."
+            for line in ("print the Lah number L(n, k)", "print the signed Stirling number s(n, k)",
+                         "print a full number triangle", "verify the identity over a (k, n) grid"):
+                assert line in out
+            return
+        # one line per argument, with its default or "required"
+        lines = out.splitlines()
+        for name, (_, read, default) in cli._COMMANDS[argv[0]][1].items():
+            spelled = name if name[0] == "-" else "{" + ",".join(read) + "}"
+            assert spelled in usage
+            [line] = [line for line in lines if line.split()[:1] == [spelled]]
+            assert line.endswith("required" if default is None else f"default: {default}")
+
+    def test_usage_error_lines(self, capsys):
+        code, out, err = _run(capsys, ["verify", "--bogus", "1"])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "usage: lahverify verify --k-min INT --k-max INT --n-min INT --n-max INT [--routes ROUTES]"
+            " [--format {text,json,csv}] [--jobs INT]",
+            "error: the following arguments are required: --k-min, --k-max, --n-min, --n-max",
+        ]
+
+
 class TestEmitReport:
     def _single_report(self):
         return VerificationReport(IdentityInstance(2, 1), 2, {"r1": 2}, True)
@@ -540,12 +753,15 @@ def test_cli_import_leaves_workers_out():
     assert not loaded & {"concurrent.futures", "json", "lahverify.verify", "lahverify.symbolic", "dataclasses",
                          "decimal"}
     assert "dataclasses" not in _loaded_by("-c", "import lahverify.verify")
+    # the table of commands reads argv, so no command loads argparse, or
+    # gettext and locale behind it
+    parser = {"argparse", "gettext", "locale"}
     for argv in (["table", "lah", "--max-n", "3"], ["lah", "--n", "3", "--k", "2"],
                  ["stirling1", "--n", "3", "--k", "2"]):
         command = _loaded_by("-m", "lahverify", *argv)
         assert "lahverify.cli" in command
         assert not command & {"lahverify.verify", "lahverify.symbolic", "lahverify.series", "fractions",
-                              "dataclasses"}
+                              "dataclasses", *parser}
         # only the table command holds its entries in a decimal radix
         assert ("decimal" in command) == (argv[0] == "table")
     grid = ["-m", "lahverify", "verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "2"]
@@ -553,13 +769,13 @@ def test_cli_import_leaves_workers_out():
     assert "lahverify.verify" in parallel
     # too little work to fork for, so nothing is pickled; the fork path's
     # imports are checked by test_fork_only_from_twice_the_grain
-    assert not parallel & {"concurrent.futures", "multiprocessing", "decimal", "pickle"}
+    assert not parallel & {"concurrent.futures", "multiprocessing", "decimal", "pickle", *parser}
     r1_to_r5 = _loaded_by(*grid, "--routes", "r1,r2,r3,r4,r5", "--format", "json")
     assert "lahverify.verify" in r1_to_r5
     assert not r1_to_r5 & {"fractions", "json", "lahverify.symbolic", "lahverify.series", "decimal"}
     r6 = _loaded_by(*grid, "--routes", "r6")
     assert {"lahverify.symbolic", "lahverify.series"} <= r6
-    assert "decimal" not in r6
+    assert not r6 & {"decimal", *parser}
 
 
 def test_public_names_resolve_on_access():
