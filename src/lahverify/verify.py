@@ -7,11 +7,11 @@ The quantity under test is
 which collapses to 0 for 0 <= n <= k-2 and to (-1)^k n! (n+1)! / (n-k+1)!
 for n >= k-1. ``rhs_reference`` evaluates that closed form, ``lhs_direct``
 evaluates the literal sum, and routes r1..r6 reach the same value through
-unrelated machinery: a double-binomial convolution identity, the factorial
-generating function of the Lah numbers, power-series coefficient
-extraction, binomial inversion, a terminating Gauss hypergeometric sum,
-and a symbolic differentiation chain over exponential moments. Exact
-agreement across all of them is the point of the package.
+unrelated machinery: an induction step over the Lah triangle recurrence,
+the factorial generating function of the Lah numbers, power-series
+coefficient extraction, binomial inversion, a terminating Gauss
+hypergeometric sum, and a symbolic differentiation chain over exponential
+moments. Exact agreement across all of them is the point of the package.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import os
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul, sub
-from types import MappingProxyType
-from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 from .exact import (
     ConsistencyError,
@@ -32,7 +31,7 @@ from .exact import (
     falling,
     rising,
 )
-from .numbers import lah_row
+from .numbers import lah_row, triangle_rows
 
 
 def _sgn(i: int) -> int:
@@ -63,20 +62,14 @@ class VerificationReport(NamedTuple):
 
     A route whose internal cross-check failed has the value ``None`` and
     its ``ConsistencyError`` message in ``errors``; such a report never
-    has ``all_match``. The default ``errors`` is a read-only empty mapping.
+    has ``all_match``.
     """
 
     instance: IdentityInstance
     reference: int
     route_values: dict[str, int | None]
     all_match: bool
-    errors: Mapping[str, str] = MappingProxyType({})
-
-    def __reduce__(self):
-        # a mappingproxy cannot be pickled, and forked workers send reports back by pickle
-        return VerificationReport, (
-            self.instance, self.reference, self.route_values, self.all_match, dict(self.errors)
-        )
+    errors: dict[str, str]
 
 
 def rhs_reference(inst: IdentityInstance) -> int:
@@ -101,7 +94,8 @@ def gkp_identity(l: int, m: int, s: int, n: int) -> tuple[int, int]:
 
     for l >= 0 and arbitrary integers m, s, n (identity (5.24) in
     Graham/Knuth/Patashnik, Concrete Mathematics). The sum has finite
-    support 0 <= m+i <= l."""
+    support 0 <= m+i <= l. Acceptance criterion 6 checks it exhaustively;
+    no route calls it."""
     if l < 0:
         raise ValueError("l must be non-negative")
     lhs = sum(
@@ -176,18 +170,23 @@ def chu_vandermonde_closed(a: int, b: int, c: int) -> tuple[int, int]:
     return rising(c - b, -a), rising(c, -a)
 
 
-def route1_gkp(inst: IdentityInstance) -> int:
-    """Route 1: divide the sum by k! n! to get an alternating binomial sum,
-    close it with the double-binomial identity at (l, m, s) = (k-1, -1, n),
-    check that the sum equals the closed side (-1)^k C(n+1, n-k+1), and
-    scale the sum back."""
+@lru_cache(maxsize=32)
+def _route1_row(k: int) -> tuple[int, ...]:
+    # (-1)^l L(k-1, l) for l = 1..k-1, from the triangle recurrence: the
+    # row of route 1 that every n shares
+    for row in triangle_rows("lah", k - 1):
+        pass
+    return tuple(_sgn(l) * row[l] for l in range(1, k))
+
+
+def route1_induction(inst: IdentityInstance) -> int:
+    """Route 1: the paper's induction step S(k, n) = (k-2-n) S(k-1, n),
+    applied to row k-1 of the Lah triangle recurrence, which ``table lah``
+    prints. The step follows from the recurrence
+    L(k, l) = L(k-1, l-1) + (k-1+l) L(k-1, l) and from
+    (n+l)! (k-1+l) = (n+l+1)! - (n-k+2) (n+l)!."""
     k, n = inst.k, inst.n
-    # the left side, term i = l, is the reduced sum
-    # sum over l in 1..k of (-1)^l C(n+l, n) C(k-1, l-1)
-    reduced, closed = gkp_identity(k - 1, -1, n, n)
-    if reduced != closed:
-        raise ConsistencyError(f"binomial-identity route broke at k={k}, n={n}")
-    return factorial(k) * factorial(n) * reduced
+    return (k - 2 - n) * sum(map(mul, _route1_row(k), map(factorial, range(n + 1, n + k))))
 
 
 def route2_factorial_gf(inst: IdentityInstance) -> int:
@@ -305,7 +304,7 @@ def route6_stirling(inst: IdentityInstance) -> int:
 
 
 ROUTE_FUNCTIONS: dict[str, Callable[[IdentityInstance], int]] = {
-    "r1": route1_gkp,
+    "r1": route1_induction,
     "r2": route2_factorial_gf,
     "r3": route3_convolution,
     "r4": route4_inversion,

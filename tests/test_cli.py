@@ -610,7 +610,7 @@ class TestArguments:
 
 class TestEmitReport:
     def _single_report(self):
-        return VerificationReport(IdentityInstance(2, 1), 2, {"r1": 2}, True)
+        return VerificationReport(IdentityInstance(2, 1), 2, {"r1": 2}, True, {})
 
     def test_json_byte_exact_schema(self):
         expected = '[{"k":2,"n":1,"reference":"2","routes":{"r1":"2"},"all_match":true}]'
@@ -622,7 +622,7 @@ class TestEmitReport:
         assert emit_report([], "text") == ""
 
     def test_csv_row(self):
-        report = VerificationReport(IdentityInstance(5, 4), -2880, {"lhs_direct": -2880, "r1": -2880}, True)
+        report = VerificationReport(IdentityInstance(5, 4), -2880, {"lhs_direct": -2880, "r1": -2880}, True, {})
         out = emit_report([report], "csv")
         assert out.splitlines() == [
             "k,n,reference,lhs_direct,r1,all_match",
@@ -666,10 +666,10 @@ class TestEmitReport:
             (IdentityInstance(3, 4), ref, {"lhs_direct": ref, "r1": ref, "r4": ref, "r5": ref}, True),
             (IdentityInstance(3, 5), other, {"lhs_direct": other, "r1": wrong1, "r4": wrong2, "r5": None}, False),
         ]
-        plain = [VerificationReport(inst, r, values, match) for inst, r, values, match in rows]
+        plain = [VerificationReport(inst, r, values, match, {}) for inst, r, values, match in rows]
         counted = [
             VerificationReport(
-                inst, Counted(r), {name: None if v is None else Counted(v) for name, v in values.items()}, match
+                inst, Counted(r), {name: None if v is None else Counted(v) for name, v in values.items()}, match, {}
             )
             for inst, r, values, match in rows
         ]
@@ -683,6 +683,7 @@ class TestEmitReport:
         st.one_of(st.integers(), st.integers(-10**400, -10**200)),
         st.dictionaries(st.sampled_from(("lhs_direct", *ROUTE_NAMES)), VALUES),
         st.booleans(),
+        st.builds(dict),
     ), max_size=4)
 
     @given(REPORTS)

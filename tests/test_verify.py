@@ -33,7 +33,7 @@ from lahverify.verify import (
     hypergeom_2f1_terminating,
     lhs_direct,
     rhs_reference,
-    route1_gkp,
+    route1_induction,
     route2_factorial_gf,
     route3_convolution,
     route4_inversion,
@@ -56,8 +56,9 @@ SPOT_VALUES = {
 
 
 # plain loop forms of the binomial transform, the terminating 2F1, r2's
-# row sum, r1's reduced sum and r4's factorial-quotient sequences, kept as
-# references: the properties below require exact equality with them
+# row sum, the binomial sum S(k, n) / (k! n!) and r4's factorial-quotient
+# sequences, kept as references: the properties below require exact
+# equality with them
 
 
 def _inversion_reference(values):
@@ -126,7 +127,7 @@ class TestValueTypes:
     # one value of each of the six value types
     VALUES = [
         IdentityInstance(3, 4),
-        VerificationReport(IdentityInstance(2, 1), 2, {"r1": 2}, True),
+        VerificationReport(IdentityInstance(2, 1), 2, {"r1": 2}, True, {}),
         series_binomial_power(-2, 4),
         poly_from_coeffs([1, 2]),
         stirling_weighted_moment(3),
@@ -151,15 +152,10 @@ class TestValueTypes:
         assert copy.route_values == {"lhs_direct": 3, "r5": None}
         assert copy.errors == {"r5": "broke"}
 
-    def test_default_errors_empty_and_read_only(self):
-        first = VerificationReport(IdentityInstance(2, 1), 2, {"r1": 2}, True)
-        second = VerificationReport(IdentityInstance(2, 2), 0, {"r1": 0}, True)
-        assert first.errors == {}
-        with pytest.raises(TypeError):
-            first.errors["r1"] = "broke"
-        assert second.errors == {}
-        copy = pickle.loads(pickle.dumps(first))
-        assert copy == first and copy.errors == {}
+    def test_empty_errors_survive_pickle(self):
+        report = VerificationReport(IdentityInstance(2, 1), 2, {"r1": 2}, True, {})
+        copy = pickle.loads(pickle.dumps(report))
+        assert copy == report and copy.errors == {}
 
 
 class TestReferenceSides:
@@ -191,7 +187,7 @@ class TestGkpIdentity:
         assert gkp_identity(1, 0, 2, 1) == (-1, -1)
 
     def test_substitution_reproduces_reduced_identity(self):
-        # (l, m, s) = (k-1, -1, n) is the specialization route 1 relies on
+        # at (l, m, s) = (k-1, -1, n) the left side is S(k, n) / (k! n!)
         for k, n in ((2, 1), (3, 2), (5, 3)):
             lhs, rhs = gkp_identity(k - 1, -1, n, n)
             assert lhs == rhs
@@ -203,6 +199,7 @@ class TestGkpIdentity:
 
     @given(st.integers(2, 40), st.integers(0, 80))
     def test_left_side_is_route1_reduced_sum(self, k, n):
+        # the reduced sum is term for term the convolution that r3 forms
         assert gkp_identity(k - 1, -1, n, n)[0] == _route1_reduced_reference(k, n)
 
     def test_negative_l_rejected(self):
@@ -313,7 +310,7 @@ class TestBinomialInversion:
 
 
 class TestRoutes:
-    @pytest.mark.parametrize("route", [route1_gkp, route2_factorial_gf, route3_convolution,
+    @pytest.mark.parametrize("route", [route1_induction, route2_factorial_gf, route3_convolution,
                                        route4_inversion, route5_hypergeom, route6_stirling])
     def test_spot_values(self, route):
         for (k, n), expected in SPOT_VALUES.items():
@@ -414,22 +411,49 @@ class TestInternalGuards:
             assert "hypergeometric route broke at k=3" in r.errors["r5"]
             assert not r.all_match
 
-    @pytest.mark.parametrize("side", [0, 1])
-    def test_wrong_route1_side_is_reported(self, monkeypatch, side):
+    @pytest.fixture
+    def lah_rows(self):
+        """r1's triangle rows and the closed-form Lah rows, empty before and
+        after the test, so that a row built under an injected fault never
+        reaches another test."""
         import lahverify.verify as verify_mod
 
-        gkp = verify_mod.gkp_identity
+        caches = (verify_mod._route1_row, lah_row)
+        for cache in caches:
+            cache.cache_clear()
+        yield
+        for cache in caches:
+            cache.cache_clear()
 
-        def one_side_off(l, m, s, n):
-            sides = list(gkp(l, m, s, n))
-            sides[side] += 1
-            return tuple(sides)
+    def test_wrong_triangle_weight_fails_route1_alone(self, capsys, monkeypatch, lah_rows):
+        # r1 is the one route that reads the triangle recurrence; a wrong
+        # weight first changes the sum over row k-1 at k = 3, n = 0
+        import lahverify.numbers as numbers_mod
+        from lahverify.cli import run
 
-        monkeypatch.setattr(verify_mod, "gkp_identity", one_side_off)
-        for r in verify_row(3, range(0, 4), routes=("r1", "r3")):
-            assert r.route_values["r1"] is None
-            assert r.errors == {"r1": f"binomial-identity route broke at k=3, n={r.instance.n}"}
-            assert r.route_values["r3"] == r.reference
+        monkeypatch.setitem(numbers_mod._TRIANGLE_WEIGHTS, "lah", lambda n, k: n + k + 1)
+        code = run(["verify", "--k-min", "3", "--k-max", "3", "--n-min", "0", "--n-max", "0",
+                    "--routes", "r1,r2,r6"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert [line for line in err.splitlines() if line.startswith(("error:", "mismatch:"))] == [
+            "mismatch: r1 at k=3, n=0: expected 0, got -2",
+        ]
+
+    def test_wrong_closed_form_lah_leaves_route1_right(self, monkeypatch, lah_rows):
+        # lhs_direct, r2 and r6 read the closed form; r1 reads none of it
+        import lahverify.numbers as numbers_mod
+
+        closed_form = numbers_mod.lah
+        monkeypatch.setattr(numbers_mod, "lah", lambda n, k: closed_form(n, k) + ((n, k) == (3, 2)))
+        reports = verify_row(3, range(4), ("r1", "r2", "r6"))
+        assert [r.instance.n for r in reports] == [0, 1, 2, 3]
+        for r in reports:
+            assert r.route_values["lhs_direct"] != r.reference
+            assert r.route_values["r1"] == r.reference
+            assert r.route_values["r2"] is r.route_values["r6"] is None
+            assert sorted(r.errors) == ["r2", "r6"]
+            assert not r.all_match
 
     def test_wrong_route3_coefficient_is_reported(self, monkeypatch):
         import lahverify.verify as verify_mod
@@ -438,8 +462,8 @@ class TestInternalGuards:
 
         def negative_x2_coeff_off(e, j):
             # (1+x)^-(n+1) gets its x^2 coefficient off by one; the cached
-            # factor (1+x)^(k-1), the closed form's x^3 coefficient and r1's
-            # binomials, whose upper arguments are non-negative, are untouched
+            # factor (1+x)^(k-1) and the closed form's x^3 coefficient are
+            # untouched, and r1 reads no binomial
             return binomial(e, j) + (e < 0 and j == 2)
 
         monkeypatch.setattr(verify_mod, "binomial_general", negative_x2_coeff_off)
@@ -726,17 +750,18 @@ class TestVerifyGrid:
             return closed_form(n, k)
 
         monkeypatch.setattr(numbers_mod, "lah", counting_lah)
-        caches = (lah_row, verify_mod._route3_factor)
+        caches = (lah_row, verify_mod._route1_row, verify_mod._route3_factor)
         for cache in caches:
             cache.cache_clear()
-        reports = verify_grid(range(2, 6), range(0, 8), routes=("r2", "r3", "r4"))
+        reports = verify_grid(range(2, 6), range(0, 8), routes=("r1", "r2", "r3", "r4"))
         assert all(r.all_match for r in reports)
         # one Lah row per k, in the order dealt, from the closed form, read by
-        # lhs_direct and r2
+        # lhs_direct and r2; r1 reads the triangle recurrence instead
         assert calls == [(k, l) for k in range(5, 1, -1) for l in range(k + 1)]
         # (hits, misses): each cache is built once per row and read for every n
         assert {cache: cache.cache_info()[:2] for cache in caches} == {
             lah_row: (4 * 8 * 2 - 4, 4),
+            verify_mod._route1_row: (4 * 8 - 4, 4),
             verify_mod._route3_factor: (4 * 8 - 4, 4),
         }
 
@@ -766,7 +791,7 @@ class TestVerifyGrid:
         # one closed-form Lah row L(k, 0..k) per k
         assert counts == {("r1",): 3 + 4 + 5 + 6, ("r1", "r6"): 3 + 4 + 5 + 6}
 
-    @pytest.mark.parametrize("name", ["lah_row", "_route3_factor"])
+    @pytest.mark.parametrize("name", ["lah_row", "_route1_row", "_route3_factor"])
     def test_row_caches_are_bounded_and_immutable(self, name):
         import lahverify.verify as verify_mod
 
