@@ -168,8 +168,6 @@ def stirling1_triangle(max_n: int) -> list[list[int]]:
 def stirling1_from_rising_poly(n: int) -> list[int]:
     """Recover s(n, 0..n) from the monomial expansion of x(x+1)...(x+n-1),
     whose coefficient at x^k is (-1)^(n-k) s(n, k)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
     # series is imported by the two functions that use it, so that the
     # number commands and the tables never load it
     from .series import rising_factorial_poly

@@ -111,6 +111,8 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def rising_factorial_poly(n: int) -> Polynomial:
     """x(x+1)...(x+n-1) expanded in the monomial basis."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     p = POLY_ONE
     for j in range(n):
         p = poly_mul(p, poly_from_coeffs([j, 1]))

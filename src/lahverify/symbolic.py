@@ -119,13 +119,13 @@ def exp_derivative_lah(k: int) -> ExpLaurentExpr:
 
 
 def stirling_weighted_moment(m: int) -> LaurentPoly:
-    """The u-moment of u(u+1)...(u+m-1) * exp(-u/t), written directly in
-    Stirling form: sum over i of (-1)^(m-i) i! s(m, i) t^(i+1)."""
+    """The u-moment of (u+1)(u+2)...(u+m) * exp(-u/t), written directly in
+    Stirling form: sum over i of (-1)^(m-i) i! s(m+1, i+1) t^(i+1)."""
     if m < 0:
         raise ValueError("m must be non-negative")
     return laurent_from_terms(
         ((-1 if (m - i) % 2 else 1) * factorial(i) * s, i + 1)
-        for i, s in enumerate(stirling1_row(m))
+        for i, s in enumerate(stirling1_row(m + 1)[1:])
     )
 
 
@@ -140,7 +140,7 @@ def route6_coefficient_chain(m: int, k: int) -> dict[int, int]:
 
     Side A is the k-fold t-derivative of ``stirling_weighted_moment(m)``,
     whose Stirling numbers come from the triangle recurrence. Side B is the
-    u-moment of ``exp_derivative_lah(k)`` times u(u+1)...(u+m-1), whose
+    u-moment of ``exp_derivative_lah(k)`` times (u+1)(u+2)...(u+m), whose
     coefficients r_i come from polynomial products. Every term c u^a t^b of
     the derivative has a + b = -k, so the u^i part of the product
     integrates to t^(i-k+1) alone, with coefficient r_i times the bracket
@@ -151,20 +151,20 @@ def route6_coefficient_chain(m: int, k: int) -> dict[int, int]:
     somewhere in the chain, never roundoff.
 
     Returns, for each i in 0..m, the bracket read off side A: its
-    coefficient at t^(i-k+1) divided exactly by r_i. For m >= 1, r_0 is 0,
-    so the chain also runs at m = 0, where the product is 1 and side A is
-    the moment t of exp(-u/t) itself, which holds bracket 0.
-    """
-    if m < 1 or not 1 <= k <= m + 1:
-        raise ValueError("need m >= 1 and 1 <= k <= m + 1")
+    coefficient at t^(i-k+1) divided exactly by r_i = |s(m+1, i+1)|, which
+    is never 0, so the one comparison checks every bracket. Where
+    k > i+1 the k-th derivative of t^(i+1) vanishes, and the bracket is 0.
 
+    >>> route6_coefficient_chain(2, 1)
+    {0: 1, 1: 2, 2: 6}
+    >>> route6_coefficient_chain(0, 3)
+    {0: 0}
+    """
     derivative = exp_derivative_lah(k)
-    brackets: dict[int, int] = {}
-    for order in (0, m):
-        side_a = laurent_diff(stirling_weighted_moment(order), k)
-        rising_terms = [(i, r) for i, r in enumerate(rising_factorial_poly(order).coeffs) if r]
-        side_b = laurent_from_terms((r * _lah_bracket(derivative, i), i - k + 1) for i, r in rising_terms)
-        if side_a != side_b:
-            raise ConsistencyError(f"moment chain mismatch at m={order}, k={k}")
-        brackets.update((i, exact_quotient(side_a.coeff(i - k + 1), r)) for i, r in rising_terms)
-    return brackets
+    side_a = laurent_diff(stirling_weighted_moment(m), k)
+    # x(x+1)...(x+m) has no constant term; the rest is (x+1)...(x+m)
+    rising = rising_factorial_poly(m + 1).coeffs[1:]
+    side_b = laurent_from_terms((r * _lah_bracket(derivative, i), i - k + 1) for i, r in enumerate(rising))
+    if side_a != side_b:
+        raise ConsistencyError(f"moment chain mismatch at m={m}, k={k}")
+    return {i: exact_quotient(side_a.coeff(i - k + 1), r) for i, r in enumerate(rising)}

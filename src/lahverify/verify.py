@@ -285,16 +285,15 @@ def route5_hypergeom(inst: IdentityInstance) -> int:
 
 def route6_row(k: int, ns: Sequence[int]) -> dict[int, int]:
     """Route 6 for every n of one grid row: run the symbolic
-    moment-differentiation chain once at m = max(k-1, max(ns), 1), the
-    smallest order that the chain accepts and whose coefficients 0..m
-    cover every i = n, and read each bracketed sum off its i = n slot of
-    the Stirling side. The bracket is the target sum up to the sign (-1)^k
-    from reversing the summation index. The chain compares its Stirling
-    side with its Lah side once for the row."""
+    moment-differentiation chain once at m = max(ns), the smallest order
+    whose brackets 0..m cover every i = n, and read each bracketed sum off
+    its i = n slot of the Stirling side. The bracket is the target sum up
+    to the sign (-1)^k from reversing the summation index. The chain
+    compares its Stirling side with its Lah side once for the row."""
     # imported here, so that a grid without r6 never loads the calculus
     from .symbolic import route6_coefficient_chain
 
-    brackets = route6_coefficient_chain(max(k - 1, max(ns), 1), k)
+    brackets = route6_coefficient_chain(max(ns), k)
     return {n: _sgn(k) * brackets[n] for n in ns}
 
 

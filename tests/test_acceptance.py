@@ -67,9 +67,11 @@ def test_criterion_2_route6_symbolic_chain():
                 inst = IdentityInstance(k, n)
                 assert ROUTE_FUNCTIONS["r6"](inst) == rhs_reference(inst), (k, n)
         # the side-by-side Laurent comparison inside the chain must hold for
-        # every admissible (m, k); a mismatch raises ConsistencyError
-        for m in range(1, 13):
-            for k in range(1, m + 2):
+        # every order m and every k up to one past the zero band's edge,
+        # k = m+2, where every bracket is 0; a mismatch raises
+        # ConsistencyError
+        for m in range(13):
+            for k in range(1, m + 3):
                 brackets = route6_coefficient_chain(m, k)
                 assert set(brackets) == set(range(m + 1))
 

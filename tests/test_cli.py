@@ -253,12 +253,12 @@ class TestVerifyCommand:
 
     def test_wrong_route6_bracket_gives_error_line(self, capsys, monkeypatch):
         # side B is built from the brackets, so a wrong one must fail the
-        # chain, not pass as a plain mismatch; bracket 0 is checked by the
-        # chain at m = 0, the others at m = 7, the largest n of the row
+        # chain, not pass as a plain mismatch; the last bracket and bracket
+        # 0 are both checked by the row's one chain at m = 7, its largest n
         import lahverify.symbolic as symbolic_mod
 
         bracket = symbolic_mod._lah_bracket
-        for wrong, m in ((7, 7), (0, 0)):
+        for wrong in (7, 0):
             monkeypatch.setattr(symbolic_mod, "_lah_bracket",
                                 lambda derivative, i, wrong=wrong: bracket(derivative, i) + (i == wrong))
             code, out, err = _run(
@@ -269,14 +269,14 @@ class TestVerifyCommand:
             assert code == 1
             assert [line.split(",")[-2:] for line in out.splitlines()[1:]] == [["", "false"]] * 8
             assert [line for line in err.splitlines() if line.startswith(("error:", "mismatch:"))] == [
-                f"error: r6 at k=3, n={n}: moment chain mismatch at m={m}, k=3" for n in range(8)
+                f"error: r6 at k=3, n={n}: moment chain mismatch at m=7, k=3" for n in range(8)
             ]
 
     def test_wrong_one_pass_derivative_gives_error_line(self, capsys, monkeypatch):
         # a wrong falling factorial at t^4 breaks side A's k-th derivative
-        # only where the moment has a t^4 term, at m >= 3; for k = 2 the
-        # row's chain runs at m = max(1, n_max, 1), so n = 3 is the
-        # smallest grid that shows it, and 0 <= n <= 2 passes
+        # only where the moment has a t^4 term, at m >= 3; the row's chain
+        # runs at m = n_max, so n = 3 is the smallest grid that shows it,
+        # and 0 <= n <= 2 passes
         import lahverify.symbolic as symbolic_mod
 
         falling = symbolic_mod.falling

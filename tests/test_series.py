@@ -152,6 +152,9 @@ class TestFactorialPolynomials:
 
     def test_empty_products(self):
         assert rising_factorial_poly(0).coeffs == (1,)
+        # a negative length is an error, as in exact.rising, not the empty product
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            rising_factorial_poly(-2)
 
     def test_types(self):
         assert isinstance(rising_factorial_poly(4), Polynomial)

@@ -28,9 +28,13 @@ EXP_KERNEL = expr_from_terms([(1, 0, 0)])  # exp(-u/t) itself
 
 
 def rising_product_expr(m: int) -> ExpLaurentExpr:
-    """u(u+1)...(u+m-1) * exp(-u/t), expanded in powers of u: the
-    expression whose moment the Stirling form is checked against."""
-    return expr_from_terms((c, i, 0) for i, c in enumerate(rising_factorial_poly(m).coeffs))
+    """(u+1)(u+2)...(u+m) * exp(-u/t), multiplied out one factor at a
+    time: the expression whose moment the Stirling form is checked
+    against."""
+    e = EXP_KERNEL
+    for j in range(1, m + 1):
+        e = expr_mul_u_poly(e, [j, 1])
+    return e
 
 
 term_strategy = st.tuples(
@@ -155,16 +159,18 @@ class TestDerivativeClosedForm:
 
 class TestMomentChain:
     def test_rising_product_expr_small(self):
-        assert rising_product_expr(1).terms == {(1, 0): 1}
-        assert rising_product_expr(2).terms == {(1, 0): 1, (2, 0): 1}  # u(u+1)
+        assert rising_product_expr(0) == EXP_KERNEL
+        assert rising_product_expr(1).terms == {(0, 0): 1, (1, 0): 1}  # u+1
+        assert rising_product_expr(2).terms == {(0, 0): 2, (1, 0): 3, (2, 0): 1}  # (u+1)(u+2)
 
     def test_moment_matches_stirling_form(self):
-        for m in range(1, 13):
+        for m in range(13):
             assert expr_moment_u(rising_product_expr(m)) == stirling_weighted_moment(m)
 
     def test_derivatives_of_moment_match_factorial_ratio_form(self):
-        for m in range(1, 13):
-            for k in range(1, m + 2):
+        # k = m+2 differentiates every term away
+        for m in range(13):
+            for k in range(1, m + 3):
                 derived = stirling_weighted_moment(m)
                 for _ in range(k):
                     derived = laurent_diff(derived)
@@ -172,7 +178,7 @@ class TestMomentChain:
                     (
                         (-1 if (m - i) % 2 else 1)
                         * (factorial(i) * factorial(i + 1) // factorial(i - k + 1))
-                        * stirling1(m, i),
+                        * stirling1(m + 1, i + 1),
                         i - k + 1,
                     )
                     for i in range(k - 1, m + 1)
@@ -181,11 +187,11 @@ class TestMomentChain:
 
     def test_grouped_side_b_matches_moment_of_product(self):
         # the chain's side B, one bracket per power of t, against the moment
-        # of the derivative times u(u+1)...(u+m-1), multiplied out term by
-        # term; each value returned times its rising coefficient is there
-        for m in range(1, 13):
-            rising_coeffs = rising_factorial_poly(m).coeffs
-            for k in range(1, m + 2):
+        # of the derivative times (u+1)(u+2)...(u+m), multiplied out term
+        # by term; each value returned times its rising coefficient is there
+        for m in range(13):
+            rising_coeffs = rising_factorial_poly(m + 1).coeffs[1:]
+            for k in range(1, m + 3):
                 derivative = exp_derivative_lah(k)
                 product_moment = expr_moment_u(expr_mul_u_poly(derivative, rising_coeffs))
                 grouped = laurent_from_terms(
@@ -194,13 +200,13 @@ class TestMomentChain:
                 assert grouped == product_moment
                 brackets = route6_coefficient_chain(m, k)
                 assert sorted(brackets) == list(range(m + 1))
-                for i in range(1, m + 1):
+                for i in range(m + 1):
                     assert brackets[i] * rising_coeffs[i] == product_moment.coeff(i - k + 1)
 
     def test_chain_hand_example(self):
-        # m=1, k=1: moment of u * exp(-u/t) is t^2 and its derivative is 2t;
-        # the k=1 brackets are (i+1)!
-        assert stirling_weighted_moment(1).terms == {2: 1}
+        # m=1, k=1: moment of (u+1) * exp(-u/t) is t + t^2 and its
+        # derivative is 1 + 2t; the k=1 brackets are (i+1)!
+        assert stirling_weighted_moment(1).terms == {1: 1, 2: 1}
         brackets = route6_coefficient_chain(1, 1)
         assert brackets == {0: 1, 1: 2}
 
@@ -214,12 +220,13 @@ class TestMomentChain:
         assert route6_coefficient_chain(2, 2)[1] == 2
 
     def test_bad_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            route6_coefficient_chain(0, 1)
-        with pytest.raises(ValueError):
-            route6_coefficient_chain(3, 5)
+        # m = 0 and k > m+1 are in the domain: the zero band reads 0
+        assert route6_coefficient_chain(0, 1) == {0: 1}
+        assert route6_coefficient_chain(3, 5) == {0: 0, 1: 0, 2: 0, 3: 0}
         with pytest.raises(ValueError):
             route6_coefficient_chain(3, 0)
+        with pytest.raises(ValueError):
+            route6_coefficient_chain(-1, 1)
 
 
 class TestLaurentHelpers:

@@ -522,7 +522,7 @@ class TestInternalGuards:
         assert len(reports) == 6
         for r in reports:
             assert r.route_values["r6"] is None
-            # the row's chain runs at m = max(k-1, 2, 1) = 2
+            # every row's chain runs at m = n_max = 2
             assert r.errors == {"r6": f"moment chain mismatch at m=2, k={r.instance.k}"}
             assert r.route_values["r1"] == r.reference
             assert not r.all_match
@@ -721,7 +721,9 @@ class TestVerifyGrid:
         assert all(not r.all_match for r in reports)
         assert all(r.route_values["r1"] == 10**9 for r in reports)
 
-    def test_one_chain_per_row(self, monkeypatch):
+    @pytest.mark.parametrize(("ks", "ns"), [(range(2, 6), range(0, 8)), (range(2, 11), range(0, 4))],
+                             ids=["square", "tall"])
+    def test_one_chain_per_row(self, monkeypatch, ks, ns):
         import lahverify.symbolic as symbolic_mod
 
         calls = []
@@ -732,11 +734,11 @@ class TestVerifyGrid:
             return chain(m, k)
 
         monkeypatch.setattr(symbolic_mod, "route6_coefficient_chain", counting_chain)
-        reports = verify_grid(range(2, 6), range(0, 8), routes=("r6",))
+        reports = verify_grid(ks, ns, routes=("r6",))
         assert all(r.all_match for r in reports)
         # one process deals itself every row, largest k first, each at the
-        # smallest order that covers n = 7
-        assert calls == [(7, 5), (7, 4), (7, 3), (7, 2)]
+        # largest n, also where k > n_max + 1 and every value is 0
+        assert calls == [(ns[-1], k) for k in reversed(ks)]
 
     def test_row_caches_built_once_per_row(self, monkeypatch):
         import lahverify.numbers as numbers_mod
