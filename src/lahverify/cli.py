@@ -278,8 +278,7 @@ def _run_verify(ns: SimpleNamespace) -> int:
         raise ValueError("empty n range: --n-max must be >= --n-min")
     if ns.jobs < 1:
         raise ValueError("--jobs must be at least 1")
-    # imported here, so that the other commands never load the routes and
-    # the symbolic calculus
+    # imported here, so that the other commands never load the routes
     from .verify import verify_grid
 
     reports = verify_grid(

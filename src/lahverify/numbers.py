@@ -43,7 +43,7 @@ def lah_row(n: int) -> tuple[int, ...]:
     """L(n, 0..n) from the closed form ``lah``, cached for recent n: every
     instance of a verification grid row reads the same row. It is not
     taken from the triangle recurrence, so it stays an independent check
-    of the triangle and of the symbolic route."""
+    of the Lah triangle that route 1 reads."""
     if n < 0:
         raise ValueError("Lah indices must be non-negative")
     return tuple(lah(n, k) for k in range(n + 1))

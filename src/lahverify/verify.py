@@ -10,8 +10,9 @@ evaluates the literal sum, and routes r1..r6 reach the same value through
 unrelated machinery: an induction step over the Lah triangle recurrence,
 the factorial generating function of the Lah numbers, power-series
 coefficient extraction, binomial inversion, a terminating Gauss
-hypergeometric sum, and a symbolic differentiation chain over exponential
-moments. Exact agreement across all of them is the point of the package.
+hypergeometric sum, and the two generating functions of the Stirling
+numbers of the first kind. Exact agreement across all of them is the point
+of the package.
 """
 
 from __future__ import annotations
@@ -283,23 +284,39 @@ def route5_hypergeom(inst: IdentityInstance) -> int:
     return exact_quotient(-factorial(k) * factorial(n + 1) * closed_num, closed_den)
 
 
-def route6_row(k: int, ns: Sequence[int]) -> dict[int, int]:
-    """Route 6 for every n of one grid row: run the symbolic
-    moment-differentiation chain once at m = max(ns), the smallest order
-    whose brackets 0..m cover every i = n, and read each bracketed sum off
-    its i = n slot of the Stirling side. The bracket is the target sum up
-    to the sign (-1)^k from reversing the summation index. The chain
-    compares its Stirling side with its Lah side once for the row."""
-    # imported here, so that a grid without r6 never loads the calculus
-    from .symbolic import route6_coefficient_chain
+@lru_cache(maxsize=32)
+def _route6_row(k: int) -> tuple[int, ...]:
+    # C_j = sum over l of L(k, l) s(l, j), j = 0..k, the row of route 6
+    # that every n shares, with the Stirling rows 0..k from one walk of the
+    # triangle recurrence; it must equal the coefficients of the product
+    # x(x+1)...(x+k-1), imported here so that only r6 loads the series module
+    from .series import rising_factorial_poly
 
-    brackets = route6_coefficient_chain(max(ns), k)
-    return {n: _sgn(k) * brackets[n] for n in ns}
+    coeffs = [0] * (k + 1)
+    for weight, stirling in zip(lah_row(k), triangle_rows("stirling1", k)):
+        for j, s in enumerate(stirling):
+            coeffs[j] += weight * s
+    row = tuple(coeffs)
+    if row != rising_factorial_poly(k).coeffs:
+        raise ConsistencyError(f"Stirling generating functions broke at k={k}")
+    return row
 
 
 def route6_stirling(inst: IdentityInstance) -> int:
-    """Route 6 at one (k, n): the one-n case of ``route6_row``."""
-    return route6_row(inst.k, (inst.n,))[inst.n]
+    """Route 6: expand both sides of the Lah identity
+
+        sum over l of L(k, l) (x)_l = <x>_k
+
+    by the two generating functions of the Stirling numbers of the first
+    kind, (x)_l = sum over j of s(l, j) x^j and <x>_k = sum over j of
+    |s(k, j)| x^j, and compare the coefficients once per row. The value is
+    n! times the row's polynomial at x = -(n+1), by Horner, since
+    n! (-(n+1))_l = (-1)^l (n+l)!."""
+    k, n = inst.k, inst.n
+    value = 0
+    for c in reversed(_route6_row(k)):
+        value = value * -(n + 1) + c
+    return factorial(n) * value
 
 
 ROUTE_FUNCTIONS: dict[str, Callable[[IdentityInstance], int]] = {
@@ -314,19 +331,11 @@ ROUTE_FUNCTIONS: dict[str, Callable[[IdentityInstance], int]] = {
 ROUTE_NAMES: tuple[str, ...] = tuple(sorted(ROUTE_FUNCTIONS))
 
 
-def _outcome(route: Callable[..., int], *args) -> int | ConsistencyError:
-    """The route's value, or the ConsistencyError its cross-check raised."""
-    try:
-        return route(*args)
-    except ConsistencyError as exc:
-        return exc
-
-
 def verify_row(k: int, ns: Iterable[int], routes: Iterable[str] = ROUTE_NAMES) -> list[VerificationReport]:
     """One report per (k, n) for n in ``ns``, in the order given.
 
-    The reference, the direct sum and routes r1..r5 run per instance;
-    route r6 reads every n off one moment chain for the row. A route whose
+    The reference, the direct sum and every route run per instance, and
+    read what depends on k alone from bounded row caches. A route whose
     internal cross-check fails is reported with the value None and its
     message, not raised, and the other routes and instances still run.
     all_match is True only if every value agrees exactly.
@@ -335,27 +344,18 @@ def verify_row(k: int, ns: Iterable[int], routes: Iterable[str] = ROUTE_NAMES) -
     for name in names:
         if name not in ROUTE_FUNCTIONS:
             raise ValueError(f"unknown route {name!r}")
-    instances = [IdentityInstance(k, n) for n in ns]
-    r6_row: dict[int, int] | ConsistencyError = {}
-    if "r6" in names and instances:
-        r6_row = _outcome(route6_row, k, [inst.n for inst in instances])
     reports = []
-    for inst in instances:
+    for n in ns:
+        inst = IdentityInstance(k, n)
         reference = rhs_reference(inst)
         values: dict[str, int | None] = {"lhs_direct": lhs_direct(inst)}
         errors: dict[str, str] = {}
         for name in names:
-            if name != "r6":
-                outcome = _outcome(ROUTE_FUNCTIONS[name], inst)
-            elif isinstance(r6_row, ConsistencyError):
-                outcome = r6_row
-            else:
-                outcome = r6_row[inst.n]
-            if isinstance(outcome, ConsistencyError):
+            try:
+                values[name] = ROUTE_FUNCTIONS[name](inst)
+            except ConsistencyError as exc:
                 values[name] = None
-                errors[name] = str(outcome)
-            else:
-                values[name] = outcome
+                errors[name] = str(exc)
         all_match = all(v == reference for v in values.values())
         reports.append(VerificationReport(inst, reference, values, all_match, errors))
     return reports

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import lahverify
 from lahverify import cli
 from lahverify.cli import emit_report, run
-from lahverify.exact import ConsistencyError
 from lahverify.numbers import triangle_rows
 from lahverify.verify import ROUTE_FUNCTIONS, ROUTE_NAMES, IdentityInstance, VerificationReport
 
@@ -251,56 +250,54 @@ class TestVerifyCommand:
         assert "0/4 instances verified" in err
         assert len(forks) == int(jobs) - 1
 
-    def test_wrong_route6_bracket_gives_error_line(self, capsys, monkeypatch):
-        # side B is built from the brackets, so a wrong one must fail the
-        # chain, not pass as a plain mismatch; the last bracket and bracket
-        # 0 are both checked by the row's one chain at m = 7, its largest n
-        import lahverify.symbolic as symbolic_mod
+    def test_wrong_stirling_weight_gives_error_line(self, capsys, monkeypatch, row_caches):
+        # r6 reads Stirling rows 0..k of the triangle recurrence, and row 6 is
+        # the first built with the weight at (5, 2): row 5 passes, and every n
+        # of row 6 fails r6's row check, not as a plain mismatch
+        import lahverify.numbers as numbers_mod
 
-        bracket = symbolic_mod._lah_bracket
-        for wrong in (7, 0):
-            monkeypatch.setattr(symbolic_mod, "_lah_bracket",
-                                lambda derivative, i, wrong=wrong: bracket(derivative, i) + (i == wrong))
-            code, out, err = _run(
-                capsys,
-                ["verify", "--k-min", "3", "--k-max", "3", "--n-min", "0", "--n-max", "7",
-                 "--routes", "r6", "--format", "csv"],
-            )
-            assert code == 1
-            assert [line.split(",")[-2:] for line in out.splitlines()[1:]] == [["", "false"]] * 8
-            assert [line for line in err.splitlines() if line.startswith(("error:", "mismatch:"))] == [
-                f"error: r6 at k=3, n={n}: moment chain mismatch at m=7, k=3" for n in range(8)
-            ]
-
-    def test_wrong_one_pass_derivative_gives_error_line(self, capsys, monkeypatch):
-        # a wrong falling factorial at t^4 breaks side A's k-th derivative
-        # only where the moment has a t^4 term, at m >= 3; the row's chain
-        # runs at m = n_max, so n = 3 is the smallest grid that shows it,
-        # and 0 <= n <= 2 passes
-        import lahverify.symbolic as symbolic_mod
-
-        falling = symbolic_mod.falling
-        monkeypatch.setattr(symbolic_mod, "falling", lambda x, n: falling(x, n) + (x == 4))
-        argv = ["verify", "--k-min", "2", "--k-max", "2", "--routes", "r6", "--format", "csv"]
-        code, _out, err = _run(capsys, argv + ["--n-min", "0", "--n-max", "2"])
-        assert (code, err) == (0, "3/3 instances verified\n")
-        code, out, err = _run(capsys, argv + ["--n-min", "3", "--n-max", "3"])
+        monkeypatch.setitem(numbers_mod._TRIANGLE_WEIGHTS, "stirling1", lambda n, k: -n + ((n, k) == (5, 2)))
+        code, out, err = _run(
+            capsys,
+            ["verify", "--k-min", "5", "--k-max", "6", "--n-min", "0", "--n-max", "7",
+             "--routes", "r6", "--format", "csv"],
+        )
         assert code == 1
-        assert out.splitlines()[1:] == ["2,3,72,72,,false"]
+        lines = out.splitlines()[1:]
+        assert all(line.startswith("5,") and line.endswith(",true") for line in lines[:8])
+        assert [line.split(",")[-2:] for line in lines[8:]] == [["", "false"]] * 8
         assert err.splitlines() == [
-            "error: r6 at k=2, n=3: moment chain mismatch at m=3, k=2", "0/1 instances verified",
-        ]
+            f"error: r6 at k=6, n={n}: Stirling generating functions broke at k=6" for n in range(8)
+        ] + ["8/16 instances verified"]
+
+    def test_wrong_rising_coefficient_gives_error_line(self, capsys, monkeypatch, row_caches):
+        # r6 checks its row against the product x(x+1); a wrong x^2
+        # coefficient fails that check, and so every n of the row
+        import lahverify.series as series_mod
+        from lahverify.series import Polynomial
+
+        rising_poly = series_mod.rising_factorial_poly
+        monkeypatch.setattr(series_mod, "rising_factorial_poly",
+                            lambda k: Polynomial(tuple(c + (j == 2) for j, c in enumerate(rising_poly(k).coeffs))))
+        code, out, err = _run(
+            capsys,
+            ["verify", "--k-min", "2", "--k-max", "2", "--n-min", "0", "--n-max", "3",
+             "--routes", "r6", "--format", "csv"],
+        )
+        assert code == 1
+        assert out.splitlines()[1:] == ["2,0,0,0,,false", "2,1,2,2,,false", "2,2,12,12,,false", "2,3,72,72,,false"]
+        assert err.splitlines() == [
+            f"error: r6 at k=2, n={n}: Stirling generating functions broke at k=2" for n in range(4)
+        ] + ["0/4 instances verified"]
 
     @pytest.mark.parametrize("n_max", [9, 10])
-    def test_error_lines_stop_after_ten(self, capsys, monkeypatch, n_max):
-        # a failed chain fails every n of its row: 11 errors at 0 <= n <= 10
-        # is the smallest grid that needs the summary line
-        import lahverify.symbolic as symbolic_mod
+    def test_error_lines_stop_after_ten(self, capsys, monkeypatch, row_caches, n_max):
+        # a failed row check fails every n of its row: 11 errors at
+        # 0 <= n <= 10 is the smallest grid that needs the summary line
+        import lahverify.series as series_mod
 
-        def broken_chain(m, k):
-            raise ConsistencyError(f"moment chain mismatch at m={m}, k={k}")
-
-        monkeypatch.setattr(symbolic_mod, "route6_coefficient_chain", broken_chain)
+        rising_poly = series_mod.rising_factorial_poly
+        monkeypatch.setattr(series_mod, "rising_factorial_poly", lambda k: rising_poly(k - 1))
         code, _out, err = _run(
             capsys,
             ["verify", "--k-min", "3", "--k-max", "3", "--n-min", "0", "--n-max", str(n_max),
@@ -309,7 +306,7 @@ class TestVerifyCommand:
         assert code == 1
         more = ["... and 1 more errors"] if n_max == 10 else []
         assert err.splitlines() == [
-            f"error: r6 at k=3, n={n}: moment chain mismatch at m={n_max}, k=3" for n in range(10)
+            f"error: r6 at k=3, n={n}: Stirling generating functions broke at k=3" for n in range(10)
         ] + more + [f"0/{n_max + 1} instances verified"]
 
     GRID = ["verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "4",
@@ -775,8 +772,8 @@ def test_cli_import_leaves_workers_out():
     assert "lahverify.verify" in r1_to_r5
     assert not r1_to_r5 & {"fractions", "json", "lahverify.symbolic", "lahverify.series", "decimal"}
     r6 = _loaded_by(*grid, "--routes", "r6")
-    assert {"lahverify.symbolic", "lahverify.series"} <= r6
-    assert not r6 & {"decimal", *parser}
+    assert "lahverify.series" in r6
+    assert not r6 & {"lahverify.symbolic", "decimal", *parser}
 
 
 def test_public_names_resolve_on_access():

@@ -11,9 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lahverify.exact as exact_mod
+import lahverify.numbers as numbers_mod
+import lahverify.series as series_mod
+import lahverify.verify as verify_mod
 from lahverify.exact import ConsistencyError, binomial_general, factorial, falling, rising
-from lahverify.numbers import lah, lah_row
+from lahverify.numbers import lah, lah_row, stirling1
 from lahverify.series import (
+    Polynomial,
     poly_from_coeffs,
     poly_mul,
     rising_factorial_poly,
@@ -38,7 +43,6 @@ from lahverify.verify import (
     route3_convolution,
     route4_inversion,
     route5_hypergeom,
-    route6_row,
     route6_stirling,
     verify_grid,
     verify_instance,
@@ -104,8 +108,6 @@ def _route4_sequences_reference(k, n):
 def route4_columns():
     """r4's cached column function, empty before and after the test, so
     that a column grown under an injected fault never reaches another test."""
-    import lahverify.verify as verify_mod
-
     verify_mod._route4_column.cache_clear()
     yield verify_mod._route4_column
     verify_mod._route4_column.cache_clear()
@@ -355,15 +357,14 @@ class TestRoutes:
                 assert type(value) is int
                 assert value == rhs_reference(inst), (k, n)
 
-    def test_route6_row_matches_single_instances(self):
-        # one chain per row, at the largest order the row needs, reads the
-        # same brackets as a chain at each instance's own order
+    def test_route6_row_matches_single_instances(self, row_caches):
+        # the row that every n of k reads is |s(k, 0..k)|, and its value at
+        # each n is the closed form
         for k in range(2, 21):
-            row = route6_row(k, range(0, 41))
-            assert sorted(row) == list(range(0, 41))
-            for n, value in row.items():
+            assert verify_mod._route6_row(k) == tuple(abs(stirling1(k, j)) for j in range(k + 1))
+            for n in range(0, 41):
                 inst = IdentityInstance(k, n)
-                assert value == route6_stirling(inst) == rhs_reference(inst), (k, n)
+                assert route6_stirling(inst) == rhs_reference(inst), (k, n)
 
     def test_factorial_generating_function_as_polynomials(self):
         # row identity behind route 2: x(x+1)...(x+n-1) equals the
@@ -382,8 +383,6 @@ class TestRoutes:
 
 class TestInternalGuards:
     def test_route5_raises_on_closed_form_disagreement(self, monkeypatch):
-        import lahverify.verify as verify_mod
-
         monkeypatch.setattr(verify_mod, "chu_vandermonde_closed", lambda a, b, c: (7, 1))
         with pytest.raises(ConsistencyError):
             route5_hypergeom(IdentityInstance(3, 4))
@@ -399,8 +398,6 @@ class TestInternalGuards:
             route6_coefficient_chain(3, 2)
 
     def test_failed_cross_check_is_reported_not_raised(self, monkeypatch):
-        import lahverify.verify as verify_mod
-
         monkeypatch.setattr(verify_mod, "chu_vandermonde_closed", lambda a, b, c: (7, 1))
         reports = verify_row(3, range(0, 3), routes=("r1", "r5"))
         assert [r.instance.n for r in reports] == [0, 1, 2]
@@ -411,24 +408,9 @@ class TestInternalGuards:
             assert "hypergeometric route broke at k=3" in r.errors["r5"]
             assert not r.all_match
 
-    @pytest.fixture
-    def lah_rows(self):
-        """r1's triangle rows and the closed-form Lah rows, empty before and
-        after the test, so that a row built under an injected fault never
-        reaches another test."""
-        import lahverify.verify as verify_mod
-
-        caches = (verify_mod._route1_row, lah_row)
-        for cache in caches:
-            cache.cache_clear()
-        yield
-        for cache in caches:
-            cache.cache_clear()
-
-    def test_wrong_triangle_weight_fails_route1_alone(self, capsys, monkeypatch, lah_rows):
+    def test_wrong_triangle_weight_fails_route1_alone(self, capsys, monkeypatch, row_caches):
         # r1 is the one route that reads the triangle recurrence; a wrong
         # weight first changes the sum over row k-1 at k = 3, n = 0
-        import lahverify.numbers as numbers_mod
         from lahverify.cli import run
 
         monkeypatch.setitem(numbers_mod._TRIANGLE_WEIGHTS, "lah", lambda n, k: n + k + 1)
@@ -440,10 +422,8 @@ class TestInternalGuards:
             "mismatch: r1 at k=3, n=0: expected 0, got -2",
         ]
 
-    def test_wrong_closed_form_lah_leaves_route1_right(self, monkeypatch, lah_rows):
+    def test_wrong_closed_form_lah_leaves_route1_right(self, monkeypatch, row_caches):
         # lhs_direct, r2 and r6 read the closed form; r1 reads none of it
-        import lahverify.numbers as numbers_mod
-
         closed_form = numbers_mod.lah
         monkeypatch.setattr(numbers_mod, "lah", lambda n, k: closed_form(n, k) + ((n, k) == (3, 2)))
         reports = verify_row(3, range(4), ("r1", "r2", "r6"))
@@ -456,8 +436,6 @@ class TestInternalGuards:
             assert not r.all_match
 
     def test_wrong_route3_coefficient_is_reported(self, monkeypatch):
-        import lahverify.verify as verify_mod
-
         binomial = verify_mod.binomial_general
 
         def negative_x2_coeff_off(e, j):
@@ -473,8 +451,6 @@ class TestInternalGuards:
             assert r.route_values["r1"] == r.reference
 
     def test_wrong_route4_step_is_reported(self, monkeypatch, route4_columns):
-        import lahverify.verify as verify_mod
-
         exact_quotient = verify_mod.exact_quotient
         divisors = []
 
@@ -497,8 +473,6 @@ class TestInternalGuards:
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_same_last_step_error_in_both_route4_products_is_reported(self, monkeypatch, route4_columns, k):
-        import lahverify.verify as verify_mod
-
         exact_quotient = verify_mod.exact_quotient
         # the division by k-1 is the last step of b(l), the one running
         # product; output k of the transform carries b(k) with the sign
@@ -511,21 +485,103 @@ class TestInternalGuards:
             assert all(v == r.reference for name, v in r.route_values.items() if name != "r4")
             assert not r.all_match
 
-    def test_failed_chain_marks_every_instance_of_the_row(self, monkeypatch):
-        import lahverify.symbolic as symbolic_mod
-
-        def broken_chain(m, k):
-            raise ConsistencyError(f"moment chain mismatch at m={m}, k={k}")
-
-        monkeypatch.setattr(symbolic_mod, "route6_coefficient_chain", broken_chain)
+    def test_failed_row_check_marks_every_instance_of_the_row(self, monkeypatch, row_caches):
+        # a wrong product x(x+1)...(x+k-1) fails r6's one check per row, and
+        # so every n of the row
+        rising_poly = series_mod.rising_factorial_poly
+        monkeypatch.setattr(series_mod, "rising_factorial_poly", lambda k: rising_poly(k - 1))
         reports = verify_grid(range(2, 4), range(0, 3), routes=("r1", "r6"))
         assert len(reports) == 6
         for r in reports:
             assert r.route_values["r6"] is None
-            # every row's chain runs at m = n_max = 2
-            assert r.errors == {"r6": f"moment chain mismatch at m=2, k={r.instance.k}"}
+            assert r.errors == {"r6": f"Stirling generating functions broke at k={r.instance.k}"}
             assert r.route_values["r1"] == r.reference
             assert not r.all_match
+
+
+def _primitive_off(origin, name, make):
+    # a fault in the primitive ``name`` of ``origin``, installed in every
+    # module that holds the name
+    def install(monkeypatch):
+        primitive = getattr(origin, name)
+        fault = make(primitive)
+        for module in (exact_mod, numbers_mod, series_mod, verify_mod):
+            if getattr(module, name, None) is primitive:
+                monkeypatch.setattr(module, name, fault)
+
+    return install
+
+
+def _weight_off(kind, at):
+    # a triangle recurrence whose weight at (n, k) = at is one more
+    def install(monkeypatch):
+        weight = numbers_mod._TRIANGLE_WEIGHTS[kind]
+        monkeypatch.setitem(numbers_mod._TRIANGLE_WEIGHTS, kind, lambda n, k: weight(n, k) + ((n, k) == at))
+
+    return install
+
+
+def _hypergeom_sum_off(hypergeom):
+    def summed(a, b, c):
+        num, den = hypergeom(a, b, c)
+        return (num + den, den) if a == -3 else (num, den)
+
+    return summed
+
+
+def _rising_poly_off(rising_poly):
+    return lambda k: Polynomial(tuple(c + (j == 2) for j, c in enumerate(rising_poly(k).coeffs)))
+
+
+class TestFaultMatrix:
+    """Which report columns see a one-entry fault in a primitive that the
+    routes and the oracle share, on 2 <= k <= 11, 0 <= n <= 13. A column
+    flags a fault where its value is None or differs from the closed form
+    taken before the fault; the rows are the k where any column flags it.
+    The matrix shows which computations a fault reaches; it cannot show
+    that a route's value repeats another column's formula."""
+
+    KS, NS = range(2, 12), range(0, 14)
+    FAULTS = [
+        pytest.param(_primitive_off(numbers_mod, "lah", lambda lah: lambda n, k: lah(n, k) + ((n, k) == (4, 2))),
+                     {"lhs_direct", "r2", "r6"}, range(4, 5), id="lah(4,2)+1"),
+        pytest.param(_primitive_off(exact_mod, "falling", lambda falling: lambda x, n: falling(x, n) + (n == 2)),
+                     {"r2"}, range(2, 3), id="falling(x,2)+1"),
+        pytest.param(_primitive_off(exact_mod, "binomial_general",
+                                    lambda binomial: lambda r, j: binomial(r, j) + ((r, j) == (-4, 2))),
+                     {"r3"}, range(2, 12), id="binomial_general(-4,2)+1"),
+        pytest.param(_primitive_off(exact_mod, "rising", lambda rising: lambda x, n: rising(x, n) + (n == 3)),
+                     {"r5"}, range(4, 5), id="rising(x,3)+1"),
+        # row 5 of the Lah triangle is the first built with the weight at
+        # n = 4, and r1 reads row k-1
+        pytest.param(_weight_off("lah", (4, 2)), {"r1"}, range(6, 12), id="lah-weight(4,2)"),
+        # row 6 of the Stirling triangle is the first built with the weight
+        # at n = 5, and r6 reads rows 0..k
+        pytest.param(_weight_off("stirling1", (5, 2)), {"r6"}, range(6, 12), id="stirling1-weight(5,2)"),
+        # every product x(x+1)...(x+k-1) with k >= 2 has a coefficient 2
+        pytest.param(_primitive_off(series_mod, "rising_factorial_poly", _rising_poly_off),
+                     {"r6"}, range(2, 12), id="rising_factorial_poly-coeff2+1"),
+        pytest.param(_primitive_off(verify_mod, "_transform_step",
+                                    lambda step: lambda edge, value: step(edge, value) + (len(edge) - 1 == 4)),
+                     {"r4"}, range(4, 12), id="transform-output4+1"),
+        # r5 sums the series at a = 1-k
+        pytest.param(_primitive_off(verify_mod, "hypergeom_2f1_terminating", _hypergeom_sum_off),
+                     {"r5"}, range(4, 5), id="2f1-sum(a=-3)+1"),
+        pytest.param(_primitive_off(exact_mod, "factorial", lambda factorial: lambda m: factorial(m) + (m == 7)),
+                     {"lhs_direct", *ROUTE_NAMES}, range(2, 12), id="factorial(7)+1"),
+    ]
+
+    @pytest.mark.parametrize(("install", "columns", "rows"), FAULTS)
+    def test_fault_is_seen_by_these_columns(self, monkeypatch, row_caches, install, columns, rows):
+        expected = {(k, n): rhs_reference(IdentityInstance(k, n)) for k in self.KS for n in self.NS}
+        install(monkeypatch)
+        flagged: dict[str, set[int]] = {}
+        for r in verify_grid(self.KS, self.NS):
+            for name, value in r.route_values.items():
+                if value is None or value != expected[tuple(r.instance)]:
+                    flagged.setdefault(name, set()).add(r.instance.k)
+        assert set(flagged) == columns
+        assert set().union(*flagged.values()) == set(rows)
 
 
 class TestRoute4Columns:
@@ -548,8 +604,6 @@ class TestRoute4Columns:
     @pytest.mark.parametrize("build", ["jobs-1", "jobs-2", "ascending"])
     @pytest.mark.parametrize("fault", ["transform", "quotient"])
     def test_fault_fails_every_k_that_reads_it(self, monkeypatch, route4_columns, forks, fault, build):
-        import lahverify.verify as verify_mod
-
         at = self.FAULT_AT[fault]
         if fault == "transform":
             step = verify_mod._transform_step
@@ -586,8 +640,6 @@ class TestRoute4Columns:
     def _count_outputs(monkeypatch):
         # the transform steps made, by output: the first for output 1, then
         # one per step l
-        import lahverify.verify as verify_mod
-
         outputs = Counter()
         step = verify_mod._transform_step
 
@@ -610,8 +662,6 @@ class TestRoute4Columns:
     def test_column_grows_past_a_disagreement(self, monkeypatch, route4_columns):
         # output 2 is off, so every k fails; each step still runs the
         # transform, and every list of the column has one entry per b(l)
-        import lahverify.verify as verify_mod
-
         outputs = self._count_outputs(monkeypatch)
         step = verify_mod._transform_step
 
@@ -630,8 +680,6 @@ class TestRoute4Columns:
         assert outputs == {j: 4 for j in range(1, 6)}
 
     def test_ascending_caller_grows_each_column_once(self, monkeypatch, route4_columns):
-        import lahverify.verify as verify_mod
-
         divisors = Counter()
         exact_quotient = verify_mod.exact_quotient
 
@@ -651,8 +699,6 @@ class TestRoute4Columns:
     def test_columns_kept_for_one_grid(self, monkeypatch, route4_columns):
         # the columns of a grid's whole n-range are kept however long it
         # is, and freed when verify_grid returns or raises
-        import lahverify.verify as verify_mod
-
         outputs = self._count_outputs(monkeypatch)
         reports = verify_grid(range(2, 6), range(0, 301), routes=("r4",))
         assert all(r.all_match for r in reports)
@@ -721,29 +767,7 @@ class TestVerifyGrid:
         assert all(not r.all_match for r in reports)
         assert all(r.route_values["r1"] == 10**9 for r in reports)
 
-    @pytest.mark.parametrize(("ks", "ns"), [(range(2, 6), range(0, 8)), (range(2, 11), range(0, 4))],
-                             ids=["square", "tall"])
-    def test_one_chain_per_row(self, monkeypatch, ks, ns):
-        import lahverify.symbolic as symbolic_mod
-
-        calls = []
-        chain = symbolic_mod.route6_coefficient_chain
-
-        def counting_chain(m, k):
-            calls.append((m, k))
-            return chain(m, k)
-
-        monkeypatch.setattr(symbolic_mod, "route6_coefficient_chain", counting_chain)
-        reports = verify_grid(ks, ns, routes=("r6",))
-        assert all(r.all_match for r in reports)
-        # one process deals itself every row, largest k first, each at the
-        # largest n, also where k > n_max + 1 and every value is 0
-        assert calls == [(ns[-1], k) for k in reversed(ks)]
-
-    def test_row_caches_built_once_per_row(self, monkeypatch):
-        import lahverify.numbers as numbers_mod
-        import lahverify.verify as verify_mod
-
+    def test_row_caches_built_once_per_row(self, monkeypatch, row_caches):
         calls = []
         closed_form = numbers_mod.lah
 
@@ -752,27 +776,23 @@ class TestVerifyGrid:
             return closed_form(n, k)
 
         monkeypatch.setattr(numbers_mod, "lah", counting_lah)
-        caches = (lah_row, verify_mod._route1_row, verify_mod._route3_factor)
-        for cache in caches:
-            cache.cache_clear()
-        reports = verify_grid(range(2, 6), range(0, 8), routes=("r1", "r2", "r3", "r4"))
+        caches = (lah_row, verify_mod._route1_row, verify_mod._route3_factor, verify_mod._route6_row)
+        reports = verify_grid(range(2, 6), range(0, 8), routes=("r1", "r2", "r3", "r4", "r6"))
         assert all(r.all_match for r in reports)
         # one Lah row per k, in the order dealt, from the closed form, read by
-        # lhs_direct and r2; r1 reads the triangle recurrence instead
+        # lhs_direct and r2 for every n and by r6's row; r1 reads the triangle
+        # recurrence instead
         assert calls == [(k, l) for k in range(5, 1, -1) for l in range(k + 1)]
         # (hits, misses): each cache is built once per row and read for every n
         assert {cache: cache.cache_info()[:2] for cache in caches} == {
-            lah_row: (4 * 8 * 2 - 4, 4),
+            lah_row: (4 * 8 * 2 + 4 - 4, 4),
             verify_mod._route1_row: (4 * 8 - 4, 4),
             verify_mod._route3_factor: (4 * 8 - 4, 4),
+            verify_mod._route6_row: (4 * 8 - 4, 4),
         }
 
-    def test_route6_makes_no_lah_calls_of_its_own(self, monkeypatch):
-        # r6's derivative reads the Lah row that lhs_direct caches for its row
-        import lahverify.numbers as numbers_mod
-        import lahverify.symbolic as symbolic_mod
-        import lahverify.verify as verify_mod
-
+    def test_route6_makes_no_lah_calls_of_its_own(self, monkeypatch, row_caches):
+        # r6's row reads the Lah row that lhs_direct caches for its row
         calls = []
         closed_form = numbers_mod.lah
 
@@ -781,22 +801,21 @@ class TestVerifyGrid:
             return closed_form(n, k)
 
         # every module that holds the closed form calls the counting one
-        for module in (numbers_mod, symbolic_mod, verify_mod):
+        for module in (numbers_mod, verify_mod):
             if getattr(module, "lah", None) is closed_form:
                 monkeypatch.setattr(module, "lah", counting_lah)
         counts = {}
         for routes in (("r1",), ("r1", "r6")):
             lah_row.cache_clear()
+            verify_mod._route6_row.cache_clear()
             calls.clear()
             assert all(r.all_match for r in verify_grid(range(2, 6), range(0, 8), routes=routes))
             counts[routes] = len(calls)
         # one closed-form Lah row L(k, 0..k) per k
         assert counts == {("r1",): 3 + 4 + 5 + 6, ("r1", "r6"): 3 + 4 + 5 + 6}
 
-    @pytest.mark.parametrize("name", ["lah_row", "_route1_row", "_route3_factor"])
+    @pytest.mark.parametrize("name", ["lah_row", "_route1_row", "_route3_factor", "_route6_row"])
     def test_row_caches_are_bounded_and_immutable(self, name):
-        import lahverify.verify as verify_mod
-
         cache = getattr(verify_mod, name)
         assert type(cache.cache_parameters()["maxsize"]) is int
         value = cache(6)
@@ -804,8 +823,6 @@ class TestVerifyGrid:
         assert all(type(entry) in (int, tuple) for entry in value)
 
     def test_workers_never_more_than_rows_cpus_or_work(self, monkeypatch, forks):
-        import lahverify.verify as verify_mod
-
         def forks_for(*args, **kwargs):
             # this process does one share and forks one child per other
             # share, so a grid of w workers forks w - 1 children
@@ -853,8 +870,6 @@ class TestVerifyGrid:
         # whether the run imports pickle shows; below twice the grain no
         # child is forked, from it on one child, whatever the jobs, and
         # neither side loads a process pool
-        import lahverify.verify as verify_mod
-
         rows = range(2, 30)
         below = (2 * verify_mod._FORK_GRAIN - 1) // sum(rows)
         script = f"""
