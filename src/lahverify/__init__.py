@@ -22,10 +22,9 @@ _SUBMODULE = {
         ("numbers", "BRUTEFORCE_MAX_N lah lah_bruteforce lah_triangle ordered_block_partitions "
                     "stirling1 stirling1_from_log_series stirling1_from_rising_poly stirling1_triangle"),
         ("series", "Polynomial TruncatedSeries poly_from_coeffs poly_mul rising_factorial_poly "
-                   "series_binomial_power series_from_coeffs series_log1p series_mul series_scale"),
-        ("symbolic", "ExpLaurentExpr LaurentPoly exp_derivative_lah expr_diff_t expr_from_terms expr_moment_u "
-                     "expr_mul_u_poly laurent_diff laurent_from_terms route6_coefficient_chain "
-                     "stirling_weighted_moment"),
+                   "series_from_coeffs series_log1p series_mul series_scale"),
+        ("symbolic", "ExpLaurentExpr LaurentPoly exp_derivative_lah expr_diff_t expr_from_terms "
+                     "laurent_diff laurent_from_terms route6_coefficient_chain stirling_weighted_moment"),
         ("verify", "ROUTE_FUNCTIONS ROUTE_NAMES IdentityInstance VerificationReport binomial_inversion "
                    "chu_vandermonde_binomial chu_vandermonde_closed gkp_identity hypergeom_2f1_terminating "
                    "lhs_direct rhs_reference route1_induction route2_factorial_gf route3_convolution "

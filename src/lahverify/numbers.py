@@ -139,10 +139,11 @@ def lah_triangle(max_n: int) -> list[list[int]]:
     return list(triangle_rows("lah", max_n))
 
 
-def stirling1_row(n: int, max_k: int | None = None) -> list[int]:
-    """Row n of the Stirling triangle, s(n, 0..n), or only s(n, 0..max_k)
-    when ``max_k`` is given: O(n * max_k) work and no recursion."""
-    for row in triangle_rows("stirling1", n, max_k):
+def triangle_row(kind: str, n: int, max_k: int | None = None) -> list[int]:
+    """Row n of the "lah" or "stirling1" triangle, columns 0..n, or only
+    0..max_k when ``max_k`` is given: the last row of ``triangle_rows``,
+    O(n * max_k) work and no recursion."""
+    for row in triangle_rows(kind, n, max_k):
         pass
     return row
 
@@ -156,7 +157,7 @@ def stirling1(n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         raise ValueError("Stirling indices must be non-negative")
-    return stirling1_row(n, k)[k] if k <= n else 0
+    return triangle_row("stirling1", n, k)[k] if k <= n else 0
 
 
 def stirling1_triangle(max_n: int) -> list[list[int]]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Hashable, Iterable, NamedTuple
 
 from .exact import ConsistencyError, exact_quotient, factorial, falling
-from .numbers import lah_row, stirling1_row
+from .numbers import lah_row, triangle_row
 from .series import rising_factorial_poly
 
 if TYPE_CHECKING:
@@ -125,7 +125,7 @@ def stirling_weighted_moment(m: int) -> LaurentPoly:
         raise ValueError("m must be non-negative")
     return laurent_from_terms(
         ((-1 if (m - i) % 2 else 1) * factorial(i) * s, i + 1)
-        for i, s in enumerate(stirling1_row(m + 1)[1:])
+        for i, s in enumerate(triangle_row("stirling1", m + 1)[1:])
     )
 
 

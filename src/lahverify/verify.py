@@ -22,7 +22,7 @@ import os
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul, sub
-from typing import IO, Callable, Iterable, NamedTuple, Sequence
+from typing import IO, Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .exact import (
     ConsistencyError,
@@ -32,7 +32,7 @@ from .exact import (
     falling,
     rising,
 )
-from .numbers import lah_row, triangle_rows
+from .numbers import lah_row, triangle_row, triangle_rows
 
 
 def _sgn(i: int) -> int:
@@ -175,8 +175,7 @@ def chu_vandermonde_closed(a: int, b: int, c: int) -> tuple[int, int]:
 def _route1_row(k: int) -> tuple[int, ...]:
     # (-1)^l L(k-1, l) for l = 1..k-1, from the triangle recurrence: the
     # row of route 1 that every n shares
-    for row in triangle_rows("lah", k - 1):
-        pass
+    row = triangle_row("lah", k - 1)
     return tuple(_sgn(l) * row[l] for l in range(1, k))
 
 
@@ -331,56 +330,52 @@ ROUTE_FUNCTIONS: dict[str, Callable[[IdentityInstance], int]] = {
 ROUTE_NAMES: tuple[str, ...] = tuple(sorted(ROUTE_FUNCTIONS))
 
 
-def verify_row(k: int, ns: Iterable[int], routes: Iterable[str] = ROUTE_NAMES) -> list[VerificationReport]:
-    """One report per (k, n) for n in ``ns``, in the order given.
-
-    The reference, the direct sum and every route run per instance, and
-    read what depends on k alone from bounded row caches. A route whose
-    internal cross-check fails is reported with the value None and its
-    message, not raised, and the other routes and instances still run.
-    all_match is True only if every value agrees exactly.
+def verify_instance(inst: IdentityInstance, routes: Iterable[str] = ROUTE_NAMES) -> VerificationReport:
+    """The report for one (k, n): the reference, the direct sum and every
+    route, each route reading what depends on k alone from bounded row
+    caches. A route whose internal cross-check fails is reported with the
+    value None and its message, not raised, and the other routes still
+    run. all_match is True only if every value agrees exactly.
     """
     names = sorted(set(routes))
     for name in names:
         if name not in ROUTE_FUNCTIONS:
             raise ValueError(f"unknown route {name!r}")
-    reports = []
-    for n in ns:
-        inst = IdentityInstance(k, n)
-        reference = rhs_reference(inst)
-        values: dict[str, int | None] = {"lhs_direct": lhs_direct(inst)}
-        errors: dict[str, str] = {}
-        for name in names:
-            try:
-                values[name] = ROUTE_FUNCTIONS[name](inst)
-            except ConsistencyError as exc:
-                values[name] = None
-                errors[name] = str(exc)
-        all_match = all(v == reference for v in values.values())
-        reports.append(VerificationReport(inst, reference, values, all_match, errors))
-    return reports
+    reference = rhs_reference(inst)
+    values: dict[str, int | None] = {"lhs_direct": lhs_direct(inst)}
+    errors: dict[str, str] = {}
+    for name in names:
+        try:
+            values[name] = ROUTE_FUNCTIONS[name](inst)
+        except ConsistencyError as exc:
+            values[name] = None
+            errors[name] = str(exc)
+    all_match = all(v == reference for v in values.values())
+    return VerificationReport(inst, reference, values, all_match, errors)
 
 
-def verify_instance(inst: IdentityInstance, routes: Iterable[str] = ROUTE_NAMES) -> VerificationReport:
-    """The report for one (k, n): the one-n case of ``verify_row``."""
-    return verify_row(inst.k, (inst.n,), routes)[0]
+def verify_row(k: int, ns: Iterable[int], routes: Collection[str] = ROUTE_NAMES) -> list[VerificationReport]:
+    """One ``verify_instance`` report per (k, n), for n in ``ns`` in order."""
+    return [verify_instance(IdentityInstance(k, n), routes) for n in ns]
 
 
-def _fork_share(share: Sequence[int], ns: Sequence[int], route_names: Sequence[str]) -> tuple[int, IO[bytes]]:
-    """Fork a child that verifies the rows of ``share`` and pickles
-    ``("ok", {k: reports})`` or ``("raised", exc)`` into a pipe; returns
-    the child's pid and the read end of the pipe. When the pipe or the
-    child cannot be made, the OSError is raised and no descriptor stays
-    open."""
+def _fork_share(share: Sequence[int], ns: Sequence[int], route_names: Sequence[str]) -> tuple[int, IO[bytes]] | None:
+    """Fork a child that verifies the rows of ``share`` and pickles its
+    ``{k: reports}``, or the exception that stopped it, into a pipe; returns
+    the child's pid and the read end of the pipe, or None, with no
+    descriptor left open, when the pipe or the child cannot be made."""
     import pickle
 
-    read_fd, write_fd = os.pipe()
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        raise
+        return None
     if pid == 0:
         # the child never returns into the caller and never flushes the
         # stdio buffers it inherited: it leaves through os._exit only
@@ -389,9 +384,9 @@ def _fork_share(share: Sequence[int], ns: Sequence[int], route_names: Sequence[s
             os.close(read_fd)
             with open(write_fd, "wb") as out:
                 try:
-                    result = ("ok", {k: verify_row(k, ns, route_names) for k in share})
+                    result = {k: verify_row(k, ns, route_names) for k in share}
                 except Exception as exc:
-                    result = ("raised", exc)
+                    result = exc
                 pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
@@ -403,20 +398,23 @@ def _fork_share(share: Sequence[int], ns: Sequence[int], route_names: Sequence[s
 
 
 def _collect(
-    reader: IO[bytes], share: Sequence[int], ns: Sequence[int], route_names: Sequence[str]
+    child: tuple[int, IO[bytes]] | None, share: Sequence[int], ns: Sequence[int], route_names: Sequence[str]
 ) -> dict[int, list[VerificationReport]]:
-    """The reports a child sent for ``share``; a child's exception is
-    re-raised as it was, and rows of a child that exited without a result
-    are verified here."""
+    """The reports of ``share``, the one place a forked share comes back:
+    those the child sent, or its exception re-raised as it was, or, when
+    no child was made or the child exited without a result, the rows
+    verified here."""
     import pickle
 
     try:
-        status, value = pickle.load(reader)
+        result = pickle.load(child[1]) if child else None
     except (EOFError, pickle.UnpicklingError):
+        result = None
+    if result is None:
         return {k: verify_row(k, ns, route_names) for k in share}
-    if status == "raised":
-        raise value
-    return value
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # The work, in units of (n values) x (sum of k), that each worker must have
@@ -449,7 +447,8 @@ def verify_grid(
     share and forks one child per other share, which sends its reports
     back through a pipe. So jobs is an upper bound, and a grid with less
     than twice the grain's work, or on one usable CPU, runs serially,
-    without a fork, a pipe or ``pickle``. An exception raised in a child is
+    without a fork, a pipe or ``pickle``. Every other share comes back
+    through ``_collect``, after this process's own: a child's exception is
     re-raised here, and the rows of a child that exits without a result,
     or that could not be forked, are verified here. Where ``os.fork`` is
     missing the rows run serially.
@@ -470,16 +469,13 @@ def verify_grid(
     children = []
     try:
         for share in shares:
-            try:
-                children.append((*_fork_share(share, ns, route_names), share))
-            except OSError:
-                own.extend(share)
+            children.append((_fork_share(share, ns, route_names), share))
         by_k = {k: verify_row(k, ns, route_names) for k in own}
-        for _, reader, share in children:
-            by_k.update(_collect(reader, share, ns, route_names))
+        for child, share in children:
+            by_k.update(_collect(child, share, ns, route_names))
     finally:
         _route4_column.cache_clear()
-        for pid, reader, _ in children:
+        for pid, reader in (child for child, _ in children if child):
             reader.close()
             os.waitpid(pid, 0)
     return [report for k in rows for report in by_k[k]]

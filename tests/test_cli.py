@@ -153,7 +153,7 @@ class TestVerifyCommand:
         code, _, _ = _run(capsys, ["verify", "--bogus", "1"])
         assert code == 2
 
-    def test_routes_all_includes_r6_inside_cost_bound(self, capsys):
+    def test_routes_all_includes_r6(self, capsys):
         code, out, _ = _run(
             capsys,
             ["verify", "--k-min", "2", "--k-max", "2", "--n-min", "0", "--n-max", "1",

@@ -84,7 +84,7 @@ def _route2_row_sum_reference(k, n):
     return factorial(n) * sum(lah(k, l) * falling(-(n + 1), l) for l in range(k + 1))
 
 
-def _route1_reduced_reference(k, n):
+def _route3_convolution_reference(k, n):
     return sum(
         (-1) ** l * binomial_general(n + l, n) * binomial_general(k - 1, l - 1)
         for l in range(1, k + 1)
@@ -200,9 +200,9 @@ class TestGkpIdentity:
             assert reduced == lhs
 
     @given(st.integers(2, 40), st.integers(0, 80))
-    def test_left_side_is_route1_reduced_sum(self, k, n):
-        # the reduced sum is term for term the convolution that r3 forms
-        assert gkp_identity(k - 1, -1, n, n)[0] == _route1_reduced_reference(k, n)
+    def test_left_side_is_route3_convolution(self, k, n):
+        # the left side is term for term the x^k convolution that r3 forms
+        assert gkp_identity(k - 1, -1, n, n)[0] == _route3_convolution_reference(k, n)
 
     def test_negative_l_rejected(self):
         with pytest.raises(ValueError):
@@ -735,7 +735,7 @@ class TestVerifyInstance:
         with pytest.raises(ValueError):
             verify_instance(IdentityInstance(2, 1), routes=("r9",))
 
-    def test_one_n_case_of_verify_row(self):
+    def test_verify_row_is_one_instance_per_n(self):
         inst = IdentityInstance(4, 6)
         assert verify_instance(inst) == verify_row(4, [6])[0]
         assert verify_instance(inst).errors == {}
@@ -760,6 +760,34 @@ class TestVerifyGrid:
         assert serial == parallel
         # three jobs on two CPUs
         assert len(forks) == 1
+
+    @staticmethod
+    def _count_instances(monkeypatch):
+        # (k, n) of every verify_instance call made in this process
+        calls = []
+        verify_instance = verify_mod.verify_instance
+
+        def counting_instance(inst, routes):
+            calls.append(tuple(inst))
+            return verify_instance(inst, routes)
+
+        monkeypatch.setattr(verify_mod, "verify_instance", counting_instance)
+        return calls
+
+    def test_serial_grid_builds_each_report_in_verify_instance(self, monkeypatch):
+        calls = self._count_instances(monkeypatch)
+        reports = verify_grid(range(2, 6), range(0, 4), routes=("r1", "r4"), jobs=1)
+        assert sorted(calls) == [tuple(r.instance) for r in reports] == [(k, n) for k in range(2, 6) for n in range(4)]
+
+    def test_forked_grid_builds_own_share_in_verify_instance(self, monkeypatch, forks):
+        calls = self._count_instances(monkeypatch)
+        serial = verify_grid(range(2, 6), range(0, 4), routes=("r1", "r4"), jobs=1)
+        calls.clear()
+        assert verify_grid(range(2, 6), range(0, 4), routes=("r1", "r4"), jobs=2) == serial
+        assert len(forks) == 1
+        # rows 5, 4, 3, 2 are dealt in turn: the child verifies 5 and 3,
+        # this process 4 and 2, each instance once
+        assert sorted(calls) == [(k, n) for k in (2, 4) for n in range(4)]
 
     def test_mismatch_is_reported_not_raised(self, monkeypatch):
         monkeypatch.setitem(ROUTE_FUNCTIONS, "r1", lambda inst: 10**9)
