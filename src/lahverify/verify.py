@@ -141,16 +141,21 @@ def _transform_step(edge: list[int], value: int) -> int:
     return edge[-1] if len(edge) % 2 else -edge[-1]
 
 
+def _check_2f1(a: int, c: int) -> None:
+    # the parameters for which 2F1(a, b; c; 1) is a finite sum of finite terms
+    if a > 0:
+        raise ValueError("upper parameter must be a non-positive integer")
+    if c < 1:
+        raise ValueError("lower parameter must be a positive integer")
+
+
 def hypergeom_2f1_terminating(a: int, b: int, c: int) -> tuple[int, int]:
     """Terminating 2F1(a, b; c; 1) for a <= 0, summed term by term, each
     term the previous one times (a+l)(b+l) / ((c+l)(l+1)). The
     non-positive upper parameter makes the series a finite sum, so the
     value is an exact rational, returned as an unreduced pair
     (numerator, denominator) with a positive denominator."""
-    if a > 0:
-        raise ValueError("upper parameter must be a non-positive integer")
-    if c < 1:
-        raise ValueError("lower parameter must be a positive integer")
+    _check_2f1(a, c)
     # total / den is the sum of the terms before l, term / den is term l
     total, term, den = 0, 1, 1
     for l in range(-a + 1):
@@ -164,10 +169,7 @@ def chu_vandermonde_closed(a: int, b: int, c: int) -> tuple[int, int]:
     """Closed form of the terminating 2F1 at unit argument:
     2F1(-N, b; c; 1) = (c-b)_N / (c)_N with N = -a, returned as the
     unreduced pair ((c-b)_N, (c)_N); the denominator is positive."""
-    if a > 0:
-        raise ValueError("upper parameter must be a non-positive integer")
-    if c < 1:
-        raise ValueError("lower parameter must be a positive integer")
+    _check_2f1(a, c)
     return rising(c - b, -a), rising(c, -a)
 
 
@@ -330,17 +332,24 @@ ROUTE_FUNCTIONS: dict[str, Callable[[IdentityInstance], int]] = {
 ROUTE_NAMES: tuple[str, ...] = tuple(sorted(ROUTE_FUNCTIONS))
 
 
+def _route_names(routes: Iterable[str]) -> tuple[str, ...]:
+    """``routes`` sorted, without repeats; the one check of route names."""
+    names = tuple(sorted(set(routes)))
+    for name in names:
+        if name not in ROUTE_FUNCTIONS:
+            raise ValueError(f"unknown route {name!r} (choose from {', '.join(ROUTE_NAMES)})")
+    return names
+
+
 def verify_instance(inst: IdentityInstance, routes: Iterable[str] = ROUTE_NAMES) -> VerificationReport:
     """The report for one (k, n): the reference, the direct sum and every
     route, each route reading what depends on k alone from bounded row
-    caches. A route whose internal cross-check fails is reported with the
-    value None and its message, not raised, and the other routes still
-    run. all_match is True only if every value agrees exactly.
+    caches. An unknown route name raises ValueError; a route whose
+    internal cross-check fails is reported with the value None and its
+    message, not raised, and the other routes still run. all_match is
+    True only if every value agrees exactly.
     """
-    names = sorted(set(routes))
-    for name in names:
-        if name not in ROUTE_FUNCTIONS:
-            raise ValueError(f"unknown route {name!r}")
+    names = _route_names(routes)
     reference = rhs_reference(inst)
     values: dict[str, int | None] = {"lhs_direct": lhs_direct(inst)}
     errors: dict[str, str] = {}
@@ -423,44 +432,37 @@ def _collect(
 _FORK_GRAIN = 6000
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def verify_grid(
     k_values: Iterable[int],
     n_values: Iterable[int],
     routes: Iterable[str] = ROUTE_NAMES,
     jobs: int = 1,
 ) -> list[VerificationReport]:
-    """One report per (k, n), in (k, n)-lexicographic order.
+    """One report per (k, n), in (k, n)-lexicographic order at every job
+    count. Mismatches and failed route cross-checks are reported, not
+    raised. The route names are checked first: an unknown one raises
+    ValueError before any row is dealt out or any child is forked.
 
     A row (one k, every n) is the unit of work, and rows may run in any
     order. Every route sums O(k) terms per instance, so the grid's work is
     the number of n values times the sum of its k values. The rows are
     dealt out, largest k first, to min(jobs, rows, usable CPUs,
-    work // _FORK_GRAIN) shares, or to one: this process verifies the last
-    share and forks one child per other share, which sends its reports
-    back through a pipe. So jobs is an upper bound, and a grid with less
-    than twice the grain's work, or on one usable CPU, runs serially,
-    without a fork, a pipe or ``pickle``. Every other share comes back
-    through ``_collect``, after this process's own: a child's exception is
-    re-raised here, and the rows of a child that exits without a result,
-    or that could not be forked, are verified here. Where ``os.fork`` is
-    missing the rows run serially.
-    The report order (and therefore any serialized output) is identical
-    regardless of the job count. Mismatches and failed route cross-checks
-    are reported, not raised.
+    work // _FORK_GRAIN) shares, or to one where ``os.fork`` is missing:
+    this process verifies the last share and forks one child per other
+    share, which sends its reports back through a pipe. So jobs is an
+    upper bound, and a grid with less than twice the grain's work, or on
+    one usable CPU (its affinity mask, where the platform has one), runs
+    serially, without a fork, a pipe or ``pickle``. Every other share
+    comes back through ``_collect``, after this process's own: a child's
+    exception is re-raised here, and the rows of a child that exits
+    without a result, or that could not be forked, are verified here.
     """
+    route_names = _route_names(routes)
     ns = sorted(set(n_values))
     rows = sorted(set(k_values)) if ns else []
-    route_names = tuple(sorted(set(routes)))
     work = len(ns) * sum(rows)
-    workers = max(1, min(jobs, len(rows), _usable_cpus(), work // _FORK_GRAIN)) if hasattr(os, "fork") else 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = max(1, min(jobs, len(rows), cpus, work // _FORK_GRAIN)) if hasattr(os, "fork") else 1
     # the largest k is the slowest row; dealing the rows round-robin from
     # the largest down gives every share about the same work, and this
     # process, which also unpickles every child's reports, keeps the last

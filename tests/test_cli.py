@@ -886,7 +886,20 @@ def test_out_of_memory_is_one_error_line():
      "error: verify requires --k-min >= 2"),
     (["verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "1", "--routes", "r5",
       "--format", "csv"], True, 1, "0/4 instances verified"),
-], ids=["large-json", "usage-error", "failed-cross-check"])
+    (["verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "1", "--routes", "r9,r1"], False, 2,
+     "error: unknown route 'r9' (choose from r1, r2, r3, r4, r5, r6)"),
+    (["verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "1", "--routes", ","], False, 2,
+     "error: --routes must name at least one route or be 'all'"),
+    (["verify", "--k-min", "3", "--k-max", "2", "--n-min", "0", "--n-max", "1"], False, 2,
+     "error: empty k range: --k-max must be >= --k-min"),
+    (["verify", "--k-min", "2", "--k-max", "3", "--n-min", "-1", "--n-max", "1"], False, 2,
+     "error: verify requires --n-min >= 0"),
+    (["verify", "--k-min", "2", "--k-max", "3", "--n-min", "1", "--n-max", "0"], False, 2,
+     "error: empty n range: --n-max must be >= --n-min"),
+    (["verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "1", "--jobs", "0"], False, 2,
+     "error: --jobs must be at least 1"),
+], ids=["large-json", "usage-error", "failed-cross-check", "unknown-route", "no-route", "empty-k-range",
+        "negative-n-min", "empty-n-range", "no-jobs"])
 def test_main_delivers_what_run_printed(capsys, monkeypatch, argv, r5_fault, code, last_err):
     # main leaves through os._exit, which flushes no buffer, so it must
     # flush all that run printed first; the fault is injected alike in a
@@ -908,6 +921,9 @@ def test_main_delivers_what_run_printed(capsys, monkeypatch, argv, r5_fault, cod
     assert (done.returncode, done.stdout, done.stderr) == _run(capsys, argv)
     assert done.returncode == code
     assert done.stderr.splitlines()[-1] == last_err
+    if code == 2:
+        # a domain error prints nothing to stdout and one line to stderr
+        assert (done.stdout, done.stderr) == ("", last_err + "\n")
     if r5_fault:
         assert [line for line in done.stderr.splitlines() if line.startswith("error:")] == [
             f"error: r5 at k={k}, n={n}: hypergeometric route broke at k={k}, n={n}"

@@ -74,6 +74,8 @@ class TestBruteForce:
             lah_bruteforce(0, 1)
         with pytest.raises(ValueError):
             lah_bruteforce(3, 0)
+        with pytest.raises(ValueError):
+            next(ordered_block_partitions(0))
 
     def test_three_way_agreement_small(self):
         rows = lah_triangle(6)

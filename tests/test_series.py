@@ -96,6 +96,10 @@ class TestSeriesLog1p:
     def test_quadratic_coefficient(self):
         assert series_log1p(2).coeff(2) == Fraction(-1, 2)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            series_log1p(-1)
+
 
 class TestSeriesBinomialPower:
     def test_exponent_zero(self):

@@ -735,6 +735,10 @@ class TestVerifyInstance:
         with pytest.raises(ValueError):
             verify_instance(IdentityInstance(2, 1), routes=("r9",))
 
+    def test_unknown_route_names_the_choices(self):
+        with pytest.raises(ValueError, match=r"^unknown route 'r9' \(choose from r1, r2, r3, r4, r5, r6\)$"):
+            verify_instance(IdentityInstance(2, 1), routes=("r9", "r1"))
+
     def test_verify_row_is_one_instance_per_n(self):
         inst = IdentityInstance(4, 6)
         assert verify_instance(inst) == verify_row(4, [6])[0]
@@ -753,6 +757,11 @@ class TestVerifyGrid:
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
             verify_grid(range(1, 3), range(0, 2), routes=("r1",))
+
+    def test_unknown_route_rejected_before_any_fork(self, forks):
+        with pytest.raises(ValueError, match="unknown route 'r9'"):
+            verify_grid(range(2, 6), range(0, 4), routes=("r1", "r9"), jobs=2)
+        assert forks == []
 
     def test_jobs_do_not_change_reports(self, forks):
         serial = verify_grid(range(2, 5), range(0, 4), routes=("r1", "r4"), jobs=1)
