@@ -256,8 +256,13 @@ def _run_table(ns: SimpleNamespace) -> int:
         rows = triangle_rows(ns.kind, ns.max_n, start=Decimal(1))
         if ns.fmt == "csv":
             print("n,k,value")
+            # prefixes[k] is ",k,", made once: row n is the first to hold
+            # column n, so each row adds one prefix
+            prefixes: list[str] = []
             for n, row in enumerate(rows):
-                print("\n".join(f"{n},{k},{v!s}" for k, v in enumerate(row)))
+                prefixes.append(f",{n},")
+                head = str(n)
+                print("\n".join([head + prefix + str(v) for prefix, v in zip(prefixes, row)]))
         else:
             for row in rows:
                 print(" ".join(map(str, row)))

@@ -8,8 +8,9 @@ enumeration) so that the methods can be played against each other in tests.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
-from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
+from itertools import permutations, product, repeat
+from operator import add, mul
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
 from .exact import binomial_general, factorial, reciprocal_factorial_weight
 
@@ -100,9 +101,10 @@ def lah_bruteforce(n: int, k: int) -> int:
 
 _Entry = TypeVar("_Entry", int, "Decimal")
 
-_TRIANGLE_WEIGHTS: dict[str, Callable[[int, int], int]] = {
-    "lah": lambda n, k: n + k,
-    "stirling1": lambda n, k: -n,
+# the weights w(n, k) of row n's step, for k = 0..width-1
+_TRIANGLE_WEIGHTS: dict[str, Callable[[int, int], Iterable[int]]] = {
+    "lah": lambda n, width: range(n, n + width),
+    "stirling1": lambda n, width: repeat(-n, width),
 }
 
 
@@ -115,20 +117,32 @@ def triangle_rows(kind: str, max_n: int, max_k: int | None = None, start: _Entry
     columns 0..n, cut after column ``max_k`` when it is given. Only the
     previous row is kept, so rows can be consumed as they are produced.
 
+    Each row is one pass of ``map`` over the previous row padded with a
+    zero at either end, against the weights of the whole row, which
+    ``_TRIANGLE_WEIGHTS[kind](n, width)`` gives as one iterable: no
+    Python-level call or index per entry.
+
     Every entry has the type of ``start``, the int 1 by default. The one
     other caller is the ``table`` command, which passes ``Decimal(1)`` and
     runs the rows in an exact decimal context, so that printing an entry
-    is linear in its digits.
+    is linear in its digits; its CSV lines are ``str(n)``, then the
+    ``",k,"`` prefix of the column, made once when row k first holds it,
+    then the entry.
     """
+    weights = _TRIANGLE_WEIGHTS.get(kind)
+    if weights is None:
+        raise ValueError(f"unknown triangle {kind!r} (choose from {', '.join(_TRIANGLE_WEIGHTS)})")
     if max_n < 0:
         raise ValueError("max_n must be non-negative")
-    weight = _TRIANGLE_WEIGHTS[kind]
+    if max_k is not None and max_k < 0:
+        raise ValueError("max_k must be non-negative")
     row = [start]
     yield row
     for n in range(max_n):
         width = n + 2 if max_k is None else min(n + 2, max_k + 1)
-        prev = [0, *row, 0]  # prev[k] = T(n, k-1), prev[k+1] = T(n, k)
-        row = [prev[k] + weight(n, k) * prev[k + 1] for k in range(width)]
+        # T(n+1, k) = [0, *row][k] + w(n, k) * [*row, 0][k]; map stops at
+        # the shortest argument, so the weights cut the row at width
+        row = list(map(add, [0, *row], map(mul, weights(n, width), [*row, 0])))
         yield row
 
 

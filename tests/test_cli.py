@@ -82,6 +82,15 @@ class TestTableCommand:
             return "".join(["n,k,value\n", *(f"{n},{k},{v}\n" for n, row in enumerate(rows) for k, v in enumerate(row))])
         return "".join(" ".join(map(str, row)) + "\n" for row in rows)
 
+    @pytest.mark.parametrize("max_n", range(13))
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("kind", ["lah", "stirling1"])
+    def test_small_tables_print_the_int_rows(self, capsys, kind, fmt, max_n):
+        # row 0 alone, and the first column prefixes as they are made
+        code, out, err = _run(capsys, ["table", kind, "--max-n", str(max_n), "--format", fmt])
+        assert (code, err) == (0, "")
+        assert out == self._int_rendering(kind, max_n, fmt)
+
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     @pytest.mark.parametrize("kind", ["lah", "stirling1"])
     def test_decimal_rows_print_the_int_rows(self, capsys, kind, fmt):
@@ -256,7 +265,8 @@ class TestVerifyCommand:
         # of row 6 fails r6's row check, not as a plain mismatch
         import lahverify.numbers as numbers_mod
 
-        monkeypatch.setitem(numbers_mod._TRIANGLE_WEIGHTS, "stirling1", lambda n, k: -n + ((n, k) == (5, 2)))
+        monkeypatch.setitem(numbers_mod._TRIANGLE_WEIGHTS, "stirling1",
+                            lambda n, width: [-n + ((n, k) == (5, 2)) for k in range(width)])
         code, out, err = _run(
             capsys,
             ["verify", "--k-min", "5", "--k-max", "6", "--n-min", "0", "--n-max", "7",

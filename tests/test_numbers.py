@@ -17,6 +17,7 @@ from lahverify.numbers import (
     stirling1_from_log_series,
     stirling1_from_rising_poly,
     stirling1_triangle,
+    triangle_row,
     triangle_rows,
 )
 
@@ -213,6 +214,18 @@ class TestTriangleType:
             assert [len(row) for row in builder(5)] == [1, 2, 3, 4, 5, 6]
             with pytest.raises(ValueError):
                 builder(-1)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown triangle 'foo' \(choose from lah, stirling1\)"):
+            list(triangle_rows("foo", 3))
+
+    @pytest.mark.parametrize("kind", ["lah", "stirling1"])
+    def test_negative_max_k_rejected(self, kind):
+        # a negative cut once gave the root row and then empty rows
+        with pytest.raises(ValueError, match="max_k must be non-negative"):
+            list(triangle_rows(kind, 3, -1))
+        with pytest.raises(ValueError, match="max_k must be non-negative"):
+            triangle_row(kind, 3, -1)
 
 
 class TestDecimalRows:

@@ -413,7 +413,7 @@ class TestInternalGuards:
         # weight first changes the sum over row k-1 at k = 3, n = 0
         from lahverify.cli import run
 
-        monkeypatch.setitem(numbers_mod._TRIANGLE_WEIGHTS, "lah", lambda n, k: n + k + 1)
+        monkeypatch.setitem(numbers_mod._TRIANGLE_WEIGHTS, "lah", lambda n, width: range(n + 1, n + 1 + width))
         code = run(["verify", "--k-min", "3", "--k-max", "3", "--n-min", "0", "--n-max", "0",
                     "--routes", "r1,r2,r6"])
         err = capsys.readouterr().err
@@ -515,8 +515,9 @@ def _primitive_off(origin, name, make):
 def _weight_off(kind, at):
     # a triangle recurrence whose weight at (n, k) = at is one more
     def install(monkeypatch):
-        weight = numbers_mod._TRIANGLE_WEIGHTS[kind]
-        monkeypatch.setitem(numbers_mod._TRIANGLE_WEIGHTS, kind, lambda n, k: weight(n, k) + ((n, k) == at))
+        weights = numbers_mod._TRIANGLE_WEIGHTS[kind]
+        monkeypatch.setitem(numbers_mod._TRIANGLE_WEIGHTS, kind,
+                            lambda n, width: [w + ((n, k) == at) for k, w in enumerate(weights(n, width))])
 
     return install
 
