@@ -342,19 +342,33 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    """Console entry point; exits 1 without a traceback when the reader
-    of stdout or stderr closes it early (e.g. ``| head -1``).
+    """Console entry point; exits 1 without a traceback when stdout or
+    stderr cannot take the output (e.g. ``| head -1`` or ``>/dev/full``).
 
     After flushing stdout and stderr it leaves through ``os._exit``, so
     the interpreter neither clears its modules nor runs its shutdown
     collections or ``atexit`` handlers, which for a short command cost more
     than the command. ``run`` returns normally, for callers in process."""
+    for name in ("stdout", "stderr"):
+        if getattr(sys, name) is None:
+            # closed before the start (``>&-``): print would drop stdout's text
+            # and send stderr's to stdout; a pipe with no reader fails instead
+            read_fd, write_fd = os.pipe()
+            os.close(read_fd)
+            setattr(sys, name, open(write_fd, "w"))
     try:
         code = run(sys.argv[1:])
-        # a closed stream must fail here, where it is handled
+        # a closed or full stream must fail here, where it is handled
         sys.stdout.flush()
         sys.stderr.flush()
     except BrokenPipeError:
         # nothing is flushed after this, so the unwritten rest is dropped
         code = 1
+    except OSError as exc:
+        # e.g. a full device: one line, if stderr can take it
+        code = 1
+        try:
+            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr, flush=True)
+        except OSError:
+            pass
     os._exit(code)

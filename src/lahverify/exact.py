@@ -52,10 +52,7 @@ def rising(x: Scalar, n: int) -> Scalar:
     """Rising factorial x(x+1)...(x+n-1); 1 when n == 0."""
     if n < 0:
         raise ValueError("rising factorial needs n >= 0")
-    out: Scalar = 1
-    for i in range(n):
-        out *= x + i
-    return out
+    return falling(x + n - 1, n)
 
 
 def falling(x: Scalar, n: int) -> Scalar:

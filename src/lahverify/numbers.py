@@ -125,9 +125,7 @@ def triangle_rows(kind: str, max_n: int, max_k: int | None = None, start: _Entry
     Every entry has the type of ``start``, the int 1 by default. The one
     other caller is the ``table`` command, which passes ``Decimal(1)`` and
     runs the rows in an exact decimal context, so that printing an entry
-    is linear in its digits; its CSV lines are ``str(n)``, then the
-    ``",k,"`` prefix of the column, made once when row k first holds it,
-    then the entry.
+    is linear in its digits.
     """
     weights = _TRIANGLE_WEIGHTS.get(kind)
     if weights is None:

@@ -369,10 +369,10 @@ def verify_row(k: int, ns: Iterable[int], routes: Collection[str] = ROUTE_NAMES)
 
 
 def _fork_share(share: Sequence[int], ns: Sequence[int], route_names: Sequence[str]) -> tuple[int, IO[bytes]] | None:
-    """Fork a child that verifies the rows of ``share`` and pickles its
-    ``{k: reports}``, or the exception that stopped it, into a pipe; returns
-    the child's pid and the read end of the pipe, or None, with no
-    descriptor left open, when the pipe or the child cannot be made."""
+    """Fork a child that pickles the ``{k: reports}`` of the rows of
+    ``share`` into a pipe, or exits having sent nothing; returns its pid and
+    the read end of the pipe, or None, with no descriptor left open, when
+    the pipe or the child cannot be made."""
     import pickle
 
     try:
@@ -388,18 +388,13 @@ def _fork_share(share: Sequence[int], ns: Sequence[int], route_names: Sequence[s
     if pid == 0:
         # the child never returns into the caller and never flushes the
         # stdio buffers it inherited: it leaves through os._exit only
-        code = 1
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as out:
-                try:
-                    result = {k: verify_row(k, ns, route_names) for k in share}
-                except Exception as exc:
-                    result = exc
-                pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
-            code = 0
+                pickle.dump({k: verify_row(k, ns, route_names) for k in share}, out, pickle.HIGHEST_PROTOCOL)
+            os._exit(0)
         finally:
-            os._exit(code)
+            os._exit(1)
     # closed before the next fork, so only this child holds the write end
     # and the pipe reads EOF as soon as it exits
     os.close(write_fd)
@@ -410,20 +405,16 @@ def _collect(
     child: tuple[int, IO[bytes]] | None, share: Sequence[int], ns: Sequence[int], route_names: Sequence[str]
 ) -> dict[int, list[VerificationReport]]:
     """The reports of ``share``, the one place a forked share comes back:
-    those the child sent, or its exception re-raised as it was, or, when
-    no child was made or the child exited without a result, the rows
-    verified here."""
+    those the child sent; otherwise the rows verified here, so that an
+    exception is raised by this process as at ``jobs=1``."""
     import pickle
 
     try:
-        result = pickle.load(child[1]) if child else None
+        if child:
+            return pickle.load(child[1])
     except (EOFError, pickle.UnpicklingError):
-        result = None
-    if result is None:
-        return {k: verify_row(k, ns, route_names) for k in share}
-    if isinstance(result, Exception):
-        raise result
-    return result
+        pass
+    return {k: verify_row(k, ns, route_names) for k in share}
 
 
 # The work, in units of (n values) x (sum of k), that each worker must have
@@ -452,10 +443,9 @@ def verify_grid(
     share, which sends its reports back through a pipe. So jobs is an
     upper bound, and a grid with less than twice the grain's work, or on
     one usable CPU (its affinity mask, where the platform has one), runs
-    serially, without a fork, a pipe or ``pickle``. Every other share
-    comes back through ``_collect``, after this process's own: a child's
-    exception is re-raised here, and the rows of a child that exits
-    without a result, or that could not be forked, are verified here.
+    serially, without a fork, a pipe or ``pickle``. After its own share,
+    ``_collect`` brings back each other one: its child's reports, or else
+    its rows verified here, which raise here what they raise at jobs=1.
     """
     route_names = _route_names(routes)
     ns = sorted(set(n_values))

@@ -325,8 +325,9 @@ class TestVerifyCommand:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
     @pytest.mark.parametrize("bad_k", [2, 3])
     def test_worker_exception_reaches_the_parent(self, capsys, monkeypatch, forks, bad_k):
-        # with two rows and two workers one row runs in this process and
-        # one in a child, so bad_k covers both
+        # with two rows and two workers row 2 runs in this process and row 3
+        # in a child, so bad_k covers both; a child that raises sends
+        # nothing, and this process verifies its row and raises in turn
         import lahverify.verify as verify_mod
 
         verify_row = verify_mod.verify_row
@@ -344,8 +345,30 @@ class TestVerifyCommand:
         serial = _run(capsys, self.GRID + ["--jobs", "1"])
         rows_here.clear()
         assert _run(capsys, self.GRID + ["--jobs", "2"]) == serial == (2, "", f"error: no row {bad_k}\n")
-        # the child's row, raising or not, is not verified again here
-        assert len(rows_here) == 1
+        # this process stops at its own row 2 if that raises, and else goes
+        # on to verify the child's row 3 again
+        assert rows_here == ([2] if bad_k == 2 else [2, 3])
+        assert len(forks) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
+    def test_memory_error_only_in_a_worker_costs_only_time(self, capsys, monkeypatch, forks):
+        # a child that runs out of memory sends nothing, and this process,
+        # which has the memory, verifies the child's row as at --jobs 1
+        import lahverify.verify as verify_mod
+
+        verify_row = verify_mod.verify_row
+        parent = os.getpid()
+
+        def starved_row(k, ns, routes):
+            if os.getpid() != parent:
+                raise MemoryError
+            return verify_row(k, ns, routes)
+
+        monkeypatch.setattr(verify_mod, "verify_row", starved_row)
+        serial = _run(capsys, self.GRID + ["--jobs", "1"])
+        assert _run(capsys, self.GRID + ["--jobs", "2"]) == serial
+        assert serial[0] == 0
+        assert serial[2] == "10/10 instances verified\n"
         assert len(forks) == 1
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
@@ -870,6 +893,63 @@ def test_closed_stderr_exits_one(argv):
     finally:
         os.close(write_end)
     assert done.returncode == 1
+
+
+_WRITE_FAILS = [
+    ["lah", "--n", "3", "--k", "2"],
+    ["table", "lah", "--max-n", "50", "--format", "csv"],
+    ["verify", "--k-min", "2", "--k-max", "2", "--n-min", "0", "--n-max", "1"],
+]
+
+
+def _env(unbuffered):
+    return {**_fresh_env(), "PYTHONUNBUFFERED": "1"} if unbuffered else _block_buffered_env()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", _WRITE_FAILS, ids=["lah", "table", "verify"])
+def test_full_stdout_exits_one_with_one_error_line(argv, unbuffered):
+    # every write to /dev/full fails with ENOSPC: buffered, at the flush in
+    # main, and unbuffered, at the first print
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "lahverify", *argv], env=_env(unbuffered), stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert [line for line in done.stderr.splitlines() if line.startswith("error:")] == [
+        "error: cannot write output: No space left on device"
+    ]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_full_stderr_exits_one(unbuffered):
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "lahverify", *_WRITE_FAILS[2]], env=_env(unbuffered),
+                              stdout=subprocess.DEVNULL, stderr=full, timeout=120)
+    assert done.returncode == 1
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs preexec_fn")
+@pytest.mark.parametrize("fd, argv, code, kept", [
+    (1, _WRITE_FAILS[0], 1, ""),
+    (1, ["lah", "--n", "x", "--k", "2"], 2,
+     "usage: lahverify lah --n INT --k INT\nerror: argument --n: invalid int value: 'x'\n"),
+    (2, _WRITE_FAILS[0], 0, "6\n"),
+    (2, _WRITE_FAILS[2], 1, "\n".join([
+        "k=2 n=0 reference=0 lhs_direct=0 r1=0 r2=0 r3=0 r4=0 r5=0 r6=0 all_match=true",
+        "k=2 n=1 reference=2 lhs_direct=2 r1=2 r2=2 r3=2 r4=2 r5=2 r6=2 all_match=true\n",
+    ])),
+], ids=["stdout-lah", "stdout-usage-error", "stderr-lah", "stderr-verify"])
+def test_stream_closed_before_the_start(fd, argv, code, kept):
+    # as ``>&-`` or ``2>&-`` leave it, which Python reads as a None stream:
+    # writing to it fails as to a closed pipe, where print would drop the
+    # text, or send stderr's to stdout; ``kept`` is what the other stream gets
+    done = subprocess.run([sys.executable, "-m", "lahverify", *argv], env=_block_buffered_env(),
+                          capture_output=True, text=True, timeout=120, preexec_fn=lambda: os.close(fd))
+    assert (done.returncode, done.stderr if fd == 1 else done.stdout) == (code, kept)
+    assert (done.stdout if fd == 1 else done.stderr) == ""
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS, which Linux enforces")

@@ -546,8 +546,9 @@ class TestFaultMatrix:
     FAULTS = [
         pytest.param(_primitive_off(numbers_mod, "lah", lambda lah: lambda n, k: lah(n, k) + ((n, k) == (4, 2))),
                      {"lhs_direct", "r2", "r6"}, range(4, 5), id="lah(4,2)+1"),
+        # rising(x, n) is falling(x + n - 1, n), and r5 reads rising(., k - 1)
         pytest.param(_primitive_off(exact_mod, "falling", lambda falling: lambda x, n: falling(x, n) + (n == 2)),
-                     {"r2"}, range(2, 3), id="falling(x,2)+1"),
+                     {"r2", "r5"}, range(2, 4), id="falling(x,2)+1"),
         pytest.param(_primitive_off(exact_mod, "binomial_general",
                                     lambda binomial: lambda r, j: binomial(r, j) + ((r, j) == (-4, 2))),
                      {"r3"}, range(2, 12), id="binomial_general(-4,2)+1"),
