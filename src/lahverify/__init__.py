@@ -27,7 +27,7 @@ _SUBMODULE = {
                      "laurent_diff laurent_from_terms route6_coefficient_chain stirling_weighted_moment"),
         ("verify", "ROUTE_FUNCTIONS ROUTE_NAMES IdentityInstance VerificationReport binomial_inversion "
                    "chu_vandermonde_binomial chu_vandermonde_closed gkp_identity hypergeom_2f1_terminating "
-                   "lhs_direct rhs_reference route1_induction route2_factorial_gf route3_convolution "
+                   "lhs_direct rhs_reference route1_induction route2_lah_gf route3_convolution "
                    "route4_inversion route5_hypergeom route6_stirling verify_grid "
                    "verify_instance verify_row"),
     )

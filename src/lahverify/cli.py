@@ -356,19 +356,23 @@ def main() -> None:
             read_fd, write_fd = os.pipe()
             os.close(read_fd)
             setattr(sys, name, open(write_fd, "w"))
+    failed = None
     try:
         code = run(sys.argv[1:])
-        # a closed or full stream must fail here, where it is handled
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except BrokenPipeError:
-        # nothing is flushed after this, so the unwritten rest is dropped
-        code = 1
     except OSError as exc:
-        # e.g. a full device: one line, if stderr can take it
-        code = 1
+        code, failed = 1, exc
+    # a closed or full stream must fail here, where it is handled; stdout is
+    # flushed even after a write to stderr failed, so its report is kept
+    for stream in (sys.stdout, sys.stderr):
         try:
-            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr, flush=True)
+            stream.flush()
+        except OSError as exc:
+            code, failed = 1, failed or exc
+    # a reader that has gone takes no message; e.g. a full device gets one
+    # line, if stderr can take it
+    if failed and not isinstance(failed, BrokenPipeError):
+        try:
+            print(f"error: cannot write output: {failed.strerror or failed}", file=sys.stderr, flush=True)
         except OSError:
             pass
     os._exit(code)

@@ -8,7 +8,7 @@ which collapses to 0 for 0 <= n <= k-2 and to (-1)^k n! (n+1)! / (n-k+1)!
 for n >= k-1. ``rhs_reference`` evaluates that closed form, ``lhs_direct``
 evaluates the literal sum, and routes r1..r6 reach the same value through
 unrelated machinery: an induction step over the Lah triangle recurrence,
-the factorial generating function of the Lah numbers, power-series
+the exponential generating functions of the Lah numbers, power-series
 coefficient extraction, binomial inversion, a terminating Gauss
 hypergeometric sum, and the two generating functions of the Stirling
 numbers of the first kind. Exact agreement across all of them is the point
@@ -29,7 +29,6 @@ from .exact import (
     binomial_general,
     exact_quotient,
     factorial,
-    falling,
     rising,
 )
 from .numbers import lah_row, triangle_row, triangle_rows
@@ -191,23 +190,56 @@ def route1_induction(inst: IdentityInstance) -> int:
     return (k - 2 - n) * sum(map(mul, _route1_row(k), map(factorial, range(n + 1, n + k))))
 
 
-def route2_factorial_gf(inst: IdentityInstance) -> int:
-    """Route 2: instantiate the factorial generating function of row k,
+def _lah_gf_series(n: int, top: int) -> list[int]:
+    """G_n = sum over l of (-1)^l C(n+l, l) y^l through x^top, where
+    y = x/(1-x), by Horner in y. Multiplying a series by y shifts it by one
+    power of x, and dividing by 1-x takes its prefix sums, so the series
+    takes additions only. y^l starts at x^l, so the partial sum from term
+    l on is needed only through x^(top-l), and each step is one longer."""
+    # (-1)^l C(n+l, l) for l = 0..top as one running product; C(n+l, l) is
+    # C(n+l-1, l-1) (n+l) / l, so each quotient is exact
+    terms = [1]
+    for l in range(1, top + 1):
+        terms.append(-terms[-1] * (n + l) // l)
+    series: list[int] = []
+    for c in reversed(terms):
+        series = [c, *accumulate(series)]
+    return series
 
-        sum over l of L(k, l) <t>_l = (-1)^k <-t>_k,
 
-    at t = -(n+1), where n! <-(n+1)>_l = (-1)^l (n+l)! turns the row sum
-    into the target and the right side collapses to a falling factorial
-    that vanishes by itself whenever n <= k-2."""
+@lru_cache(maxsize=None)
+def _route2_column(n: int) -> list[int]:
+    """r2's column n, the checked G_n through x^L, empty until
+    ``route2_lah_gf`` builds it and rebuilt in place when a larger k asks.
+    Unbounded, since each grid row reads every n; ``verify_grid`` clears
+    it."""
+    return []
+
+
+def route2_lah_gf(inst: IdentityInstance) -> int:
+    """Route 2: the exponential generating function of a Lah column,
+
+        sum over k of L(k, l) x^k / k! = y^l / l!,   y = x/(1-x),
+
+    weighted by (-1)^l (n+l)! and summed over l, gives
+
+        sum over k of S(k, n) x^k / k! = n! G_n,
+        G_n = sum over l of (-1)^l C(n+l, l) y^l = (1+y)^-(n+1) = (1-x)^(n+1),
+
+    so the sum is k! n! [x^k] G_n. Column n holds G_n through x^L, compared
+    once with the coefficients (-1)^j C(n+1, j) of (1-x)^(n+1), which are
+    0 from j = n+2 on, so the check also pins the zero band n <= k-2. A
+    column that fails its check is not kept, so every k of that n raises.
+    A k > L rebuilds the column through x^max(k, 2L+1), so a caller that
+    asks k in ascending order rebuilds each column O(log k) times."""
     k, n = inst.k, inst.n
-    n_fact = factorial(n)
-    # <-(n+1)>_l for l = 0..k as one running product
-    falling_row = accumulate(range(-(n + 1), -(n + 1) - k, -1), mul, initial=1)
-    row_sum = n_fact * sum(map(mul, lah_row(k), falling_row))
-    closed = _sgn(k) * n_fact * falling(n + 1, k)
-    if row_sum != closed:
-        raise ConsistencyError(f"factorial generating function broke at k={k}, n={n}")
-    return closed
+    column = _route2_column(n)
+    if k >= len(column):
+        series = _lah_gf_series(n, max(k, 2 * len(column) - 1))
+        if series != [_sgn(j) * binomial_general(n + 1, j) for j in range(len(series))]:
+            raise ConsistencyError(f"Lah generating function broke at n={n}")
+        column[:] = series
+    return factorial(k) * factorial(n) * column[k]
 
 
 @lru_cache(maxsize=32)
@@ -322,7 +354,7 @@ def route6_stirling(inst: IdentityInstance) -> int:
 
 ROUTE_FUNCTIONS: dict[str, Callable[[IdentityInstance], int]] = {
     "r1": route1_induction,
-    "r2": route2_factorial_gf,
+    "r2": route2_lah_gf,
     "r3": route3_convolution,
     "r4": route4_inversion,
     "r5": route5_hypergeom,
@@ -431,8 +463,9 @@ def verify_grid(
 ) -> list[VerificationReport]:
     """One report per (k, n), in (k, n)-lexicographic order at every job
     count. Mismatches and failed route cross-checks are reported, not
-    raised. The route names are checked first: an unknown one raises
-    ValueError before any row is dealt out or any child is forked.
+    raised. The route names and the grid's bounds are checked first: an
+    unknown route, a k below 2 or a negative n raises ValueError before
+    any row is dealt out or any child is forked.
 
     A row (one k, every n) is the unit of work, and rows may run in any
     order. Every route sums O(k) terms per instance, so the grid's work is
@@ -450,6 +483,10 @@ def verify_grid(
     route_names = _route_names(routes)
     ns = sorted(set(n_values))
     rows = sorted(set(k_values)) if ns else []
+    if rows:
+        # every instance of the grid is valid when the one of its smallest k
+        # and smallest n is
+        IdentityInstance(rows[0], ns[0])
     work = len(ns) * sum(rows)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = max(1, min(jobs, len(rows), cpus, work // _FORK_GRAIN)) if hasattr(os, "fork") else 1
@@ -466,6 +503,7 @@ def verify_grid(
         for child, share in children:
             by_k.update(_collect(child, share, ns, route_names))
     finally:
+        _route2_column.cache_clear()
         _route4_column.cache_clear()
         for pid, reader in (child for child, _ in children if child):
             reader.close()

@@ -38,8 +38,8 @@ def row_caches():
     import lahverify.verify as verify_mod
     from lahverify.numbers import lah_row
 
-    caches = (lah_row, verify_mod._route1_row, verify_mod._route3_factor, verify_mod._route4_column,
-              verify_mod._route6_row)
+    caches = (lah_row, verify_mod._route1_row, verify_mod._route2_column, verify_mod._route3_factor,
+              verify_mod._route4_column, verify_mod._route6_row)
     for cache in caches:
         cache.cache_clear()
     yield

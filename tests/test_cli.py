@@ -931,6 +931,29 @@ def test_full_stderr_exits_one(unbuffered):
     assert done.returncode == 1
 
 
+@pytest.mark.parametrize("stderr", [
+    pytest.param("full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")),
+    "gone",
+])
+def test_failed_stderr_keeps_stdout(stderr):
+    # stdout is block buffered, so its report is still in the buffer when
+    # the write to stderr fails: on a full device, or to a reader that has gone
+    argv = [sys.executable, "-m", "lahverify", *_WRITE_FAILS[2]]
+    report = subprocess.run(argv, env=_block_buffered_env(), capture_output=True, text=True, timeout=120).stdout
+    if stderr == "full":
+        target = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, target = os.pipe()
+        os.close(read_end)
+    try:
+        done = subprocess.run(argv, env=_block_buffered_env(), stdout=subprocess.PIPE, stderr=target, text=True,
+                              timeout=120)
+    finally:
+        os.close(target)
+    assert report.count("all_match=true") == 2
+    assert (done.returncode, done.stdout) == (1, report)
+
+
 @pytest.mark.skipif(os.name != "posix", reason="needs preexec_fn")
 @pytest.mark.parametrize("fd, argv, code, kept", [
     (1, _WRITE_FAILS[0], 1, ""),

@@ -39,7 +39,7 @@ from lahverify.verify import (
     lhs_direct,
     rhs_reference,
     route1_induction,
-    route2_factorial_gf,
+    route2_lah_gf,
     route3_convolution,
     route4_inversion,
     route5_hypergeom,
@@ -312,7 +312,7 @@ class TestBinomialInversion:
 
 
 class TestRoutes:
-    @pytest.mark.parametrize("route", [route1_induction, route2_factorial_gf, route3_convolution,
+    @pytest.mark.parametrize("route", [route1_induction, route2_lah_gf, route3_convolution,
                                        route4_inversion, route5_hypergeom, route6_stirling])
     def test_spot_values(self, route):
         for (k, n), expected in SPOT_VALUES.items():
@@ -341,7 +341,7 @@ class TestRoutes:
 
     @given(st.integers(2, 40), st.integers(0, 80))
     def test_route2_matches_per_l_falling(self, k, n):
-        assert route2_factorial_gf(IdentityInstance(k, n)) == _route2_row_sum_reference(k, n)
+        assert route2_lah_gf(IdentityInstance(k, n)) == _route2_row_sum_reference(k, n)
 
     @given(st.integers(2, 40), st.integers(0, 80))
     def test_route4_matches_factorial_quotient_sequences(self, k, n):
@@ -423,16 +423,16 @@ class TestInternalGuards:
         ]
 
     def test_wrong_closed_form_lah_leaves_route1_right(self, monkeypatch, row_caches):
-        # lhs_direct, r2 and r6 read the closed form; r1 reads none of it
+        # lhs_direct and r6 read the closed form; r1 and r2 read none of it
         closed_form = numbers_mod.lah
         monkeypatch.setattr(numbers_mod, "lah", lambda n, k: closed_form(n, k) + ((n, k) == (3, 2)))
         reports = verify_row(3, range(4), ("r1", "r2", "r6"))
         assert [r.instance.n for r in reports] == [0, 1, 2, 3]
         for r in reports:
             assert r.route_values["lhs_direct"] != r.reference
-            assert r.route_values["r1"] == r.reference
-            assert r.route_values["r2"] is r.route_values["r6"] is None
-            assert sorted(r.errors) == ["r2", "r6"]
+            assert r.route_values["r1"] == r.route_values["r2"] == r.reference
+            assert r.route_values["r6"] is None
+            assert sorted(r.errors) == ["r6"]
             assert not r.all_match
 
     def test_wrong_route3_coefficient_is_reported(self, monkeypatch):
@@ -545,13 +545,19 @@ class TestFaultMatrix:
     KS, NS = range(2, 12), range(0, 14)
     FAULTS = [
         pytest.param(_primitive_off(numbers_mod, "lah", lambda lah: lambda n, k: lah(n, k) + ((n, k) == (4, 2))),
-                     {"lhs_direct", "r2", "r6"}, range(4, 5), id="lah(4,2)+1"),
+                     {"lhs_direct", "r6"}, range(4, 5), id="lah(4,2)+1"),
         # rising(x, n) is falling(x + n - 1, n), and r5 reads rising(., k - 1)
         pytest.param(_primitive_off(exact_mod, "falling", lambda falling: lambda x, n: falling(x, n) + (n == 2)),
-                     {"r2", "r5"}, range(2, 4), id="falling(x,2)+1"),
+                     {"r5"}, range(3, 4), id="falling(x,2)+1"),
         pytest.param(_primitive_off(exact_mod, "binomial_general",
                                     lambda binomial: lambda r, j: binomial(r, j) + ((r, j) == (-4, 2))),
                      {"r3"}, range(2, 12), id="binomial_general(-4,2)+1"),
+        # r2's closed side (1-x)^(n+1) at n = 4 fails that column for every
+        # k; the direct sum and r6 read C(5, 2) in the closed form L(6, 3),
+        # and r3 in its factor (1+x)^(k-1) at k = 6
+        pytest.param(_primitive_off(exact_mod, "binomial_general",
+                                    lambda binomial: lambda r, j: binomial(r, j) + ((r, j) == (5, 2))),
+                     {"lhs_direct", "r2", "r3", "r6"}, range(2, 12), id="binomial_general(5,2)+1"),
         pytest.param(_primitive_off(exact_mod, "rising", lambda rising: lambda x, n: rising(x, n) + (n == 3)),
                      {"r5"}, range(4, 5), id="rising(x,3)+1"),
         # row 5 of the Lah triangle is the first built with the weight at
@@ -720,6 +726,87 @@ class TestRoute4Columns:
         assert route4_columns.cache_info().currsize == 0
 
 
+class TestRoute2Columns:
+    KS, NS = range(2, 8), range(0, 6)
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        # the x^top of every series r2 builds, by n
+        tops: dict[int, list[int]] = {}
+        build = verify_mod._lah_gf_series
+
+        def counting_build(n, top):
+            tops.setdefault(n, []).append(top)
+            return build(n, top)
+
+        monkeypatch.setattr(verify_mod, "_lah_gf_series", counting_build)
+        return tops
+
+    @given(st.integers(0, 80), st.integers(1, 40))
+    def test_coefficient_is_route3_sum_in_value(self, n, top):
+        # [x^k] y^l is C(k-1, l-1), so [x^k] G_n is r3's x^k convolution,
+        # though r2 forms none of its terms
+        series = verify_mod._lah_gf_series(n, top)
+        assert series[1:] == [_route3_convolution_reference(k, n) for k in range(1, top + 1)]
+
+    @pytest.mark.parametrize("build", ["jobs-1", "jobs-2", "ascending"])
+    def test_column_fault_fails_every_k_of_that_n(self, monkeypatch, row_caches, forks, build):
+        build_series = verify_mod._lah_gf_series
+
+        def entry_off(n, top):
+            series = build_series(n, top)
+            series[1] += n == 3
+            return series
+
+        monkeypatch.setattr(verify_mod, "_lah_gf_series", entry_off)
+        if build == "ascending":
+            by_k = {k: verify_row(k, self.NS, ("r1", "r2")) for k in self.KS}
+            reports = [r for k in self.KS for r in by_k[k]]
+        else:
+            jobs = int(build[-1])
+            reports = verify_grid(self.KS, self.NS, ("r1", "r2"), jobs=jobs)
+            assert len(forks) == jobs - 1
+        assert [tuple(r.instance) for r in reports] == [(k, n) for k in self.KS for n in self.NS]
+        for r in reports:
+            assert r.route_values["r1"] == r.reference
+            if r.instance.n == 3:
+                assert r.route_values["r2"] is None
+                assert r.errors == {"r2": "Lah generating function broke at n=3"}
+            else:
+                assert r.all_match and r.errors == {}, tuple(r.instance)
+
+    def test_ascending_caller_rebuilds_each_column_log_times(self, monkeypatch, row_caches):
+        # a k past the column rebuilds it through x^max(k, 2L+1): five
+        # builds per column for 2 <= k <= 40, not 39
+        tops = self._count_builds(monkeypatch)
+        for k in range(2, 41):
+            assert all(r.all_match for r in verify_row(k, range(0, 5), ("r2",)))
+        assert tops == {n: [2, 5, 11, 23, 47] for n in range(0, 5)}
+
+    def test_grid_builds_each_column_once(self, monkeypatch, row_caches):
+        # rows come largest k first, so the first build of a column is its last
+        tops = self._count_builds(monkeypatch)
+        assert all(r.all_match for r in verify_grid(range(2, 31), range(0, 61), ("r2",)))
+        assert tops == {n: [30] for n in range(0, 61)}
+
+    def test_grid_leaves_no_column_behind(self, monkeypatch, row_caches):
+        columns = (verify_mod._route2_column, verify_mod._route4_column)
+        assert all(r.all_match for r in verify_grid(range(2, 6), range(0, 10), ("r2", "r4")))
+        assert [cache.cache_info().currsize for cache in columns] == [0, 0]
+
+        held = []
+
+        def raising_build(n, top):
+            held.append([cache.cache_info().currsize for cache in columns])
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(verify_mod, "_lah_gf_series", raising_build)
+        with pytest.raises(RuntimeError, match="injected"):
+            verify_grid(range(2, 6), range(0, 4), ("r2", "r4"))
+        assert held == [[1, 0]]
+        assert [cache.cache_info().currsize for cache in columns] == [0, 0]
+
+
 class TestVerifyInstance:
     def test_report_contents(self):
         report = verify_instance(IdentityInstance(2, 1), routes=("r1", "r5"))
@@ -759,6 +846,17 @@ class TestVerifyGrid:
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
             verify_grid(range(1, 3), range(0, 2), routes=("r1",))
+
+    @pytest.mark.parametrize("ks, ns, message", [
+        (range(1, 6), range(0, 4), "k >= 2"),
+        (range(2, 6), range(-1, 4), "n >= 0"),
+    ], ids=["k-below-two", "negative-n"])
+    def test_bad_bounds_rejected_before_any_instance_or_fork(self, monkeypatch, forks, ks, ns, message):
+        calls = self._count_instances(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            verify_grid(ks, ns, routes=("r1", "r4"), jobs=2)
+        assert calls == []
+        assert forks == []
 
     def test_unknown_route_rejected_before_any_fork(self, forks):
         with pytest.raises(ValueError, match="unknown route 'r9'"):
@@ -819,12 +917,12 @@ class TestVerifyGrid:
         reports = verify_grid(range(2, 6), range(0, 8), routes=("r1", "r2", "r3", "r4", "r6"))
         assert all(r.all_match for r in reports)
         # one Lah row per k, in the order dealt, from the closed form, read by
-        # lhs_direct and r2 for every n and by r6's row; r1 reads the triangle
-        # recurrence instead
+        # lhs_direct for every n and by r6's row; r1 reads the triangle
+        # recurrence instead, and r2 no Lah number
         assert calls == [(k, l) for k in range(5, 1, -1) for l in range(k + 1)]
         # (hits, misses): each cache is built once per row and read for every n
         assert {cache: cache.cache_info()[:2] for cache in caches} == {
-            lah_row: (4 * 8 * 2 + 4 - 4, 4),
+            lah_row: (4 * 8 + 4 - 4, 4),
             verify_mod._route1_row: (4 * 8 - 4, 4),
             verify_mod._route3_factor: (4 * 8 - 4, 4),
             verify_mod._route6_row: (4 * 8 - 4, 4),
