@@ -29,7 +29,7 @@ _SUBMODULE = {
                    "chu_vandermonde_binomial chu_vandermonde_closed gkp_identity hypergeom_2f1_terminating "
                    "lhs_direct rhs_reference route1_induction route2_lah_gf route3_convolution "
                    "route4_inversion route5_hypergeom route6_stirling verify_grid "
-                   "verify_instance verify_row"),
+                   "verify_instance"),
     )
     for name in names.split()
 }

@@ -7,12 +7,13 @@ enumeration) so that the methods can be played against each other in tests.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import permutations, product, repeat
 from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
-from .exact import binomial_general, factorial, reciprocal_factorial_weight
+from .exact import binomial_general, reciprocal_factorial_weight
 
 if TYPE_CHECKING:
     from decimal import Decimal
@@ -36,7 +37,8 @@ def lah(n: int, k: int) -> int:
         return 1
     if k < 1 or k > n:
         return 0
-    return binomial_general(n - 1, k - 1) * (factorial(n) // factorial(k))
+    # n!/k! as the product n(n-1)...(k+1), so no factorial is formed
+    return binomial_general(n - 1, k - 1) * math.perm(n, n - k)
 
 
 @lru_cache(maxsize=32)

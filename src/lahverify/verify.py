@@ -22,7 +22,7 @@ import os
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul, sub
-from typing import IO, Callable, Collection, Iterable, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 from .exact import (
     ConsistencyError,
@@ -395,9 +395,13 @@ def verify_instance(inst: IdentityInstance, routes: Iterable[str] = ROUTE_NAMES)
     return VerificationReport(inst, reference, values, all_match, errors)
 
 
-def verify_row(k: int, ns: Iterable[int], routes: Collection[str] = ROUTE_NAMES) -> list[VerificationReport]:
-    """One ``verify_instance`` report per (k, n), for n in ``ns`` in order."""
-    return [verify_instance(IdentityInstance(k, n), routes) for n in ns]
+def _row_reports(
+    rows: Iterable[int], ns: Sequence[int], route_names: Sequence[str]
+) -> dict[int, list[VerificationReport]]:
+    """The ``{k: reports}`` of ``rows``, one ``verify_instance`` report per
+    n of ``ns``, in order: the one row loop of ``verify_grid``, run by this
+    process's share, by every forked child and by ``_collect``."""
+    return {k: [verify_instance(IdentityInstance(k, n), route_names) for n in ns] for k in rows}
 
 
 def _fork_share(share: Sequence[int], ns: Sequence[int], route_names: Sequence[str]) -> tuple[int, IO[bytes]] | None:
@@ -423,7 +427,7 @@ def _fork_share(share: Sequence[int], ns: Sequence[int], route_names: Sequence[s
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as out:
-                pickle.dump({k: verify_row(k, ns, route_names) for k in share}, out, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(_row_reports(share, ns, route_names), out, pickle.HIGHEST_PROTOCOL)
             os._exit(0)
         finally:
             os._exit(1)
@@ -446,7 +450,7 @@ def _collect(
             return pickle.load(child[1])
     except (EOFError, pickle.UnpicklingError):
         pass
-    return {k: verify_row(k, ns, route_names) for k in share}
+    return _row_reports(share, ns, route_names)
 
 
 # The work, in units of (n values) x (sum of k), that each worker must have
@@ -465,7 +469,9 @@ def verify_grid(
     count. Mismatches and failed route cross-checks are reported, not
     raised. The route names and the grid's bounds are checked first: an
     unknown route, a k below 2 or a negative n raises ValueError before
-    any row is dealt out or any child is forked.
+    any row is dealt out or any child is forked. The columns of r2 and r4
+    are freed when it returns or raises, so ``verify_grid((k,), ns)``
+    verifies one row and keeps no column.
 
     A row (one k, every n) is the unit of work, and rows may run in any
     order. Every route sums O(k) terms per instance, so the grid's work is
@@ -499,7 +505,7 @@ def verify_grid(
     try:
         for share in shares:
             children.append((_fork_share(share, ns, route_names), share))
-        by_k = {k: verify_row(k, ns, route_names) for k in own}
+        by_k = _row_reports(own, ns, route_names)
         for child, share in children:
             by_k.update(_collect(child, share, ns, route_names))
     finally:

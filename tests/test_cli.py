@@ -330,18 +330,18 @@ class TestVerifyCommand:
         # nothing, and this process verifies its row and raises in turn
         import lahverify.verify as verify_mod
 
-        verify_row = verify_mod.verify_row
+        verify_instance = verify_mod.verify_instance
         parent = os.getpid()
         rows_here = []
 
-        def raising_row(k, ns, routes):
-            if os.getpid() == parent:
-                rows_here.append(k)
-            if k == bad_k:
-                raise ValueError(f"no row {k}")
-            return verify_row(k, ns, routes)
+        def raising_instance(inst, routes):
+            if os.getpid() == parent and inst.k not in rows_here:
+                rows_here.append(inst.k)
+            if inst.k == bad_k:
+                raise ValueError(f"no row {inst.k}")
+            return verify_instance(inst, routes)
 
-        monkeypatch.setattr(verify_mod, "verify_row", raising_row)
+        monkeypatch.setattr(verify_mod, "verify_instance", raising_instance)
         serial = _run(capsys, self.GRID + ["--jobs", "1"])
         rows_here.clear()
         assert _run(capsys, self.GRID + ["--jobs", "2"]) == serial == (2, "", f"error: no row {bad_k}\n")
@@ -356,37 +356,43 @@ class TestVerifyCommand:
         # which has the memory, verifies the child's row as at --jobs 1
         import lahverify.verify as verify_mod
 
-        verify_row = verify_mod.verify_row
+        verify_instance = verify_mod.verify_instance
         parent = os.getpid()
+        here = []
 
-        def starved_row(k, ns, routes):
+        def starved_instance(inst, routes):
             if os.getpid() != parent:
                 raise MemoryError
-            return verify_row(k, ns, routes)
+            here.append(tuple(inst))
+            return verify_instance(inst, routes)
 
-        monkeypatch.setattr(verify_mod, "verify_row", starved_row)
+        monkeypatch.setattr(verify_mod, "verify_instance", starved_instance)
         serial = _run(capsys, self.GRID + ["--jobs", "1"])
+        here.clear()
         assert _run(capsys, self.GRID + ["--jobs", "2"]) == serial
         assert serial[0] == 0
         assert serial[2] == "10/10 instances verified\n"
         assert len(forks) == 1
+        # the child raised, so its row 3 was verified again in this process
+        assert sorted(here) == [(k, n) for k in (2, 3) for n in range(5)]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
     def test_rows_of_a_worker_that_dies_are_verified_here(self, capsys, monkeypatch, forks):
         import lahverify.verify as verify_mod
 
-        verify_row = verify_mod.verify_row
+        verify_instance = verify_mod.verify_instance
         parent = os.getpid()
         rows_here = []
 
-        def dying_row(k, ns, routes):
+        def dying_instance(inst, routes):
             if os.getpid() != parent:
                 os._exit(9)
-            rows_here.append(k)
-            return verify_row(k, ns, routes)
+            if inst.k not in rows_here:
+                rows_here.append(inst.k)
+            return verify_instance(inst, routes)
 
         serial = _run(capsys, self.GRID + ["--jobs", "1"])
-        monkeypatch.setattr(verify_mod, "verify_row", dying_row)
+        monkeypatch.setattr(verify_mod, "verify_instance", dying_instance)
         assert _run(capsys, self.GRID + ["--jobs", "2"]) == serial
         assert serial[0] == 0
         assert len(forks) == 1

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import lahverify.numbers as numbers_mod
 from lahverify.exact import factorial
 from lahverify.numbers import (
     lah,
@@ -49,6 +50,18 @@ class TestLahClosedForm:
             lah(-1, 0)
         with pytest.raises(ValueError):
             lah(3, -2)
+
+    def test_large_n_forms_no_factorial(self, monkeypatch):
+        # n!/k! is the product n(n-1)...(k+1), one factor per step below n,
+        # so L(10^6, 10^6) builds no 10^6!
+        def small_factorial(m):
+            if m > 10**4:
+                raise AssertionError(f"factorial({m}) formed")
+            return factorial(m)
+
+        monkeypatch.setattr(numbers_mod, "factorial", small_factorial, raising=False)
+        assert lah(10**6, 10**6) == 1
+        assert lah(10**6, 10**6 - 1) == 999999 * 10**6
 
 
 class TestBruteForce:
@@ -105,8 +118,8 @@ class TestLahTriangle:
             assert rows[n][0] == 0
 
     def test_agrees_with_closed_form(self):
-        rows = lah_triangle(12)
-        for n in range(13):
+        rows = lah_triangle(119)
+        for n in range(120):
             for k in range(n + 1):
                 assert rows[n][k] == lah(n, k)
 

@@ -46,7 +46,6 @@ from lahverify.verify import (
     route6_stirling,
     verify_grid,
     verify_instance,
-    verify_row,
 )
 
 # computed by the literal alternating sum, which is the oracle for every route
@@ -399,7 +398,7 @@ class TestInternalGuards:
 
     def test_failed_cross_check_is_reported_not_raised(self, monkeypatch):
         monkeypatch.setattr(verify_mod, "chu_vandermonde_closed", lambda a, b, c: (7, 1))
-        reports = verify_row(3, range(0, 3), routes=("r1", "r5"))
+        reports = verify_grid([3], range(0, 3), routes=("r1", "r5"))
         assert [r.instance.n for r in reports] == [0, 1, 2]
         for r in reports:
             assert r.route_values["r5"] is None
@@ -426,7 +425,7 @@ class TestInternalGuards:
         # lhs_direct and r6 read the closed form; r1 and r2 read none of it
         closed_form = numbers_mod.lah
         monkeypatch.setattr(numbers_mod, "lah", lambda n, k: closed_form(n, k) + ((n, k) == (3, 2)))
-        reports = verify_row(3, range(4), ("r1", "r2", "r6"))
+        reports = verify_grid([3], range(4), ("r1", "r2", "r6"))
         assert [r.instance.n for r in reports] == [0, 1, 2, 3]
         for r in reports:
             assert r.route_values["lhs_direct"] != r.reference
@@ -445,7 +444,7 @@ class TestInternalGuards:
             return binomial(e, j) + (e < 0 and j == 2)
 
         monkeypatch.setattr(verify_mod, "binomial_general", negative_x2_coeff_off)
-        for r in verify_row(3, range(0, 4), routes=("r1", "r3")):
+        for r in verify_grid([3], range(0, 4), routes=("r1", "r3")):
             assert r.route_values["r3"] is None
             assert r.errors == {"r3": f"convolution route broke at k=3, n={r.instance.n}"}
             assert r.route_values["r1"] == r.reference
@@ -461,7 +460,7 @@ class TestInternalGuards:
             return exact_quotient(num, den) + (divisors.count(3) == 1 and den == 3)
 
         monkeypatch.setattr(verify_mod, "exact_quotient", one_step_off)
-        first, *rest = verify_row(4, range(0, 6))
+        first, *rest = verify_grid([4], range(0, 6))
         # every step of b(l) in every column is a checked division; then r5
         # divides by (2)_3 = 24
         assert divisors == [1, 2, 3, 24] * 6
@@ -478,7 +477,7 @@ class TestInternalGuards:
         # product; output k of the transform carries b(k) with the sign
         # (-1)^k, so the closed form of a(k) sees the error for odd and even k
         monkeypatch.setattr(verify_mod, "exact_quotient", lambda num, den: exact_quotient(num, den) + (den == k - 1))
-        reports = verify_row(k, range(0, 6))
+        reports = verify_grid([k], range(0, 6))
         for r in reports:
             assert r.route_values["r4"] is None
             assert r.errors == {"r4": f"inversion dual identity broke at k={k}, n={r.instance.n}"}
@@ -601,8 +600,7 @@ class TestRoute4Columns:
     def _grid(self, build, forks):
         if build == "ascending":
             # every row grows the columns of the row below it
-            by_k = {k: verify_row(k, self.NS, ("r1", "r4")) for k in self.KS}
-            return [r for k in self.KS for r in by_k[k]]
+            return [verify_instance(IdentityInstance(k, n), ("r1", "r4")) for k in self.KS for n in self.NS]
         jobs = int(build[-1])
         reports = verify_grid(self.KS, self.NS, ("r1", "r4"), jobs=jobs)
         assert len(forks) == jobs - 1
@@ -760,8 +758,7 @@ class TestRoute2Columns:
 
         monkeypatch.setattr(verify_mod, "_lah_gf_series", entry_off)
         if build == "ascending":
-            by_k = {k: verify_row(k, self.NS, ("r1", "r2")) for k in self.KS}
-            reports = [r for k in self.KS for r in by_k[k]]
+            reports = [verify_instance(IdentityInstance(k, n), ("r1", "r2")) for k in self.KS for n in self.NS]
         else:
             jobs = int(build[-1])
             reports = verify_grid(self.KS, self.NS, ("r1", "r2"), jobs=jobs)
@@ -780,7 +777,7 @@ class TestRoute2Columns:
         # builds per column for 2 <= k <= 40, not 39
         tops = self._count_builds(monkeypatch)
         for k in range(2, 41):
-            assert all(r.all_match for r in verify_row(k, range(0, 5), ("r2",)))
+            assert all(verify_instance(IdentityInstance(k, n), ("r2",)).all_match for n in range(0, 5))
         assert tops == {n: [2, 5, 11, 23, 47] for n in range(0, 5)}
 
     def test_grid_builds_each_column_once(self, monkeypatch, row_caches):
@@ -828,9 +825,9 @@ class TestVerifyInstance:
         with pytest.raises(ValueError, match=r"^unknown route 'r9' \(choose from r1, r2, r3, r4, r5, r6\)$"):
             verify_instance(IdentityInstance(2, 1), routes=("r9", "r1"))
 
-    def test_verify_row_is_one_instance_per_n(self):
+    def test_one_row_grid_is_one_instance_per_n(self):
         inst = IdentityInstance(4, 6)
-        assert verify_instance(inst) == verify_row(4, [6])[0]
+        assert verify_instance(inst) == verify_grid([4], [6])[0]
         assert verify_instance(inst).errors == {}
 
 
@@ -862,6 +859,16 @@ class TestVerifyGrid:
         with pytest.raises(ValueError, match="unknown route 'r9'"):
             verify_grid(range(2, 6), range(0, 4), routes=("r1", "r9"), jobs=2)
         assert forks == []
+
+    def test_one_row_grid_sorts_ns_forks_nothing_and_keeps_no_column(self, forks, row_caches):
+        # the one way to verify a row: n ascending without repeats, no fork
+        # at any job count, and no r2 or r4 column left behind
+        reports = verify_grid([3], [4, 1, 4, 0], routes=("r2", "r4"), jobs=2)
+        assert [tuple(r.instance) for r in reports] == [(3, 0), (3, 1), (3, 4)]
+        assert all(r.all_match for r in reports)
+        assert forks == []
+        columns = (verify_mod._route2_column, verify_mod._route4_column)
+        assert [cache.cache_info().currsize for cache in columns] == [0, 0]
 
     def test_jobs_do_not_change_reports(self, forks):
         serial = verify_grid(range(2, 5), range(0, 4), routes=("r1", "r4"), jobs=1)
