@@ -103,10 +103,10 @@ def lah_bruteforce(n: int, k: int) -> int:
 
 _Entry = TypeVar("_Entry", int, "Decimal")
 
-# the weights w(n, k) of row n's step, for k = 0..width-1
-_TRIANGLE_WEIGHTS: dict[str, Callable[[int, int], Iterable[int]]] = {
-    "lah": lambda n, width: range(n, n + width),
-    "stirling1": lambda n, width: repeat(-n, width),
+# the weights w(n, k) of row n's step, for the columns k of the range ks
+_TRIANGLE_WEIGHTS: dict[str, Callable[[int, range], Iterable[int]]] = {
+    "lah": lambda n, ks: range(n + ks.start, n + ks.stop),
+    "stirling1": lambda n, ks: repeat(-n, len(ks)),
 }
 
 
@@ -116,13 +116,19 @@ def triangle_rows(kind: str, max_n: int, max_k: int | None = None, start: _Entry
         T(n+1, k) = T(n, k-1) + w(n, k) T(n, k),   T(0, 0) = start,
 
     with weight w = n+k for Lah and w = -n for Stirling. Row n holds
-    columns 0..n, cut after column ``max_k`` when it is given. Only the
-    previous row is kept, so rows can be consumed as they are produced.
+    columns 0..n. With ``max_k`` (0 <= max_k <= max_n), row n holds only
+    the columns that T(max_n, max_k) is built from,
+    max(0, max_k - (max_n - n))..min(n, max_k), so the last row is
+    [T(max_n, max_k)] and at most max_n * (min(max_k, max_n - max_k) + 1)
+    entries are built. Only the previous row is kept, so rows can be
+    consumed as they are produced.
 
     Each row is one pass of ``map`` over the previous row padded with a
-    zero at either end, against the weights of the whole row, which
-    ``_TRIANGLE_WEIGHTS[kind](n, width)`` gives as one iterable: no
-    Python-level call or index per entry.
+    zero at either end, against the weights of the row's columns ks, which
+    ``_TRIANGLE_WEIGHTS[kind](n, ks)`` gives as one iterable: no
+    Python-level call or index per entry. Once the left edge of a cut row
+    moves, the padded copy at the left is the row itself and the one at
+    the right drops its first entry.
 
     Every entry has the type of ``start``, the int 1 by default. The one
     other caller is the ``table`` command, which passes ``Decimal(1)`` and
@@ -136,13 +142,23 @@ def triangle_rows(kind: str, max_n: int, max_k: int | None = None, start: _Entry
         raise ValueError("max_n must be non-negative")
     if max_k is not None and max_k < 0:
         raise ValueError("max_k must be non-negative")
+    if max_k is not None and max_k > max_n:
+        raise ValueError("max_k must be at most max_n")
     row = [start]
     yield row
+    lo = 0
     for n in range(max_n):
-        width = n + 2 if max_k is None else min(n + 2, max_k + 1)
-        # T(n+1, k) = [0, *row][k] + w(n, k) * [*row, 0][k]; map stops at
-        # the shortest argument, so the weights cut the row at width
-        row = list(map(add, [0, *row], map(mul, weights(n, width), [*row, 0])))
+        # row n+1 holds columns lo..hi
+        hi = n + 1 if max_k is None else min(n + 1, max_k)
+        if max_k is not None and lo < max_k - (max_n - n - 1):
+            # T(n+1, lo+i) = row[i] + w(n, lo+i) * row[i+1], with row[0] at lo-1
+            lo += 1
+            shifted, unshifted = row, [*row[1:], 0]
+        else:
+            # T(n+1, k) = [0, *row][k] + w(n, k) * [*row, 0][k]
+            shifted, unshifted = [0, *row], [*row, 0]
+        # map stops at the shortest argument, so the weights cut the row at hi
+        row = list(map(add, shifted, map(mul, weights(n, range(lo, hi + 1)), unshifted)))
         yield row
 
 
@@ -154,9 +170,9 @@ def lah_triangle(max_n: int) -> list[list[int]]:
 
 
 def triangle_row(kind: str, n: int, max_k: int | None = None) -> list[int]:
-    """Row n of the "lah" or "stirling1" triangle, columns 0..n, or only
-    0..max_k when ``max_k`` is given: the last row of ``triangle_rows``,
-    O(n * max_k) work and no recursion."""
+    """Row n of the "lah" or "stirling1" triangle, columns 0..n, or
+    [T(n, max_k)] when ``max_k`` is given: the last row of
+    ``triangle_rows``, with no recursion."""
     for row in triangle_rows(kind, n, max_k):
         pass
     return row
@@ -171,7 +187,7 @@ def stirling1(n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         raise ValueError("Stirling indices must be non-negative")
-    return triangle_row("stirling1", n, k)[k] if k <= n else 0
+    return triangle_row("stirling1", n, k)[0] if k <= n else 0
 
 
 def stirling1_triangle(max_n: int) -> list[list[int]]:

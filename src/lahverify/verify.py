@@ -230,12 +230,11 @@ def route2_lah_gf(inst: IdentityInstance) -> int:
     once with the coefficients (-1)^j C(n+1, j) of (1-x)^(n+1), which are
     0 from j = n+2 on, so the check also pins the zero band n <= k-2. A
     column that fails its check is not kept, so every k of that n raises.
-    A k > L rebuilds the column through x^max(k, 2L+1), so a caller that
-    asks k in ascending order rebuilds each column O(log k) times."""
+    A k > L rebuilds the column through x^k."""
     k, n = inst.k, inst.n
     column = _route2_column(n)
     if k >= len(column):
-        series = _lah_gf_series(n, max(k, 2 * len(column) - 1))
+        series = _lah_gf_series(n, k)
         if series != [_sgn(j) * binomial_general(n + 1, j) for j in range(len(series))]:
             raise ConsistencyError(f"Lah generating function broke at n={n}")
         column[:] = series

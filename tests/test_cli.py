@@ -266,7 +266,7 @@ class TestVerifyCommand:
         import lahverify.numbers as numbers_mod
 
         monkeypatch.setitem(numbers_mod._TRIANGLE_WEIGHTS, "stirling1",
-                            lambda n, width: [-n + ((n, k) == (5, 2)) for k in range(width)])
+                            lambda n, ks: [-n + ((n, k) == (5, 2)) for k in ks])
         code, out, err = _run(
             capsys,
             ["verify", "--k-min", "5", "--k-max", "6", "--n-min", "0", "--n-max", "7",

@@ -164,6 +164,29 @@ class TestStirlingFirstKind:
         with pytest.raises(ValueError):
             stirling1(2, -1)
 
+    def test_agrees_with_the_whole_row(self):
+        for n, row in enumerate(stirling1_triangle(60)):
+            assert [stirling1(n, k) for k in range(n + 1)] == row, n
+
+    @pytest.mark.parametrize("k", [0, 1, 200, 399, 400])
+    def test_walks_only_the_entries_that_reach_n_k(self, monkeypatch, k):
+        # row m needs columns max(0, k - (400 - m))..min(m, k): at most
+        # 400 (min(k, 400 - k) + 1) entries, where whole rows cut after
+        # column k take about 80,000 at k = 400
+        expected = triangle_row("stirling1", 400)[k]
+        weights = numbers_mod._TRIANGLE_WEIGHTS["stirling1"]
+        built = []
+
+        def counting_weights(*args):
+            step = list(weights(*args))
+            built.append(len(step))
+            return step
+
+        monkeypatch.setitem(numbers_mod._TRIANGLE_WEIGHTS, "stirling1", counting_weights)
+        assert stirling1(400, k) == expected
+        assert len(built) == 400
+        assert sum(built) <= 400 * (min(k, 400 - k) + 1)
+
     def test_triangle_matches_recurrence(self):
         # x(x-1)...(x-n+1) = sum over k of s(n, k) x^k, expanded here one
         # factor at a time, and the rising-factorial polynomial: neither
@@ -239,6 +262,21 @@ class TestTriangleType:
             list(triangle_rows(kind, 3, -1))
         with pytest.raises(ValueError, match="max_k must be non-negative"):
             triangle_row(kind, 3, -1)
+
+    @pytest.mark.parametrize("kind", ["lah", "stirling1"])
+    def test_max_k_past_max_n_rejected(self, kind):
+        # the cut rows hold what T(max_n, max_k) is built from, and past
+        # the diagonal that is nothing
+        with pytest.raises(ValueError, match="max_k must be at most max_n"):
+            list(triangle_rows(kind, 3, 4))
+        assert triangle_row(kind, 3, 3) == [1]
+
+    @pytest.mark.parametrize("kind", ["lah", "stirling1"])
+    def test_cut_rows_are_bands_of_the_whole_rows(self, kind):
+        whole = list(triangle_rows(kind, 12))
+        for max_k in range(13):
+            for m, row in enumerate(triangle_rows(kind, 12, max_k)):
+                assert row == whole[m][max(0, max_k - (12 - m)):min(m, max_k) + 1], (max_k, m)
 
 
 class TestDecimalRows:

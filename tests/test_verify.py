@@ -412,7 +412,7 @@ class TestInternalGuards:
         # weight first changes the sum over row k-1 at k = 3, n = 0
         from lahverify.cli import run
 
-        monkeypatch.setitem(numbers_mod._TRIANGLE_WEIGHTS, "lah", lambda n, width: range(n + 1, n + 1 + width))
+        monkeypatch.setitem(numbers_mod._TRIANGLE_WEIGHTS, "lah", lambda n, ks: range(n + 1 + ks.start, n + 1 + ks.stop))
         code = run(["verify", "--k-min", "3", "--k-max", "3", "--n-min", "0", "--n-max", "0",
                     "--routes", "r1,r2,r6"])
         err = capsys.readouterr().err
@@ -516,7 +516,7 @@ def _weight_off(kind, at):
     def install(monkeypatch):
         weights = numbers_mod._TRIANGLE_WEIGHTS[kind]
         monkeypatch.setitem(numbers_mod._TRIANGLE_WEIGHTS, kind,
-                            lambda n, width: [w + ((n, k) == at) for k, w in enumerate(weights(n, width))])
+                            lambda n, ks: [w + ((n, k) == at) for k, w in zip(ks, weights(n, ks))])
 
     return install
 
@@ -772,13 +772,26 @@ class TestRoute2Columns:
             else:
                 assert r.all_match and r.errors == {}, tuple(r.instance)
 
-    def test_ascending_caller_rebuilds_each_column_log_times(self, monkeypatch, row_caches):
-        # a k past the column rebuilds it through x^max(k, 2L+1): five
-        # builds per column for 2 <= k <= 40, not 39
+    def test_fork_fallback_rebuilds_each_column_through_k(self, monkeypatch, row_caches, forks):
+        # no child can be made, so this process verifies its own share,
+        # k = 29, 27, .., 3, and then the other one, k = 30, 28, .., 2: an
+        # r2 column is rebuilt through the x^30 that is read, and an r4
+        # column grows by the one step it lacks
         tops = self._count_builds(monkeypatch)
-        for k in range(2, 41):
-            assert all(verify_instance(IdentityInstance(k, n), ("r2",)).all_match for n in range(0, 5))
-        assert tops == {n: [2, 5, 11, 23, 47] for n in range(0, 5)}
+        divisors = Counter()
+        exact_quotient = verify_mod.exact_quotient
+
+        def counting_quotient(num, den):
+            divisors[den] += 1
+            return exact_quotient(num, den)
+
+        monkeypatch.setattr(verify_mod, "exact_quotient", counting_quotient)
+        monkeypatch.setattr(verify_mod, "_fork_share", lambda share, ns, route_names: None)
+        assert all(r.all_match for r in verify_grid(range(2, 31), range(0, 61), ("r2", "r4"), jobs=2))
+        assert forks == []
+        assert tops == {n: [29, 30] for n in range(0, 61)}
+        # step l divides by l: one checked quotient per column n and step l
+        assert divisors == {l: 61 for l in range(1, 30)}
 
     def test_grid_builds_each_column_once(self, monkeypatch, row_caches):
         # rows come largest k first, so the first build of a column is its last
