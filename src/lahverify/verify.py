@@ -124,20 +124,13 @@ def binomial_inversion(values: Sequence[int]) -> list[int]:
     T(h)(k) = sum over l in 0..k of C(k, l) (-1)^l h(l) = ((1 - E)^k h)(0),
     with E the shift h(l) -> h(l+1). Row 0 of a difference table is h, row
     j+1 holds r(l) - r(l+1) for the entries r(l) of row j, and output k is
-    the head of row k. The table grows one value of h at a time."""
-    edge: list[int] = []
-    return [_transform_step(edge, value) for value in values]
-
-
-def _transform_step(edge: list[int], value: int) -> int:
-    """Append ``value`` to row 0 of the difference table whose signed row
-    ends ``edge`` holds, (-1)^j times the last entry of row j, and return
-    the head of the new last row, the next output. ``edge`` grows in place:
-    the new signed end of row j is that of row j-1 minus the old one of row
-    j-1, one subtraction per row."""
-    edge[:] = accumulate(edge, sub, initial=value)
-    # output len(edge) - 1 is odd when len(edge) is even
-    return edge[-1] if len(edge) % 2 else -edge[-1]
+    the head of row k."""
+    row = list(values)
+    heads = []
+    while row:
+        heads.append(row[0])
+        row = list(map(sub, row, row[1:]))
+    return heads
 
 
 def _check_2f1(a: int, c: int) -> None:
@@ -207,13 +200,28 @@ def _lah_gf_series(n: int, top: int) -> list[int]:
     return series
 
 
-@lru_cache(maxsize=None)
-def _route2_column(n: int) -> list[int]:
-    """r2's column n, the checked G_n through x^L, empty until
-    ``route2_lah_gf`` builds it and rebuilt in place when a larger k asks.
-    Unbounded, since each grid row reads every n; ``verify_grid`` clears
-    it."""
-    return []
+# the checked columns of r2 and r4, by (route, n): what a route reads that
+# depends on n alone, unbounded, since each grid row reads every n;
+# ``verify_grid`` clears it
+_COLUMNS: dict[tuple[str, int], list[int]] = {}
+
+
+def _column(route: str, n: int, k: int, build: Callable[[int, int], list[int]]) -> list[int]:
+    """``route``'s column n through entry k at least: the one kept, or else
+    ``build(n, k)``, which checks the whole column and raises if the check
+    fails, so that only a column that passed its check is kept."""
+    column = _COLUMNS.get((route, n))
+    if column is None or k >= len(column):
+        column = _COLUMNS[route, n] = build(n, k)
+    return column
+
+
+def _lah_gf_column(n: int, top: int) -> list[int]:
+    # r2's column n: G_n through x^top, checked against (1-x)^(n+1)
+    series = _lah_gf_series(n, top)
+    if series != [_sgn(j) * binomial_general(n + 1, j) for j in range(top + 1)]:
+        raise ConsistencyError(f"Lah generating function broke at n={n}")
+    return series
 
 
 def route2_lah_gf(inst: IdentityInstance) -> int:
@@ -232,13 +240,7 @@ def route2_lah_gf(inst: IdentityInstance) -> int:
     column that fails its check is not kept, so every k of that n raises.
     A k > L rebuilds the column through x^k."""
     k, n = inst.k, inst.n
-    column = _route2_column(n)
-    if k >= len(column):
-        series = _lah_gf_series(n, k)
-        if series != [_sgn(j) * binomial_general(n + 1, j) for j in range(len(series))]:
-            raise ConsistencyError(f"Lah generating function broke at n={n}")
-        column[:] = series
-    return factorial(k) * factorial(n) * column[k]
+    return factorial(k) * factorial(n) * _column("r2", n, k, _lah_gf_column)[k]
 
 
 @lru_cache(maxsize=32)
@@ -260,17 +262,15 @@ def route3_convolution(inst: IdentityInstance) -> int:
     return convolved * factorial(k) * factorial(n)
 
 
-@lru_cache(maxsize=None)
-def _route4_column(n: int) -> tuple[list[int], list[bool], list[int]]:
-    """r4's column for n up to L = 1, which ``route4_inversion`` grows in
-    place: b(0..L), for each j <= L whether outputs 0..j of the transform
-    of b equal the closed form a(0..j), and the transform's row ends after
-    b(L). Unbounded, since each grid row reads every n; ``verify_grid``
-    clears it."""
-    n1_fact = factorial(n + 1)
-    edge = [0]
-    agrees = [True, _transform_step(edge, -n1_fact) == n1_fact]
-    return [0, -n1_fact], agrees, edge
+def _inversion_column(n: int, top: int) -> list[int]:
+    # r4's column n: b(0..top), its transform checked at outputs 1..top
+    b = [0, -factorial(n + 1)]
+    for l in range(1, top):
+        b.append(exact_quotient(-b[l] * (n - l + 1), l))
+    a = binomial_inversion(b)
+    if any(a[j] * factorial(j - 1) != factorial(n + j) for j in range(1, top + 1)):
+        raise ConsistencyError(f"inversion dual identity broke at k={top}, n={n}")
+    return b
 
 
 def route4_inversion(inst: IdentityInstance) -> int:
@@ -285,22 +285,12 @@ def route4_inversion(inst: IdentityInstance) -> int:
     so b is 0 from l = n+2 on. Every step is an exact integer quotient, and
     a remainder raises. Output j of the transform reads only b(0..j), and
     is compared with the closed form as T(b)(j) (j-1)! = (n+j)!, so the
-    check for (k, n) is a prefix of the check for (K, n) when K >= k: the
-    column n keeps b and the transform, grows them one step at a time up
-    to the largest k asked for so far, and (k, n) passes when outputs 0..k
-    agree. A step whose quotient raises is not kept, so every k that needs
-    it raises again."""
+    check for (k, n) is a prefix of the check for (K, n) when K >= k.
+    Column n holds b(0..L), kept only when outputs 1..L of its transform
+    all agree, so (k, n) fails exactly when an output j <= k disagrees or a
+    step it needs raises. A k > L rebuilds the column through b(k)."""
     k, n = inst.k, inst.n
-    b, agrees, edge = _route4_column(n)
-    for l in range(len(b) - 1, k):
-        b_next = exact_quotient(-b[l] * (n - l + 1), l)
-        # the step runs after a disagreement too, so the row ends stay in step with b
-        out = _transform_step(edge, b_next)
-        b.append(b_next)
-        agrees.append(out * factorial(l) == factorial(n + l + 1) and agrees[l])
-    if not agrees[k]:
-        raise ConsistencyError(f"inversion dual identity broke at k={k}, n={n}")
-    return b[k] * factorial(k - 1)
+    return _column("r4", n, k, _inversion_column)[k] * factorial(k - 1)
 
 
 def route5_hypergeom(inst: IdentityInstance) -> int:
@@ -374,8 +364,10 @@ def _route_names(routes: Iterable[str]) -> tuple[str, ...]:
 
 def verify_instance(inst: IdentityInstance, routes: Iterable[str] = ROUTE_NAMES) -> VerificationReport:
     """The report for one (k, n): the reference, the direct sum and every
-    route, each route reading what depends on k alone from bounded row
-    caches. An unknown route name raises ValueError; a route whose
+    route. A route reads what depends on k alone from a bounded row cache,
+    and r2 and r4 read what depends on n alone from a checked column, kept
+    in ``_COLUMNS`` until the next ``verify_grid`` ends, through the largest
+    k asked so far. An unknown route name raises ValueError; a route whose
     internal cross-check fails is reported with the value None and its
     message, not raised, and the other routes still run. all_match is
     True only if every value agrees exactly.
@@ -468,9 +460,10 @@ def verify_grid(
     count. Mismatches and failed route cross-checks are reported, not
     raised. The route names and the grid's bounds are checked first: an
     unknown route, a k below 2 or a negative n raises ValueError before
-    any row is dealt out or any child is forked. The columns of r2 and r4
-    are freed when it returns or raises, so ``verify_grid((k,), ns)``
-    verifies one row and keeps no column.
+    any row is dealt out or any child is forked. Every share walks its rows
+    largest k first, so it builds each column of r2 and r4 once, through
+    its largest k; the columns are freed when it returns or raises, so
+    ``verify_grid((k,), ns)`` verifies one row and keeps no column.
 
     A row (one k, every n) is the unit of work, and rows may run in any
     order. Every route sums O(k) terms per instance, so the grid's work is
@@ -508,8 +501,7 @@ def verify_grid(
         for child, share in children:
             by_k.update(_collect(child, share, ns, route_names))
     finally:
-        _route2_column.cache_clear()
-        _route4_column.cache_clear()
+        _COLUMNS.clear()
         for pid, reader in (child for child, _ in children if child):
             reader.close()
             os.waitpid(pid, 0)

@@ -32,16 +32,18 @@ def forks(monkeypatch):
 
 @pytest.fixture
 def row_caches():
-    """Every row and column cache of the routes, empty before and after the
-    test, so that a test sees each route build what it reads, and a row
-    built under an injected fault never reaches another test."""
+    """Every row cache and every column of the routes, empty before and
+    after the test, so that a test sees each route build what it reads, and
+    a row or column built under an injected fault never reaches another
+    test."""
     import lahverify.verify as verify_mod
     from lahverify.numbers import lah_row
 
-    caches = (lah_row, verify_mod._route1_row, verify_mod._route2_column, verify_mod._route3_factor,
-              verify_mod._route4_column, verify_mod._route6_row)
+    caches = (lah_row, verify_mod._route1_row, verify_mod._route3_factor, verify_mod._route6_row)
     for cache in caches:
         cache.cache_clear()
+    verify_mod._COLUMNS.clear()
     yield
     for cache in caches:
         cache.cache_clear()
+    verify_mod._COLUMNS.clear()

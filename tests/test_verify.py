@@ -103,15 +103,6 @@ def _route4_sequences_reference(k, n):
     return a_seq, b_seq
 
 
-@pytest.fixture
-def route4_columns():
-    """r4's cached column function, empty before and after the test, so
-    that a column grown under an injected fault never reaches another test."""
-    verify_mod._route4_column.cache_clear()
-    yield verify_mod._route4_column
-    verify_mod._route4_column.cache_clear()
-
-
 class TestInstance:
     def test_hypothesis_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -449,7 +440,7 @@ class TestInternalGuards:
             assert r.errors == {"r3": f"convolution route broke at k=3, n={r.instance.n}"}
             assert r.route_values["r1"] == r.reference
 
-    def test_wrong_route4_step_is_reported(self, monkeypatch, route4_columns):
+    def test_wrong_route4_step_is_reported(self, monkeypatch, row_caches):
         exact_quotient = verify_mod.exact_quotient
         divisors = []
 
@@ -471,7 +462,7 @@ class TestInternalGuards:
         assert all(r.all_match and r.errors == {} for r in rest)
 
     @pytest.mark.parametrize("k", [3, 4])
-    def test_same_last_step_error_in_both_route4_products_is_reported(self, monkeypatch, route4_columns, k):
+    def test_same_last_step_error_in_both_route4_products_is_reported(self, monkeypatch, row_caches, k):
         exact_quotient = verify_mod.exact_quotient
         # the division by k-1 is the last step of b(l), the one running
         # product; output k of the transform carries b(k) with the sign
@@ -568,8 +559,8 @@ class TestFaultMatrix:
         # every product x(x+1)...(x+k-1) with k >= 2 has a coefficient 2
         pytest.param(_primitive_off(series_mod, "rising_factorial_poly", _rising_poly_off),
                      {"r6"}, range(2, 12), id="rising_factorial_poly-coeff2+1"),
-        pytest.param(_primitive_off(verify_mod, "_transform_step",
-                                    lambda step: lambda edge, value: step(edge, value) + (len(edge) - 1 == 4)),
+        pytest.param(_primitive_off(verify_mod, "binomial_inversion",
+                                    lambda inv: lambda b: [v + (j == 4) for j, v in enumerate(inv(b))]),
                      {"r4"}, range(4, 12), id="transform-output4+1"),
         # r5 sums the series at a = 1-k
         pytest.param(_primitive_off(verify_mod, "hypergeom_2f1_terminating", _hypergeom_sum_off),
@@ -593,13 +584,13 @@ class TestFaultMatrix:
 
 class TestRoute4Columns:
     KS, NS = range(2, 8), range(0, 6)
-    # the transform output, or the step l (division by l, making a(l+1) and
-    # b(l+1)), that a fault breaks: (k, n) must fail exactly when k >= 4
+    # the transform output, or the step l (division by l, making b(l+1)),
+    # that a fault breaks: (k, n) must fail exactly when k >= 4
     FAULT_AT = {"transform": 4, "quotient": 3}
 
     def _grid(self, build, forks):
         if build == "ascending":
-            # every row grows the columns of the row below it
+            # every row rebuilds the columns of the row below it
             return [verify_instance(IdentityInstance(k, n), ("r1", "r4")) for k in self.KS for n in self.NS]
         jobs = int(build[-1])
         reports = verify_grid(self.KS, self.NS, ("r1", "r4"), jobs=jobs)
@@ -609,17 +600,15 @@ class TestRoute4Columns:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
     @pytest.mark.parametrize("build", ["jobs-1", "jobs-2", "ascending"])
     @pytest.mark.parametrize("fault", ["transform", "quotient"])
-    def test_fault_fails_every_k_that_reads_it(self, monkeypatch, route4_columns, forks, fault, build):
+    def test_fault_fails_every_k_that_reads_it(self, monkeypatch, row_caches, forks, fault, build):
         at = self.FAULT_AT[fault]
         if fault == "transform":
-            step = verify_mod._transform_step
+            inversion = verify_mod.binomial_inversion
 
-            def output_off(edge, value):
-                out = step(edge, value)
-                # the edge has grown to one signed row end per output so far
-                return out + (len(edge) - 1 == at)
+            def output_off(b):
+                return [v + (j == at) for j, v in enumerate(inversion(b))]
 
-            monkeypatch.setattr(verify_mod, "_transform_step", output_off)
+            monkeypatch.setattr(verify_mod, "binomial_inversion", output_off)
             message = "inversion dual identity broke at k={k}, n={n}"
         else:
             exact_quotient = verify_mod.exact_quotient
@@ -643,49 +632,20 @@ class TestRoute4Columns:
                 assert r.all_match and r.errors == {}, (k, n)
 
     @staticmethod
-    def _count_outputs(monkeypatch):
-        # the transform steps made, by output: the first for output 1, then
-        # one per step l
-        outputs = Counter()
-        step = verify_mod._transform_step
+    def _count_transforms(monkeypatch):
+        # the length of every sequence r4 transforms, one per column built
+        lengths = []
+        inversion = verify_mod.binomial_inversion
 
-        def counting_step(edge, value):
-            out = step(edge, value)
-            outputs[len(edge) - 1] += 1
-            return out
+        def counting_inversion(b):
+            lengths.append(len(b))
+            return inversion(b)
 
-        monkeypatch.setattr(verify_mod, "_transform_step", counting_step)
-        return outputs
+        monkeypatch.setattr(verify_mod, "binomial_inversion", counting_inversion)
+        return lengths
 
-    def test_one_transform_per_column(self, monkeypatch, route4_columns):
-        # a row reads every n of the grid, and each column grows one
-        # transform step per output over the north-star n-range
-        outputs = self._count_outputs(monkeypatch)
-        reports = verify_grid(range(2, 6), range(0, 121), routes=("r4",))
-        assert all(r.all_match for r in reports)
-        assert outputs == {j: 121 for j in range(1, 6)}
-
-    def test_column_grows_past_a_disagreement(self, monkeypatch, route4_columns):
-        # output 2 is off, so every k fails; each step still runs the
-        # transform, and every list of the column has one entry per b(l)
-        outputs = self._count_outputs(monkeypatch)
-        step = verify_mod._transform_step
-
-        def output_off(edge, value):
-            out = step(edge, value)
-            return out + (len(edge) - 1 == 2)
-
-        monkeypatch.setattr(verify_mod, "_transform_step", output_off)
-        for n in range(0, 4):
-            with pytest.raises(ConsistencyError, match=f"broke at k=5, n={n}"):
-                route4_inversion(IdentityInstance(5, n))
-            b, agrees, edge = route4_columns(n)
-            assert b == _route4_sequences_reference(5, n)[1]
-            assert agrees == [True, True, False, False, False, False]
-            assert len(edge) == len(b)
-        assert outputs == {j: 4 for j in range(1, 6)}
-
-    def test_ascending_caller_grows_each_column_once(self, monkeypatch, route4_columns):
+    def test_ascending_caller_rebuilds_each_column_per_k(self, monkeypatch, row_caches):
+        lengths = self._count_transforms(monkeypatch)
         divisors = Counter()
         exact_quotient = verify_mod.exact_quotient
 
@@ -698,30 +658,35 @@ class TestRoute4Columns:
             for n in range(0, 61):
                 inst = IdentityInstance(k, n)
                 assert route4_inversion(inst) == rhs_reference(inst), (k, n)
-        # step l divides by l: one checked quotient, b(l+1), per column n
-        # and step l, however many k read the column
-        assert divisors == {l: 61 for l in range(1, 30)}
+        # each k is larger than the column kept, so every column is rebuilt
+        # through b(k): one transform of b(0..k) per (k, n), and step l,
+        # which divides by l, once per n and k > l
+        assert lengths == [k + 1 for k in range(2, 31) for n in range(0, 61)]
+        assert divisors == {l: 61 * (30 - l) for l in range(1, 30)}
 
-    def test_columns_kept_for_one_grid(self, monkeypatch, route4_columns):
+    def test_columns_kept_for_one_grid(self, monkeypatch, row_caches):
         # the columns of a grid's whole n-range are kept however long it
-        # is, and freed when verify_grid returns or raises
-        outputs = self._count_outputs(monkeypatch)
+        # is, each built once, and freed when verify_grid returns or raises
+        lengths = self._count_transforms(monkeypatch)
         reports = verify_grid(range(2, 6), range(0, 301), routes=("r4",))
         assert all(r.all_match for r in reports)
-        assert outputs == {j: 301 for j in range(1, 6)}
-        assert route4_columns.cache_info().currsize == 0
+        assert lengths == [6] * 301
+        assert verify_mod._COLUMNS == {}
 
         held = []
+        inversion = verify_mod.binomial_inversion
 
-        def raising_quotient(num, den):
-            held.append(route4_columns.cache_info().currsize)
-            raise RuntimeError("injected")
+        def raising_inversion(b):
+            held.append(sorted(verify_mod._COLUMNS))
+            if len(held) == 3:
+                raise RuntimeError("injected")
+            return inversion(b)
 
-        monkeypatch.setattr(verify_mod, "exact_quotient", raising_quotient)
+        monkeypatch.setattr(verify_mod, "binomial_inversion", raising_inversion)
         with pytest.raises(RuntimeError, match="injected"):
             verify_grid(range(2, 6), range(0, 4), routes=("r4",))
-        assert held == [1]
-        assert route4_columns.cache_info().currsize == 0
+        assert held == [[], [("r4", 0)], [("r4", 0), ("r4", 1)]]
+        assert verify_mod._COLUMNS == {}
 
 
 class TestRoute2Columns:
@@ -774,9 +739,9 @@ class TestRoute2Columns:
 
     def test_fork_fallback_rebuilds_each_column_through_k(self, monkeypatch, row_caches, forks):
         # no child can be made, so this process verifies its own share,
-        # k = 29, 27, .., 3, and then the other one, k = 30, 28, .., 2: an
-        # r2 column is rebuilt through the x^30 that is read, and an r4
-        # column grows by the one step it lacks
+        # k = 29, 27, .., 3, and then the other one, k = 30, 28, .., 2: each
+        # r2 and r4 column is built through k = 29, then rebuilt through the
+        # k = 30 that is read
         tops = self._count_builds(monkeypatch)
         divisors = Counter()
         exact_quotient = verify_mod.exact_quotient
@@ -790,31 +755,39 @@ class TestRoute2Columns:
         assert all(r.all_match for r in verify_grid(range(2, 31), range(0, 61), ("r2", "r4"), jobs=2))
         assert forks == []
         assert tops == {n: [29, 30] for n in range(0, 61)}
-        # step l divides by l: one checked quotient per column n and step l
-        assert divisors == {l: 61 for l in range(1, 30)}
+        # step l divides by l: one checked quotient per build of column n
+        # that reaches b(l+1)
+        assert divisors == {l: 2 * 61 if l <= 28 else 61 for l in range(1, 30)}
 
     def test_grid_builds_each_column_once(self, monkeypatch, row_caches):
-        # rows come largest k first, so the first build of a column is its last
+        # rows come largest k first, so the first build of a column is its
+        # last: one r2 series through x^30 and one r4 transform of b(0..30)
+        # per n
         tops = self._count_builds(monkeypatch)
-        assert all(r.all_match for r in verify_grid(range(2, 31), range(0, 61), ("r2",)))
+        lengths = TestRoute4Columns._count_transforms(monkeypatch)
+        assert all(r.all_match for r in verify_grid(range(2, 31), range(0, 61), ("r2", "r4")))
         assert tops == {n: [30] for n in range(0, 61)}
+        assert lengths == [31] * 61
 
     def test_grid_leaves_no_column_behind(self, monkeypatch, row_caches):
-        columns = (verify_mod._route2_column, verify_mod._route4_column)
         assert all(r.all_match for r in verify_grid(range(2, 6), range(0, 10), ("r2", "r4")))
-        assert [cache.cache_info().currsize for cache in columns] == [0, 0]
+        assert verify_mod._COLUMNS == {}
 
         held = []
+        build = verify_mod._lah_gf_series
 
         def raising_build(n, top):
-            held.append([cache.cache_info().currsize for cache in columns])
-            raise RuntimeError("injected")
+            # each route keeps its own column n, under its own name
+            held.append(sorted(verify_mod._COLUMNS))
+            if n == 2:
+                raise RuntimeError("injected")
+            return build(n, top)
 
         monkeypatch.setattr(verify_mod, "_lah_gf_series", raising_build)
         with pytest.raises(RuntimeError, match="injected"):
             verify_grid(range(2, 6), range(0, 4), ("r2", "r4"))
-        assert held == [[1, 0]]
-        assert [cache.cache_info().currsize for cache in columns] == [0, 0]
+        assert held == [[], [("r2", 0), ("r4", 0)], [("r2", 0), ("r2", 1), ("r4", 0), ("r4", 1)]]
+        assert verify_mod._COLUMNS == {}
 
 
 class TestVerifyInstance:
@@ -880,8 +853,7 @@ class TestVerifyGrid:
         assert [tuple(r.instance) for r in reports] == [(3, 0), (3, 1), (3, 4)]
         assert all(r.all_match for r in reports)
         assert forks == []
-        columns = (verify_mod._route2_column, verify_mod._route4_column)
-        assert [cache.cache_info().currsize for cache in columns] == [0, 0]
+        assert verify_mod._COLUMNS == {}
 
     def test_jobs_do_not_change_reports(self, forks):
         serial = verify_grid(range(2, 5), range(0, 4), routes=("r1", "r4"), jobs=1)
