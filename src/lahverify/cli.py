@@ -238,20 +238,32 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace:
     return SimpleNamespace(**values)
 
 
+# an int of at most this many bits is written by str(), which is faster
+# there than digits.write_int and loads no decimal module
+_SHORT_BITS = 1 << 15
+
+
+def _exact_decimal():
+    """A decimal context that holds every integer exactly, and traps
+    rounding, should a value ever need more than its precision. decimal is
+    imported here, so that a command that writes only short ints never
+    loads it."""
+    from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero, Inexact, InvalidOperation,
+                         Overflow, Rounded)
+
+    return Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                   traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
+
+
 def _run_table(ns: SimpleNamespace) -> int:
     if ns.max_n < 0:
         raise ValueError("--max-n must be non-negative")
     # printing is the command's whole job, and an int's decimal string
     # costs time quadratic in its digits: a Decimal holds base-10**19 limbs,
-    # so its string is linear. The context holds every entry exactly, and
-    # traps rounding, should an entry ever need more than its precision.
-    # decimal is imported here, so that no other command loads it.
-    from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
-                         InvalidOperation, Overflow, Rounded, localcontext)
+    # so its string is linear
+    from decimal import Decimal, localcontext
 
-    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
-                    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
-    with localcontext(exact):
+    with localcontext(_exact_decimal()):
         # rows are printed as they are produced, so memory stays at one row
         rows = triangle_rows(ns.kind, ns.max_n, start=Decimal(1))
         if ns.fmt == "csv":
@@ -330,7 +342,15 @@ def run(argv: Sequence[str] | None = None) -> int:
             return _run_verify(ns)
         if ns.n < 0 or ns.k < 0:
             raise ValueError("--n and --k must be non-negative")
-        print(lah(ns.n, ns.k) if ns.command == "lah" else stirling1(ns.n, ns.k))
+        value = lah(ns.n, ns.k) if ns.command == "lah" else stirling1(ns.n, ns.k)
+        if value.bit_length() > _SHORT_BITS:
+            from decimal import localcontext
+
+            from .digits import write_int
+
+            with localcontext(_exact_decimal()):
+                value = write_int(value)
+        print(value)
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

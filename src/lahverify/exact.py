@@ -56,13 +56,19 @@ def rising(x: Scalar, n: int) -> Scalar:
 
 
 def falling(x: Scalar, n: int) -> Scalar:
-    """Falling factorial x(x-1)...(x-n+1); 1 when n == 0."""
+    """Falling factorial x(x-1)...(x-n+1); 1 when n == 0. An integral x,
+    int or Fraction, gives an int."""
     if n < 0:
         raise ValueError("falling factorial needs n >= 0")
-    out: Scalar = 1
-    for i in range(n):
-        out *= x - i
-    return out
+    # with x = p/q, the product of the numerators p, p-q, ..., p-(n-1)q over
+    # q^n; an int is its own numerator over 1
+    p, q = x.numerator, x.denominator
+    product = math.prod(range(p, p - n * q, -q))
+    if q == 1:
+        return product
+    from fractions import Fraction
+
+    return Fraction(product, q**n)
 
 
 def reciprocal_factorial_weight(m: int) -> Fraction:

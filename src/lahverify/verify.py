@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 import os
 from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import mul, sub
+from itertools import accumulate, cycle, repeat
+from operator import mul, ne, sub
 from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 from .exact import (
@@ -80,11 +80,20 @@ def rhs_reference(inst: IdentityInstance) -> int:
     return _sgn(k) * factorial(n) * math.perm(n + 1, k)
 
 
-def lhs_direct(inst: IdentityInstance) -> int:
-    """The literal alternating sum; the independent oracle for every route."""
-    k, n = inst.k, inst.n
+@lru_cache(maxsize=32)
+def _lhs_row(k: int) -> tuple[int, ...]:
+    # (-1)^l L(k, l) for l = 1..k from the closed-form row: the row of the
+    # direct sum that every n shares
     row = lah_row(k)
-    return sum(_sgn(l) * factorial(n + l) * row[l] for l in range(1, k + 1))
+    return tuple(_sgn(l) * row[l] for l in range(1, k + 1))
+
+
+def lhs_direct(inst: IdentityInstance) -> int:
+    """The literal alternating sum; the independent oracle for every route.
+    Its terms are the signed closed-form row (-1)^l L(k, l), cached per k,
+    times the factorials (n+l)!, l = 1..k."""
+    k, n = inst.k, inst.n
+    return sum(map(mul, _lhs_row(k), map(factorial, range(n + 1, n + k + 1))))
 
 
 def gkp_identity(l: int, m: int, s: int, n: int) -> tuple[int, int]:
@@ -151,9 +160,10 @@ def hypergeom_2f1_terminating(a: int, b: int, c: int) -> tuple[int, int]:
     # total / den is the sum of the terms before l, term / den is term l
     total, term, den = 0, 1, 1
     for l in range(-a + 1):
-        total += term
         q = (c + l) * (l + 1)
-        total, term, den = total * q, term * (a + l) * (b + l), den * q
+        total = (total + term) * q
+        term *= (a + l) * (b + l)
+        den *= q
     return total, den
 
 
@@ -200,7 +210,7 @@ def _lah_gf_series(n: int, top: int) -> list[int]:
     return series
 
 
-# the checked columns of r2 and r4, by (route, n): what a route reads that
+# the columns of r2, r3 and r4, by (route, n): what a route reads that
 # depends on n alone, unbounded, since each grid row reads every n;
 # ``verify_grid`` clears it
 _COLUMNS: dict[tuple[str, int], list[int]] = {}
@@ -208,8 +218,10 @@ _COLUMNS: dict[tuple[str, int], list[int]] = {}
 
 def _column(route: str, n: int, k: int, build: Callable[[int, int], list[int]]) -> list[int]:
     """``route``'s column n through entry k at least: the one kept, or else
-    ``build(n, k)``, which checks the whole column and raises if the check
-    fails, so that only a column that passed its check is kept."""
+    ``build(n, k)``. r2's and r4's builds check the whole column and raise
+    if the check fails, so that only a column that passed its check is
+    kept; r3's column is its factor (1+x)^-(n+1), which r3 checks per
+    instance through the convolution it enters."""
     column = _COLUMNS.get((route, n))
     if column is None or k >= len(column):
         column = _COLUMNS[route, n] = build(n, k)
@@ -219,7 +231,7 @@ def _column(route: str, n: int, k: int, build: Callable[[int, int], list[int]]) 
 def _lah_gf_column(n: int, top: int) -> list[int]:
     # r2's column n: G_n through x^top, checked against (1-x)^(n+1)
     series = _lah_gf_series(n, top)
-    if series != [_sgn(j) * binomial_general(n + 1, j) for j in range(top + 1)]:
+    if series != list(map(mul, cycle((1, -1)), map(binomial_general, repeat(n + 1), range(top + 1)))):
         raise ConsistencyError(f"Lah generating function broke at n={n}")
     return series
 
@@ -250,13 +262,20 @@ def _route3_factor(k: int) -> tuple[int, ...]:
     return tuple(binomial_general(k - 1, i) for i in range(k, -1, -1))
 
 
+def _route3_column(n: int, top: int) -> list[int]:
+    # r3's column n: the coefficients of (1+x)^-(n+1) through x^top
+    return list(map(binomial_general, repeat(-(n + 1)), range(top + 1)))
+
+
 def route3_convolution(inst: IdentityInstance) -> int:
     """Route 3: the coefficient of x^k in (1+x)^-(n+1) * (1+x)^(k-1) must
     equal the coefficient of x^k in (1+x)^-(n-k+2); scaling it by k! n!
-    gives the sum."""
+    gives the sum. The factor (1+x)^(k-1) is cached per row, and column n
+    holds (1+x)^-(n+1) through x^L; a k > L rebuilds it through x^k."""
     k, n = inst.k, inst.n
-    # only x^k of the product is compared: sum over i of [x^i] * [x^(k-i)]
-    convolved = sum(map(mul, map(binomial_general, repeat(-(n + 1)), range(k + 1)), _route3_factor(k)))
+    # only x^k of the product is compared: sum over i of [x^i] * [x^(k-i)];
+    # map stops at the end of the factor, which ends at x^0
+    convolved = sum(map(mul, _column("r3", n, k, _route3_column), _route3_factor(k)))
     if convolved != binomial_general(-(n - k + 2), k):
         raise ConsistencyError(f"convolution route broke at k={k}, n={n}")
     return convolved * factorial(k) * factorial(n)
@@ -268,7 +287,8 @@ def _inversion_column(n: int, top: int) -> list[int]:
     for l in range(1, top):
         b.append(exact_quotient(-b[l] * (n - l + 1), l))
     a = binomial_inversion(b)
-    if any(a[j] * factorial(j - 1) != factorial(n + j) for j in range(1, top + 1)):
+    # T(b)(j) (j-1)! against (n+j)! for j = 1..top
+    if any(map(ne, map(mul, a[1:], map(factorial, range(top))), map(factorial, range(n + 1, n + top + 1)))):
         raise ConsistencyError(f"inversion dual identity broke at k={top}, n={n}")
     return b
 
@@ -353,9 +373,18 @@ ROUTE_FUNCTIONS: dict[str, Callable[[IdentityInstance], int]] = {
 ROUTE_NAMES: tuple[str, ...] = tuple(sorted(ROUTE_FUNCTIONS))
 
 
-def _route_names(routes: Iterable[str]) -> tuple[str, ...]:
-    """``routes`` sorted, without repeats; the one check of route names."""
-    names = tuple(sorted(set(routes)))
+class _RouteNames(tuple):
+    """Route names that ``_route_names`` has sorted and checked."""
+
+    __slots__ = ()
+
+
+def _route_names(routes: Iterable[str]) -> _RouteNames:
+    """``routes`` sorted, without repeats; the one check of route names.
+    Names it has already checked pass through as they are."""
+    if type(routes) is _RouteNames:
+        return routes
+    names = _RouteNames(sorted(set(routes)))
     for name in names:
         if name not in ROUTE_FUNCTIONS:
             raise ValueError(f"unknown route {name!r} (choose from {', '.join(ROUTE_NAMES)})")
@@ -365,12 +394,13 @@ def _route_names(routes: Iterable[str]) -> tuple[str, ...]:
 def verify_instance(inst: IdentityInstance, routes: Iterable[str] = ROUTE_NAMES) -> VerificationReport:
     """The report for one (k, n): the reference, the direct sum and every
     route. A route reads what depends on k alone from a bounded row cache,
-    and r2 and r4 read what depends on n alone from a checked column, kept
-    in ``_COLUMNS`` until the next ``verify_grid`` ends, through the largest
-    k asked so far. An unknown route name raises ValueError; a route whose
-    internal cross-check fails is reported with the value None and its
-    message, not raised, and the other routes still run. all_match is
-    True only if every value agrees exactly.
+    and r2, r3 and r4 read what depends on n alone from a column, kept in
+    ``_COLUMNS`` until the next ``verify_grid`` ends, through the largest
+    k asked so far. An unknown route name raises ValueError; the names of
+    a grid are checked once, by the grid. A route whose internal
+    cross-check fails is reported with the value None and its message, not
+    raised, and the other routes still run. all_match is True only if
+    every value agrees exactly.
     """
     names = _route_names(routes)
     reference = rhs_reference(inst)

@@ -30,20 +30,26 @@ def forks(monkeypatch):
     yield pids
 
 
+def clear_row_caches():
+    """Empty every ``lru_cache`` defined in ``lahverify.verify`` and
+    ``lahverify.numbers``, found by looking, not listed, and every column
+    of the routes."""
+    import lahverify.numbers as numbers_mod
+    import lahverify.verify as verify_mod
+
+    for module in (numbers_mod, verify_mod):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == module.__name__:
+                value.cache_clear()
+    verify_mod._COLUMNS.clear()
+
+
 @pytest.fixture
 def row_caches():
     """Every row cache and every column of the routes, empty before and
     after the test, so that a test sees each route build what it reads, and
     a row or column built under an injected fault never reaches another
     test."""
-    import lahverify.verify as verify_mod
-    from lahverify.numbers import lah_row
-
-    caches = (lah_row, verify_mod._route1_row, verify_mod._route3_factor, verify_mod._route6_row)
-    for cache in caches:
-        cache.cache_clear()
-    verify_mod._COLUMNS.clear()
+    clear_row_caches()
     yield
-    for cache in caches:
-        cache.cache_clear()
-    verify_mod._COLUMNS.clear()
+    clear_row_caches()

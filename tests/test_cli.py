@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lahverify
-from lahverify import cli
+from lahverify import cli, digits
 from lahverify.cli import emit_report, run
 from lahverify.numbers import triangle_rows
 from lahverify.verify import ROUTE_FUNCTIONS, ROUTE_NAMES, IdentityInstance, VerificationReport
@@ -760,6 +760,47 @@ class TestDeterminism:
         assert len(forks) == 1
 
 
+class TestLongDecimal:
+    # values on either side of 10^m, around the sizes where the writer
+    # converts a part directly (2^128) and where the scalar commands start
+    # to use it (2^(2^15)), and far above both
+    VALUES = [0, 1, -1, *(sign * (10**m + d) for m in (1, 19, 38, 39, 40, 100, 1000, 9864, 20000)
+                          for d in (-1, 0, 1) for sign in (1, -1))]
+
+    @pytest.fixture(autouse=True)
+    def exact_decimal(self):
+        # the writer runs in the exact context that its caller sets; str()
+        # of the reference values may exceed the default digit limit
+        with decimal.localcontext(cli._exact_decimal()):
+            if not hasattr(sys, "set_int_max_str_digits"):
+                yield
+                return
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            yield
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: f"{'-' if v < 0 else ''}{v.bit_length()}bits")
+    def test_writes_what_str_writes(self, value):
+        assert digits.write_int(value) == str(value)
+
+    @given(st.integers(-(2**3000), 2**3000))
+    def test_writes_any_int_as_str(self, value):
+        assert digits.write_int(value) == str(value)
+
+    def test_scalar_commands_write_long_values_by_it(self, capsys, monkeypatch):
+        calls = []
+        writer = digits.write_int
+        monkeypatch.setattr(digits, "write_int", lambda v: calls.append(v.bit_length()) or writer(v))
+        code, out, _ = _run(capsys, ["lah", "--n", "5000", "--k", "1"])
+        assert code == 0 and out == f"{math.factorial(5000)}\n"
+        code, out, _ = _run(capsys, ["stirling1", "--n", "4000", "--k", "3"])
+        assert code == 0 and out.startswith("-") and len(out) > 12000
+        code, out, _ = _run(capsys, ["lah", "--n", "30", "--k", "1"])
+        assert code == 0 and out == f"{math.factorial(30)}\n"
+        assert len(calls) == 2 and min(calls) > cli._SHORT_BITS
+
+
 def _fresh_env() -> dict[str, str]:
     src = str(Path(lahverify.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": src}
@@ -799,6 +840,8 @@ def test_cli_import_leaves_workers_out():
         assert "lahverify.cli" in command
         assert not command & {"lahverify.verify", "lahverify.symbolic", "lahverify.series", "fractions",
                               "dataclasses", *parser}
+        # only a long value loads the decimal writer
+        assert "lahverify.digits" not in command
         # only the table command holds its entries in a decimal radix
         assert ("decimal" in command) == (argv[0] == "table")
     grid = ["-m", "lahverify", "verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "2"]
@@ -809,7 +852,8 @@ def test_cli_import_leaves_workers_out():
     assert not parallel & {"concurrent.futures", "multiprocessing", "decimal", "pickle", *parser}
     r1_to_r5 = _loaded_by(*grid, "--routes", "r1,r2,r3,r4,r5", "--format", "json")
     assert "lahverify.verify" in r1_to_r5
-    assert not r1_to_r5 & {"fractions", "json", "lahverify.symbolic", "lahverify.series", "decimal"}
+    assert not r1_to_r5 & {"fractions", "json", "lahverify.symbolic", "lahverify.series", "decimal",
+                           "lahverify.digits"}
     r6 = _loaded_by(*grid, "--routes", "r6")
     assert "lahverify.series" in r6
     assert not r6 & {"lahverify.symbolic", "decimal", *parser}

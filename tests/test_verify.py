@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import functools
+import gc
+import math
 import os
 import pickle
 import subprocess
@@ -425,7 +428,7 @@ class TestInternalGuards:
             assert sorted(r.errors) == ["r6"]
             assert not r.all_match
 
-    def test_wrong_route3_coefficient_is_reported(self, monkeypatch):
+    def test_wrong_route3_coefficient_is_reported(self, monkeypatch, row_caches):
         binomial = verify_mod.binomial_general
 
         def negative_x2_coeff_off(e, j):
@@ -759,18 +762,48 @@ class TestRoute2Columns:
         # that reaches b(l+1)
         assert divisors == {l: 2 * 61 if l <= 28 else 61 for l in range(1, 30)}
 
+    @staticmethod
+    def _count_route3_builds(monkeypatch):
+        # the x^top of every column r3 builds, by n
+        tops: dict[int, list[int]] = {}
+        build = verify_mod._route3_column
+
+        def counting_build(n, top):
+            tops.setdefault(n, []).append(top)
+            return build(n, top)
+
+        monkeypatch.setattr(verify_mod, "_route3_column", counting_build)
+        return tops
+
     def test_grid_builds_each_column_once(self, monkeypatch, row_caches):
         # rows come largest k first, so the first build of a column is its
-        # last: one r2 series through x^30 and one r4 transform of b(0..30)
-        # per n
+        # last: one r2 series and one r3 factor (1+x)^-(n+1) through x^30,
+        # and one r4 transform of b(0..30), per n
         tops = self._count_builds(monkeypatch)
+        route3_tops = self._count_route3_builds(monkeypatch)
         lengths = TestRoute4Columns._count_transforms(monkeypatch)
-        assert all(r.all_match for r in verify_grid(range(2, 31), range(0, 61), ("r2", "r4")))
-        assert tops == {n: [30] for n in range(0, 61)}
+        assert all(r.all_match for r in verify_grid(range(2, 31), range(0, 61), ("r2", "r3", "r4")))
+        assert tops == route3_tops == {n: [30] for n in range(0, 61)}
         assert lengths == [31] * 61
 
+    def test_route3_column_is_the_negative_binomial_factor(self, row_caches):
+        column = verify_mod._route3_column(4, 6)
+        assert column == [binomial_general(-5, i) for i in range(7)] == [1, -5, 15, -35, 70, -126, 210]
+
     def test_grid_leaves_no_column_behind(self, monkeypatch, row_caches):
-        assert all(r.all_match for r in verify_grid(range(2, 6), range(0, 10), ("r2", "r4")))
+        assert all(r.all_match for r in verify_grid(range(2, 6), range(0, 10), ("r2", "r3", "r4")))
+        assert verify_mod._COLUMNS == {}
+
+        route3_build = verify_mod._route3_column
+
+        def raising_route3_build(n, top):
+            if n == 2:
+                raise RuntimeError("injected in r3")
+            return route3_build(n, top)
+
+        monkeypatch.setattr(verify_mod, "_route3_column", raising_route3_build)
+        with pytest.raises(RuntimeError, match="injected in r3"):
+            verify_grid(range(2, 6), range(0, 4), ("r3",))
         assert verify_mod._COLUMNS == {}
 
         held = []
@@ -790,7 +823,33 @@ class TestRoute2Columns:
         assert verify_mod._COLUMNS == {}
 
 
+def _lhs_literal(k, n):
+    # the sum over l of (-1)^l (n+l)! L(k, l), with L(k, l) = C(k-1, l-1) k!/l!
+    return sum((-1) ** l * math.factorial(n + l) * math.comb(k - 1, l - 1) * math.factorial(k) // math.factorial(l)
+               for l in range(1, k + 1))
+
+
 class TestVerifyInstance:
+    @given(st.integers(2, 40), st.integers(0, 80))
+    def test_lhs_direct_is_the_literal_sum(self, k, n):
+        assert lhs_direct(IdentityInstance(k, n)) == _lhs_literal(k, n)
+
+    def test_route_names_checked_once_per_grid(self, monkeypatch):
+        # the grid checks its names, and every instance takes them as checked
+        checks = []
+        route_names = verify_mod._route_names
+
+        def counting_names(routes):
+            names = route_names(routes)
+            checks.append(names is not routes)
+            return names
+
+        monkeypatch.setattr(verify_mod, "_route_names", counting_names)
+        assert all(r.all_match for r in verify_grid(range(2, 5), range(0, 4), ("r4", "r1", "r4")))
+        assert checks == [True] + [False] * 12
+        assert verify_instance(IdentityInstance(2, 1), ["r1"]).all_match
+        assert checks[-1] is True
+
     def test_report_contents(self):
         report = verify_instance(IdentityInstance(2, 1), routes=("r1", "r5"))
         assert report.reference == 2
@@ -905,16 +964,18 @@ class TestVerifyGrid:
             return closed_form(n, k)
 
         monkeypatch.setattr(numbers_mod, "lah", counting_lah)
-        caches = (lah_row, verify_mod._route1_row, verify_mod._route3_factor, verify_mod._route6_row)
+        caches = (lah_row, verify_mod._lhs_row, verify_mod._route1_row, verify_mod._route3_factor,
+                  verify_mod._route6_row)
         reports = verify_grid(range(2, 6), range(0, 8), routes=("r1", "r2", "r3", "r4", "r6"))
         assert all(r.all_match for r in reports)
         # one Lah row per k, in the order dealt, from the closed form, read by
-        # lhs_direct for every n and by r6's row; r1 reads the triangle
+        # the signed row of lhs_direct and by r6's row; r1 reads the triangle
         # recurrence instead, and r2 no Lah number
         assert calls == [(k, l) for k in range(5, 1, -1) for l in range(k + 1)]
         # (hits, misses): each cache is built once per row and read for every n
         assert {cache: cache.cache_info()[:2] for cache in caches} == {
-            lah_row: (4 * 8 + 4 - 4, 4),
+            lah_row: (4, 4),
+            verify_mod._lhs_row: (4 * 8 - 4, 4),
             verify_mod._route1_row: (4 * 8 - 4, 4),
             verify_mod._route3_factor: (4 * 8 - 4, 4),
             verify_mod._route6_row: (4 * 8 - 4, 4),
@@ -935,21 +996,39 @@ class TestVerifyGrid:
                 monkeypatch.setattr(module, "lah", counting_lah)
         counts = {}
         for routes in (("r1",), ("r1", "r6")):
-            lah_row.cache_clear()
-            verify_mod._route6_row.cache_clear()
+            for cache in (lah_row, verify_mod._lhs_row, verify_mod._route6_row):
+                cache.cache_clear()
             calls.clear()
             assert all(r.all_match for r in verify_grid(range(2, 6), range(0, 8), routes=routes))
             counts[routes] = len(calls)
         # one closed-form Lah row L(k, 0..k) per k
         assert counts == {("r1",): 3 + 4 + 5 + 6, ("r1", "r6"): 3 + 4 + 5 + 6}
 
-    @pytest.mark.parametrize("name", ["lah_row", "_route1_row", "_route3_factor", "_route6_row"])
+    @pytest.mark.parametrize("name", ["lah_row", "_lhs_row", "_route1_row", "_route3_factor", "_route6_row"])
     def test_row_caches_are_bounded_and_immutable(self, name):
         cache = getattr(verify_mod, name)
         assert type(cache.cache_parameters()["maxsize"]) is int
         value = cache(6)
         assert type(value) is tuple
         assert all(type(entry) in (int, tuple) for entry in value)
+
+    def test_row_caches_fixture_clears_every_cache(self, request):
+        # every lru_cache that verify and numbers define, found through the
+        # garbage collector rather than by name, is empty once the fixture
+        # has run, as are the columns
+        assert all(r.all_match for r in verify_grid(range(2, 6), range(0, 4)))
+        route3_convolution(IdentityInstance(3, 2))
+        modules = {numbers_mod.__name__, verify_mod.__name__}
+        caches = [obj for obj in gc.get_objects()
+                  if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ in modules]
+        names = {cache.__name__ for cache in caches}
+        assert names >= {"lah_row", "_lhs_row", "_route1_row", "_route3_factor", "_route6_row"}
+        assert verify_mod._COLUMNS
+        request.getfixturevalue("row_caches")
+        assert {cache.__name__: cache.cache_info().currsize for cache in caches} == {
+            cache.__name__: 0 for cache in caches
+        }
+        assert verify_mod._COLUMNS == {}
 
     def test_workers_never_more_than_rows_cpus_or_work(self, monkeypatch, forks):
         def forks_for(*args, **kwargs):
