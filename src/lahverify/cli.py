@@ -363,7 +363,8 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     """Console entry point; exits 1 without a traceback when stdout or
-    stderr cannot take the output (e.g. ``| head -1`` or ``>/dev/full``).
+    stderr cannot take the output (e.g. ``| head -1`` or ``>/dev/full``),
+    and 130 with one stderr line when interrupted (SIGINT).
 
     After flushing stdout and stderr it leaves through ``os._exit``, so
     the interpreter neither clears its modules nor runs its shutdown
@@ -376,11 +377,14 @@ def main() -> None:
             read_fd, write_fd = os.pipe()
             os.close(read_fd)
             setattr(sys, name, open(write_fd, "w"))
-    failed = None
+    failed = message = None
     try:
         code = run(sys.argv[1:])
     except OSError as exc:
         code, failed = 1, exc
+    except KeyboardInterrupt:
+        # 128 + SIGINT, as the shells report it; a grid has killed its children
+        code, message = 130, "interrupted"
     # a closed or full stream must fail here, where it is handled; stdout is
     # flushed even after a write to stderr failed, so its report is kept
     for stream in (sys.stdout, sys.stderr):
@@ -391,8 +395,10 @@ def main() -> None:
     # a reader that has gone takes no message; e.g. a full device gets one
     # line, if stderr can take it
     if failed and not isinstance(failed, BrokenPipeError):
+        message = f"cannot write output: {failed.strerror or failed}"
+    if message:
         try:
-            print(f"error: cannot write output: {failed.strerror or failed}", file=sys.stderr, flush=True)
+            print(f"error: {message}", file=sys.stderr, flush=True)
         except OSError:
             pass
     os._exit(code)

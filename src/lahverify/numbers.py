@@ -8,7 +8,6 @@ enumeration) so that the methods can be played against each other in tests.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import permutations, product, repeat
 from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
@@ -41,12 +40,11 @@ def lah(n: int, k: int) -> int:
     return binomial_general(n - 1, k - 1) * math.perm(n, n - k)
 
 
-@lru_cache(maxsize=32)
 def lah_row(n: int) -> tuple[int, ...]:
-    """L(n, 0..n) from the closed form ``lah``, cached for recent n: every
-    instance of a verification grid row reads the same row. It is not
-    taken from the triangle recurrence, so it stays an independent check
-    of the Lah triangle that route 1 reads."""
+    """L(n, 0..n) from the closed form ``lah``, the row that every instance
+    of a verification grid row reads, kept for one grid by ``verify``. It
+    is not taken from the triangle recurrence, so it stays an independent
+    check of the Lah triangle that route 1 reads."""
     if n < 0:
         raise ValueError("Lah indices must be non-negative")
     return tuple(lah(n, k) for k in range(n + 1))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-from functools import lru_cache
 from itertools import accumulate, cycle, repeat
 from operator import mul, ne, sub
 from typing import IO, Callable, Iterable, NamedTuple, Sequence
@@ -80,20 +79,34 @@ def rhs_reference(inst: IdentityInstance) -> int:
     return _sgn(k) * factorial(n) * math.perm(n + 1, k)
 
 
-@lru_cache(maxsize=32)
+# what the routes read that depends on k alone, rows "lah", "lhs", "r1",
+# "r3 factor" and "r6" by (name, k), or on n alone, columns "r2", "r3" and
+# "r4" by (route, n); unbounded, and cleared by ``verify_grid``
+_STORE: dict[tuple[str, int], Sequence[int]] = {}
+
+
+def _row(name: str, k: int, build: Callable[[int], tuple[int, ...]]) -> Sequence[int]:
+    """Row k under ``name``: the one kept, or else ``build(k)``, kept if it
+    returns; so r6's row is kept only if its check passes."""
+    row = _STORE.get((name, k))
+    if row is None:
+        row = _STORE[name, k] = build(k)
+    return row
+
+
 def _lhs_row(k: int) -> tuple[int, ...]:
     # (-1)^l L(k, l) for l = 1..k from the closed-form row: the row of the
     # direct sum that every n shares
-    row = lah_row(k)
+    row = _row("lah", k, lah_row)
     return tuple(_sgn(l) * row[l] for l in range(1, k + 1))
 
 
 def lhs_direct(inst: IdentityInstance) -> int:
     """The literal alternating sum; the independent oracle for every route.
-    Its terms are the signed closed-form row (-1)^l L(k, l), cached per k,
+    Its terms are the signed closed-form row (-1)^l L(k, l), kept per k,
     times the factorials (n+l)!, l = 1..k."""
     k, n = inst.k, inst.n
-    return sum(map(mul, _lhs_row(k), map(factorial, range(n + 1, n + k + 1))))
+    return sum(map(mul, _row("lhs", k, _lhs_row), map(factorial, range(n + 1, n + k + 1))))
 
 
 def gkp_identity(l: int, m: int, s: int, n: int) -> tuple[int, int]:
@@ -175,7 +188,6 @@ def chu_vandermonde_closed(a: int, b: int, c: int) -> tuple[int, int]:
     return rising(c - b, -a), rising(c, -a)
 
 
-@lru_cache(maxsize=32)
 def _route1_row(k: int) -> tuple[int, ...]:
     # (-1)^l L(k-1, l) for l = 1..k-1, from the triangle recurrence: the
     # row of route 1 that every n shares
@@ -190,7 +202,7 @@ def route1_induction(inst: IdentityInstance) -> int:
     L(k, l) = L(k-1, l-1) + (k-1+l) L(k-1, l) and from
     (n+l)! (k-1+l) = (n+l+1)! - (n-k+2) (n+l)!."""
     k, n = inst.k, inst.n
-    return (k - 2 - n) * sum(map(mul, _route1_row(k), map(factorial, range(n + 1, n + k))))
+    return (k - 2 - n) * sum(map(mul, _row("r1", k, _route1_row), map(factorial, range(n + 1, n + k))))
 
 
 def _lah_gf_series(n: int, top: int) -> list[int]:
@@ -210,21 +222,15 @@ def _lah_gf_series(n: int, top: int) -> list[int]:
     return series
 
 
-# the columns of r2, r3 and r4, by (route, n): what a route reads that
-# depends on n alone, unbounded, since each grid row reads every n;
-# ``verify_grid`` clears it
-_COLUMNS: dict[tuple[str, int], list[int]] = {}
-
-
-def _column(route: str, n: int, k: int, build: Callable[[int, int], list[int]]) -> list[int]:
+def _column(route: str, n: int, k: int, build: Callable[[int, int], list[int]]) -> Sequence[int]:
     """``route``'s column n through entry k at least: the one kept, or else
     ``build(n, k)``. r2's and r4's builds check the whole column and raise
     if the check fails, so that only a column that passed its check is
     kept; r3's column is its factor (1+x)^-(n+1), which r3 checks per
     instance through the convolution it enters."""
-    column = _COLUMNS.get((route, n))
+    column = _STORE.get((route, n))
     if column is None or k >= len(column):
-        column = _COLUMNS[route, n] = build(n, k)
+        column = _STORE[route, n] = build(n, k)
     return column
 
 
@@ -255,7 +261,6 @@ def route2_lah_gf(inst: IdentityInstance) -> int:
     return factorial(k) * factorial(n) * _column("r2", n, k, _lah_gf_column)[k]
 
 
-@lru_cache(maxsize=32)
 def _route3_factor(k: int) -> tuple[int, ...]:
     # the coefficients of (1+x)^(k-1) through x^k, the factor of route 3
     # that every n shares, highest power first
@@ -270,12 +275,12 @@ def _route3_column(n: int, top: int) -> list[int]:
 def route3_convolution(inst: IdentityInstance) -> int:
     """Route 3: the coefficient of x^k in (1+x)^-(n+1) * (1+x)^(k-1) must
     equal the coefficient of x^k in (1+x)^-(n-k+2); scaling it by k! n!
-    gives the sum. The factor (1+x)^(k-1) is cached per row, and column n
+    gives the sum. The factor (1+x)^(k-1) is kept per row, and column n
     holds (1+x)^-(n+1) through x^L; a k > L rebuilds it through x^k."""
     k, n = inst.k, inst.n
     # only x^k of the product is compared: sum over i of [x^i] * [x^(k-i)];
     # map stops at the end of the factor, which ends at x^0
-    convolved = sum(map(mul, _column("r3", n, k, _route3_column), _route3_factor(k)))
+    convolved = sum(map(mul, _column("r3", n, k, _route3_column), _row("r3 factor", k, _route3_factor)))
     if convolved != binomial_general(-(n - k + 2), k):
         raise ConsistencyError(f"convolution route broke at k={k}, n={n}")
     return convolved * factorial(k) * factorial(n)
@@ -326,7 +331,6 @@ def route5_hypergeom(inst: IdentityInstance) -> int:
     return exact_quotient(-factorial(k) * factorial(n + 1) * closed_num, closed_den)
 
 
-@lru_cache(maxsize=32)
 def _route6_row(k: int) -> tuple[int, ...]:
     # C_j = sum over l of L(k, l) s(l, j), j = 0..k, the row of route 6
     # that every n shares, with the Stirling rows 0..k from one walk of the
@@ -335,7 +339,7 @@ def _route6_row(k: int) -> tuple[int, ...]:
     from .series import rising_factorial_poly
 
     coeffs = [0] * (k + 1)
-    for weight, stirling in zip(lah_row(k), triangle_rows("stirling1", k)):
+    for weight, stirling in zip(_row("lah", k, lah_row), triangle_rows("stirling1", k)):
         for j, s in enumerate(stirling):
             coeffs[j] += weight * s
     row = tuple(coeffs)
@@ -356,7 +360,7 @@ def route6_stirling(inst: IdentityInstance) -> int:
     n! (-(n+1))_l = (-1)^l (n+l)!."""
     k, n = inst.k, inst.n
     value = 0
-    for c in reversed(_route6_row(k)):
+    for c in reversed(_row("r6", k, _route6_row)):
         value = value * -(n + 1) + c
     return factorial(n) * value
 
@@ -393,11 +397,11 @@ def _route_names(routes: Iterable[str]) -> _RouteNames:
 
 def verify_instance(inst: IdentityInstance, routes: Iterable[str] = ROUTE_NAMES) -> VerificationReport:
     """The report for one (k, n): the reference, the direct sum and every
-    route. A route reads what depends on k alone from a bounded row cache,
-    and r2, r3 and r4 read what depends on n alone from a column, kept in
-    ``_COLUMNS`` until the next ``verify_grid`` ends, through the largest
-    k asked so far. An unknown route name raises ValueError; the names of
-    a grid are checked once, by the grid. A route whose internal
+    route. A route reads what depends on k alone from a row, and r2, r3
+    and r4 read what depends on n alone from a column, kept through the
+    largest k asked so far; both stay in ``_STORE`` until the next
+    ``verify_grid`` ends. An unknown route name raises ValueError; the
+    names of a grid are checked once, by the grid. A route whose internal
     cross-check fails is reported with the value None and its message, not
     raised, and the other routes still run. all_match is True only if
     every value agrees exactly.
@@ -490,10 +494,11 @@ def verify_grid(
     count. Mismatches and failed route cross-checks are reported, not
     raised. The route names and the grid's bounds are checked first: an
     unknown route, a k below 2 or a negative n raises ValueError before
-    any row is dealt out or any child is forked. Every share walks its rows
-    largest k first, so it builds each column of r2 and r4 once, through
-    its largest k; the columns are freed when it returns or raises, so
-    ``verify_grid((k,), ns)`` verifies one row and keeps no column.
+    any row is dealt out or any child is forked. Every share builds each
+    row once and walks its rows largest k first, so it builds each column
+    of r2, r3 and r4 once, through its largest k. Rows and columns are
+    freed when it returns or raises, so ``verify_grid((k,), ns)`` keeps
+    nothing; if it raises, it kills every child before waiting for it.
 
     A row (one k, every n) is the unit of work, and rows may run in any
     order. Every route sums O(k) terms per instance, so the grid's work is
@@ -530,8 +535,15 @@ def verify_grid(
         by_k = _row_reports(own, ns, route_names)
         for child, share in children:
             by_k.update(_collect(child, share, ns, route_names))
+    except BaseException:
+        # an interrupt, say: no child's share is needed any more
+        import signal
+
+        for pid, _ in (child for child, _ in children if child):
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        _COLUMNS.clear()
+        _STORE.clear()
         for pid, reader in (child for child, _ in children if child):
             reader.close()
             os.waitpid(pid, 0)

@@ -30,26 +30,14 @@ def forks(monkeypatch):
     yield pids
 
 
-def clear_row_caches():
-    """Empty every ``lru_cache`` defined in ``lahverify.verify`` and
-    ``lahverify.numbers``, found by looking, not listed, and every column
-    of the routes."""
-    import lahverify.numbers as numbers_mod
-    import lahverify.verify as verify_mod
-
-    for module in (numbers_mod, verify_mod):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == module.__name__:
-                value.cache_clear()
-    verify_mod._COLUMNS.clear()
-
-
 @pytest.fixture
 def row_caches():
-    """Every row cache and every column of the routes, empty before and
-    after the test, so that a test sees each route build what it reads, and
-    a row or column built under an injected fault never reaches another
-    test."""
-    clear_row_caches()
+    """The one store of every row and column of the routes, empty before
+    and after the test, so that a test sees each route build what it
+    reads, and a row or column built under an injected fault never reaches
+    another test."""
+    from lahverify.verify import _STORE
+
+    _STORE.clear()
     yield
-    clear_row_caches()
+    _STORE.clear()

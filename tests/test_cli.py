@@ -909,6 +909,24 @@ def test_forked_workers_print_nothing():
     assert (serial.returncode, serial.stderr) == (0, "1224/1224 instances verified\n")
 
 
+# the CLI with route r1 raising the interrupt that SIGINT raises
+_INTERRUPTED_CLI = """
+from lahverify import verify
+from lahverify.cli import main
+def interrupted(inst):
+    raise KeyboardInterrupt
+verify.ROUTE_FUNCTIONS["r1"] = interrupted
+main()
+"""
+
+
+def test_interrupt_exits_130_with_one_line():
+    argv = [sys.executable, "-c", _INTERRUPTED_CLI, "verify", "--k-min", "2", "--k-max", "3", "--n-min", "0",
+            "--n-max", "2", "--routes", "r1,r2"]
+    done = subprocess.run(argv, env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (130, "", "error: interrupted\n")
+
+
 @pytest.mark.parametrize("argv, lines", [
     (["table", "lah", "--max-n", "300", "--format", "csv"], 1),
     (["verify", "--k-min", "2", "--k-max", "40", "--n-min", "0", "--n-max", "80", "--routes", "r2", "--format", "csv"], 1),

@@ -7,11 +7,12 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lahverify.exact as exact_mod
@@ -19,7 +20,7 @@ import lahverify.numbers as numbers_mod
 import lahverify.series as series_mod
 import lahverify.verify as verify_mod
 from lahverify.exact import ConsistencyError, binomial_general, factorial, falling, rising
-from lahverify.numbers import lah, lah_row, stirling1
+from lahverify.numbers import lah, stirling1
 from lahverify.series import (
     Polynomial,
     poly_from_coeffs,
@@ -674,13 +675,13 @@ class TestRoute4Columns:
         reports = verify_grid(range(2, 6), range(0, 301), routes=("r4",))
         assert all(r.all_match for r in reports)
         assert lengths == [6] * 301
-        assert verify_mod._COLUMNS == {}
+        assert verify_mod._STORE == {}
 
         held = []
         inversion = verify_mod.binomial_inversion
 
         def raising_inversion(b):
-            held.append(sorted(verify_mod._COLUMNS))
+            held.append(sorted(verify_mod._STORE))
             if len(held) == 3:
                 raise RuntimeError("injected")
             return inversion(b)
@@ -688,8 +689,10 @@ class TestRoute4Columns:
         monkeypatch.setattr(verify_mod, "binomial_inversion", raising_inversion)
         with pytest.raises(RuntimeError, match="injected"):
             verify_grid(range(2, 6), range(0, 4), routes=("r4",))
-        assert held == [[], [("r4", 0)], [("r4", 0), ("r4", 1)]]
-        assert verify_mod._COLUMNS == {}
+        # the direct sum's rows of k = 5 come first, and stay beside the columns
+        rows = [("lah", 5), ("lhs", 5)]
+        assert held == [rows, [*rows, ("r4", 0)], [*rows, ("r4", 0), ("r4", 1)]]
+        assert verify_mod._STORE == {}
 
 
 class TestRoute2Columns:
@@ -792,7 +795,7 @@ class TestRoute2Columns:
 
     def test_grid_leaves_no_column_behind(self, monkeypatch, row_caches):
         assert all(r.all_match for r in verify_grid(range(2, 6), range(0, 10), ("r2", "r3", "r4")))
-        assert verify_mod._COLUMNS == {}
+        assert verify_mod._STORE == {}
 
         route3_build = verify_mod._route3_column
 
@@ -804,14 +807,14 @@ class TestRoute2Columns:
         monkeypatch.setattr(verify_mod, "_route3_column", raising_route3_build)
         with pytest.raises(RuntimeError, match="injected in r3"):
             verify_grid(range(2, 6), range(0, 4), ("r3",))
-        assert verify_mod._COLUMNS == {}
+        assert verify_mod._STORE == {}
 
         held = []
         build = verify_mod._lah_gf_series
 
         def raising_build(n, top):
             # each route keeps its own column n, under its own name
-            held.append(sorted(verify_mod._COLUMNS))
+            held.append(sorted(verify_mod._STORE))
             if n == 2:
                 raise RuntimeError("injected")
             return build(n, top)
@@ -819,8 +822,9 @@ class TestRoute2Columns:
         monkeypatch.setattr(verify_mod, "_lah_gf_series", raising_build)
         with pytest.raises(RuntimeError, match="injected"):
             verify_grid(range(2, 6), range(0, 4), ("r2", "r4"))
-        assert held == [[], [("r2", 0), ("r4", 0)], [("r2", 0), ("r2", 1), ("r4", 0), ("r4", 1)]]
-        assert verify_mod._COLUMNS == {}
+        rows = [("lah", 5), ("lhs", 5)]
+        assert held == [rows, [*rows, ("r2", 0), ("r4", 0)], [*rows, ("r2", 0), ("r2", 1), ("r4", 0), ("r4", 1)]]
+        assert verify_mod._STORE == {}
 
 
 def _lhs_literal(k, n):
@@ -912,7 +916,7 @@ class TestVerifyGrid:
         assert [tuple(r.instance) for r in reports] == [(3, 0), (3, 1), (3, 4)]
         assert all(r.all_match for r in reports)
         assert forks == []
-        assert verify_mod._COLUMNS == {}
+        assert verify_mod._STORE == {}
 
     def test_jobs_do_not_change_reports(self, forks):
         serial = verify_grid(range(2, 5), range(0, 4), routes=("r1", "r4"), jobs=1)
@@ -955,6 +959,10 @@ class TestVerifyGrid:
         assert all(not r.all_match for r in reports)
         assert all(r.route_values["r1"] == 10**9 for r in reports)
 
+    # the builder of each row a route keeps, by its name in the store
+    ROWS = {"lah_row": "lah", "_lhs_row": "lhs", "_route1_row": "r1", "_route3_factor": "r3 factor",
+            "_route6_row": "r6"}
+
     def test_row_caches_built_once_per_row(self, monkeypatch, row_caches):
         calls = []
         closed_form = numbers_mod.lah
@@ -964,25 +972,34 @@ class TestVerifyGrid:
             return closed_form(n, k)
 
         monkeypatch.setattr(numbers_mod, "lah", counting_lah)
-        caches = (lah_row, verify_mod._lhs_row, verify_mod._route1_row, verify_mod._route3_factor,
-                  verify_mod._route6_row)
+        builds, reads = Counter(), Counter()
+        for builder, name in self.ROWS.items():
+            def counting_build(k, build=getattr(verify_mod, builder), name=name):
+                builds[name, k] += 1
+                return build(k)
+
+            monkeypatch.setattr(verify_mod, builder, counting_build)
+        row = verify_mod._row
+
+        def counting_row(name, k, build):
+            reads[name, k] += 1
+            return row(name, k, build)
+
+        monkeypatch.setattr(verify_mod, "_row", counting_row)
         reports = verify_grid(range(2, 6), range(0, 8), routes=("r1", "r2", "r3", "r4", "r6"))
         assert all(r.all_match for r in reports)
         # one Lah row per k, in the order dealt, from the closed form, read by
         # the signed row of lhs_direct and by r6's row; r1 reads the triangle
         # recurrence instead, and r2 no Lah number
         assert calls == [(k, l) for k in range(5, 1, -1) for l in range(k + 1)]
-        # (hits, misses): each cache is built once per row and read for every n
-        assert {cache: cache.cache_info()[:2] for cache in caches} == {
-            lah_row: (4, 4),
-            verify_mod._lhs_row: (4 * 8 - 4, 4),
-            verify_mod._route1_row: (4 * 8 - 4, 4),
-            verify_mod._route3_factor: (4 * 8 - 4, 4),
-            verify_mod._route6_row: (4 * 8 - 4, 4),
-        }
+        # each row is built once per k and read for every n; the Lah row is
+        # read by the two rows built from it
+        assert builds == {(name, k): 1 for name in self.ROWS.values() for k in range(2, 6)}
+        assert reads == {(name, k): 2 if name == "lah" else 8 for name in self.ROWS.values() for k in range(2, 6)}
+        assert verify_mod._STORE == {}
 
     def test_route6_makes_no_lah_calls_of_its_own(self, monkeypatch, row_caches):
-        # r6's row reads the Lah row that lhs_direct caches for its row
+        # r6's row reads the Lah row that lhs_direct keeps for its row
         calls = []
         closed_form = numbers_mod.lah
 
@@ -996,8 +1013,7 @@ class TestVerifyGrid:
                 monkeypatch.setattr(module, "lah", counting_lah)
         counts = {}
         for routes in (("r1",), ("r1", "r6")):
-            for cache in (lah_row, verify_mod._lhs_row, verify_mod._route6_row):
-                cache.cache_clear()
+            # each grid builds its rows afresh
             calls.clear()
             assert all(r.all_match for r in verify_grid(range(2, 6), range(0, 8), routes=routes))
             counts[routes] = len(calls)
@@ -1005,30 +1021,70 @@ class TestVerifyGrid:
         assert counts == {("r1",): 3 + 4 + 5 + 6, ("r1", "r6"): 3 + 4 + 5 + 6}
 
     @pytest.mark.parametrize("name", ["lah_row", "_lhs_row", "_route1_row", "_route3_factor", "_route6_row"])
-    def test_row_caches_are_bounded_and_immutable(self, name):
-        cache = getattr(verify_mod, name)
-        assert type(cache.cache_parameters()["maxsize"]) is int
-        value = cache(6)
+    def test_row_caches_are_bounded_and_immutable(self, name, row_caches):
+        # the row a route keeps is a tuple of ints, shared by every n, and
+        # kept until the next grid ends, which bounds the store
+        key = (self.ROWS[name], 6)
+        assert verify_instance(IdentityInstance(6, 3)).all_match
+        value = verify_mod._STORE[key]
+        assert value == getattr(verify_mod, name)(6)
         assert type(value) is tuple
-        assert all(type(entry) in (int, tuple) for entry in value)
+        assert all(type(entry) is int for entry in value)
+        assert verify_grid([2], [0], ())[0].all_match
+        assert key not in verify_mod._STORE
 
     def test_row_caches_fixture_clears_every_cache(self, request):
-        # every lru_cache that verify and numbers define, found through the
-        # garbage collector rather than by name, is empty once the fixture
-        # has run, as are the columns
+        # verify and numbers define no lru_cache, found through the garbage
+        # collector rather than by name: every row and column that a route
+        # keeps is in the one store, under a name of its own, and the
+        # fixture empties it
         assert all(r.all_match for r in verify_grid(range(2, 6), range(0, 4)))
-        route3_convolution(IdentityInstance(3, 2))
+        assert verify_instance(IdentityInstance(3, 2)).all_match
         modules = {numbers_mod.__name__, verify_mod.__name__}
-        caches = [obj for obj in gc.get_objects()
-                  if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ in modules]
-        names = {cache.__name__ for cache in caches}
-        assert names >= {"lah_row", "_lhs_row", "_route1_row", "_route3_factor", "_route6_row"}
-        assert verify_mod._COLUMNS
+        assert [obj for obj in gc.get_objects()
+                if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ in modules] == []
+        assert sorted(verify_mod._STORE) == [("lah", 3), ("lhs", 3), ("r1", 3), ("r2", 2), ("r3", 2),
+                                             ("r3 factor", 3), ("r4", 2), ("r6", 3)]
         request.getfixturevalue("row_caches")
-        assert {cache.__name__: cache.cache_info().currsize for cache in caches} == {
-            cache.__name__: 0 for cache in caches
-        }
-        assert verify_mod._COLUMNS == {}
+        assert verify_mod._STORE == {}
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(2, 9), max_size=5), st.lists(st.integers(0, 12), max_size=6),
+           st.sets(st.sampled_from(ROUTE_NAMES)))
+    def test_store_changes_no_report(self, ks, ns, routes):
+        # a grid shares every row and column through one store; each
+        # instance verified alone, from an empty store, must report the same,
+        # so that no row key can collide with a column key
+        reports = verify_grid(ks, ns, routes)
+        assert verify_mod._STORE == {}
+        alone = []
+        for k in sorted(set(ks)) if ns else []:
+            for n in sorted(set(ns)):
+                verify_mod._STORE.clear()
+                alone.append(verify_instance(IdentityInstance(k, n), routes))
+        verify_mod._STORE.clear()
+        assert reports == alone
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
+    def test_interrupt_kills_the_children_before_waiting(self, monkeypatch, forks):
+        # the child's route blocks far past the deadline, and this process
+        # is interrupted in its own share: the grid must not wait for the
+        # child's share, and must leave no child behind
+        parent = os.getpid()
+
+        def interrupted_here_blocked_there(inst):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(10)
+
+        monkeypatch.setitem(ROUTE_FUNCTIONS, "r1", interrupted_here_blocked_there)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            verify_grid([2, 3], [0], ("r1",), jobs=2)
+        assert time.monotonic() - start < 1
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_workers_never_more_than_rows_cpus_or_work(self, monkeypatch, forks):
         def forks_for(*args, **kwargs):
