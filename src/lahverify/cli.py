@@ -326,9 +326,19 @@ def run(argv: Sequence[str] | None = None) -> int:
     mismatch; 2 means a usage or domain error, or that memory ran out.
     """
     # exact results can exceed the interpreter's default int-to-str limit
-    # of 4300 digits; the setting exists from Python 3.10.7 on
-    if hasattr(sys, "set_int_max_str_digits"):
+    # of 4300 digits; the setting exists from Python 3.10.7 on, and the
+    # caller's value is put back on the way out
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: Sequence[str] | None) -> int:
     try:
         ns = _parse(sys.argv[1:] if argv is None else list(argv))
     except _Exit as stop:
@@ -364,7 +374,8 @@ def run(argv: Sequence[str] | None = None) -> int:
 def main() -> None:
     """Console entry point; exits 1 without a traceback when stdout or
     stderr cannot take the output (e.g. ``| head -1`` or ``>/dev/full``),
-    and 130 with one stderr line when interrupted (SIGINT).
+    130 with one stderr line when interrupted (SIGINT), and 143 with one
+    when a forking grid is sent SIGTERM.
 
     After flushing stdout and stderr it leaves through ``os._exit``, so
     the interpreter neither clears its modules nor runs its shutdown
@@ -385,6 +396,10 @@ def main() -> None:
     except KeyboardInterrupt:
         # 128 + SIGINT, as the shells report it; a grid has killed its children
         code, message = 130, "interrupted"
+    except SystemExit as exc:
+        # raised only by a grid that was sent SIGTERM while it had
+        # children, which it has killed; its code is 128 + SIGTERM
+        code, message = exc.code, "terminated"
     # a closed or full stream must fail here, where it is handled; stdout is
     # flushed even after a write to stderr failed, so its report is kept
     for stream in (sys.stdout, sys.stderr):

@@ -79,10 +79,18 @@ def rhs_reference(inst: IdentityInstance) -> int:
     return _sgn(k) * factorial(n) * math.perm(n + 1, k)
 
 
+class _Discard(dict):
+    """The store outside a grid: a write keeps nothing."""
+
+    def __setitem__(self, key: tuple[str, int], value: Sequence[int]) -> None:
+        pass
+
+
 # what the routes read that depends on k alone, rows "lah", "lhs", "r1",
 # "r3 factor" and "r6" by (name, k), or on n alone, columns "r2", "r3" and
-# "r4" by (route, n); unbounded, and cleared by ``verify_grid``
-_STORE: dict[tuple[str, int], Sequence[int]] = {}
+# "r4" by (route, n); a dict of its own while ``verify_grid`` runs, so
+# nothing outlives a grid, and a call made outside one builds what it reads
+_STORE: dict[tuple[str, int], Sequence[int]] = _Discard()
 
 
 def _row(name: str, k: int, build: Callable[[int], tuple[int, ...]]) -> Sequence[int]:
@@ -398,13 +406,14 @@ def _route_names(routes: Iterable[str]) -> _RouteNames:
 def verify_instance(inst: IdentityInstance, routes: Iterable[str] = ROUTE_NAMES) -> VerificationReport:
     """The report for one (k, n): the reference, the direct sum and every
     route. A route reads what depends on k alone from a row, and r2, r3
-    and r4 read what depends on n alone from a column, kept through the
-    largest k asked so far; both stay in ``_STORE`` until the next
-    ``verify_grid`` ends. An unknown route name raises ValueError; the
-    names of a grid are checked once, by the grid. A route whose internal
-    cross-check fails is reported with the value None and its message, not
-    raised, and the other routes still run. all_match is True only if
-    every value agrees exactly.
+    and r4 read what depends on n alone from a column. Inside
+    ``verify_grid`` both are kept in ``_STORE`` for the grid, a column
+    through the largest k asked so far; a call made outside a grid builds
+    what it reads and keeps nothing. An unknown route name raises
+    ValueError; the names of a grid are checked once, by the grid. A route
+    whose internal cross-check fails is reported with the value None and
+    its message, not raised, and the other routes still run. all_match is
+    True only if every value agrees exactly.
     """
     names = _route_names(routes)
     reference = rhs_reference(inst)
@@ -478,6 +487,12 @@ def _collect(
     return _row_reports(share, ns, route_names)
 
 
+def _terminate(signum: int, frame: object) -> None:
+    # SIGTERM while a grid has children: leave by its kill path, with the
+    # status 128 + SIGTERM that a shell reports for the signal
+    raise SystemExit(128 + signum)
+
+
 # The work, in units of (n values) x (sum of k), that each worker must have
 # for a fork to pay: on a 2-CPU host `--jobs 2` gains no wall time up to
 # about 9,000 units and gains clearly from about 14,000 (README)
@@ -494,11 +509,13 @@ def verify_grid(
     count. Mismatches and failed route cross-checks are reported, not
     raised. The route names and the grid's bounds are checked first: an
     unknown route, a k below 2 or a negative n raises ValueError before
-    any row is dealt out or any child is forked. Every share builds each
-    row once and walks its rows largest k first, so it builds each column
-    of r2, r3 and r4 once, through its largest k. Rows and columns are
-    freed when it returns or raises, so ``verify_grid((k,), ns)`` keeps
-    nothing; if it raises, it kills every child before waiting for it.
+    any row is dealt out or any child is forked. The grid keeps its rows
+    and columns in a ``_STORE`` of its own, and puts back the one it found
+    when it returns or raises, so nothing outlives it. Every share builds
+    each row once and walks its rows largest k first, so it builds each
+    column of r2, r3 and r4 once, through its largest k. If it raises, it
+    kills every child before waiting for it; while it has children, a
+    SIGTERM raises ``SystemExit(143)`` here, and so takes that path.
 
     A row (one k, every n) is the unit of work, and rows may run in any
     order. Every route sums O(k) terms per instance, so the grid's work is
@@ -512,7 +529,10 @@ def verify_grid(
     serially, without a fork, a pipe or ``pickle``. After its own share,
     ``_collect`` brings back each other one: its child's reports, or else
     its rows verified here, which raise here what they raise at jobs=1.
+    Those rows build each column that they read a second time, through
+    that share's largest k, since the one kept stops at this process's.
     """
+    global _STORE
     route_names = _route_names(routes)
     ns = sorted(set(n_values))
     rows = sorted(set(k_values)) if ns else []
@@ -528,22 +548,31 @@ def verify_grid(
     # process, which also unpickles every child's reports, keeps the last
     # and lightest share
     *shares, own = (rows[::-1][i::workers] for i in range(workers))
+    outer, _STORE = _STORE, {}
     children = []
+    previous = False  # the SIGTERM handler to put back, once one is set
     try:
+        if shares:
+            import signal
+
+            try:
+                previous = signal.signal(signal.SIGTERM, _terminate)
+            except ValueError:
+                pass  # only the main thread can set a handler
         for share in shares:
             children.append((_fork_share(share, ns, route_names), share))
         by_k = _row_reports(own, ns, route_names)
         for child, share in children:
             by_k.update(_collect(child, share, ns, route_names))
     except BaseException:
-        # an interrupt, say: no child's share is needed any more
-        import signal
-
+        # an interrupt or a SIGTERM, say: no child's share is needed any more
         for pid, _ in (child for child, _ in children if child):
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        _STORE.clear()
+        if previous is not False:
+            signal.signal(signal.SIGTERM, previous)
+        _STORE = outer
         for pid, reader in (child for child, _ in children if child):
             reader.close()
             os.waitpid(pid, 0)

@@ -29,15 +29,3 @@ def forks(monkeypatch):
     monkeypatch.setattr(os, "fork", counting_fork)
     yield pids
 
-
-@pytest.fixture
-def row_caches():
-    """The one store of every row and column of the routes, empty before
-    and after the test, so that a test sees each route build what it
-    reads, and a row or column built under an injected fault never reaches
-    another test."""
-    from lahverify.verify import _STORE
-
-    _STORE.clear()
-    yield
-    _STORE.clear()

@@ -5,10 +5,12 @@ import decimal
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
@@ -29,6 +31,21 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+@contextmanager
+def _int_digit_limit(digits):
+    # the int-to-str digit limit at ``digits`` (0 for none) inside the block;
+    # the limit exists from Python 3.10.7 on
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class TestScalarCommands:
     def test_lah(self, capsys):
         code, out, _ = _run(capsys, ["lah", "--n", "3", "--k", "2"])
@@ -46,12 +63,32 @@ class TestScalarCommands:
         assert out == f"{-math.factorial(499)}\n"
 
     def test_lah_beyond_int_str_digit_limit(self, capsys):
-        # a value of about 10400 digits; run() lifts the 4300-digit limit,
-        # which the formatting below relies on as well
+        # a value of about 10400 digits, past the 4300-digit limit, which
+        # run() lifts for itself and the test for its own str()
         code, out, _ = _run(capsys, ["lah", "--n", "5000", "--k", "2500"])
         assert code == 0
         expected = math.comb(4999, 2499) * (math.factorial(5000) // math.factorial(2500))
-        assert out == f"{expected}\n"
+        with _int_digit_limit(0):
+            assert out == f"{expected}\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+    def test_run_puts_back_the_int_digit_limit(self, capsys, monkeypatch):
+        # run() lifts the limit while it runs, and puts back the caller's
+        # value when it returns or raises
+        seen = []
+
+        def raising_lah(n, k):
+            seen.append(sys.get_int_max_str_digits())
+            raise RuntimeError("injected")
+
+        with _int_digit_limit(5000):
+            assert _run(capsys, ["lah", "--n", "3", "--k", "2"]) == (0, "6\n", "")
+            assert sys.get_int_max_str_digits() == 5000
+            monkeypatch.setattr(cli, "lah", raising_lah)
+            with pytest.raises(RuntimeError, match="injected"):
+                run(["lah", "--n", "3", "--k", "2"])
+            assert sys.get_int_max_str_digits() == 5000
+        assert seen == [0]
 
     def test_negative_argument_is_domain_error(self, capsys):
         code, _, err = _run(capsys, ["lah", "--n", "-1", "--k", "0"])
@@ -259,7 +296,7 @@ class TestVerifyCommand:
         assert "0/4 instances verified" in err
         assert len(forks) == int(jobs) - 1
 
-    def test_wrong_stirling_weight_gives_error_line(self, capsys, monkeypatch, row_caches):
+    def test_wrong_stirling_weight_gives_error_line(self, capsys, monkeypatch):
         # r6 reads Stirling rows 0..k of the triangle recurrence, and row 6 is
         # the first built with the weight at (5, 2): row 5 passes, and every n
         # of row 6 fails r6's row check, not as a plain mismatch
@@ -280,7 +317,7 @@ class TestVerifyCommand:
             f"error: r6 at k=6, n={n}: Stirling generating functions broke at k=6" for n in range(8)
         ] + ["8/16 instances verified"]
 
-    def test_wrong_rising_coefficient_gives_error_line(self, capsys, monkeypatch, row_caches):
+    def test_wrong_rising_coefficient_gives_error_line(self, capsys, monkeypatch):
         # r6 checks its row against the product x(x+1); a wrong x^2
         # coefficient fails that check, and so every n of the row
         import lahverify.series as series_mod
@@ -301,7 +338,7 @@ class TestVerifyCommand:
         ] + ["0/4 instances verified"]
 
     @pytest.mark.parametrize("n_max", [9, 10])
-    def test_error_lines_stop_after_ten(self, capsys, monkeypatch, row_caches, n_max):
+    def test_error_lines_stop_after_ten(self, capsys, monkeypatch, n_max):
         # a failed row check fails every n of its row: 11 errors at
         # 0 <= n <= 10 is the smallest grid that needs the summary line
         import lahverify.series as series_mod
@@ -771,14 +808,8 @@ class TestLongDecimal:
     def exact_decimal(self):
         # the writer runs in the exact context that its caller sets; str()
         # of the reference values may exceed the default digit limit
-        with decimal.localcontext(cli._exact_decimal()):
-            if not hasattr(sys, "set_int_max_str_digits"):
-                yield
-                return
-            limit = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)
+        with decimal.localcontext(cli._exact_decimal()), _int_digit_limit(0):
             yield
-            sys.set_int_max_str_digits(limit)
 
     @pytest.mark.parametrize("value", VALUES, ids=lambda v: f"{'-' if v < 0 else ''}{v.bit_length()}bits")
     def test_writes_what_str_writes(self, value):
@@ -839,7 +870,7 @@ def test_cli_import_leaves_workers_out():
         command = _loaded_by("-m", "lahverify", *argv)
         assert "lahverify.cli" in command
         assert not command & {"lahverify.verify", "lahverify.symbolic", "lahverify.series", "fractions",
-                              "dataclasses", *parser}
+                              "dataclasses", "signal", *parser}
         # only a long value loads the decimal writer
         assert "lahverify.digits" not in command
         # only the table command holds its entries in a decimal radix
@@ -847,16 +878,17 @@ def test_cli_import_leaves_workers_out():
     grid = ["-m", "lahverify", "verify", "--k-min", "2", "--k-max", "3", "--n-min", "0", "--n-max", "2"]
     parallel = _loaded_by(*grid, "--routes", "r1", "--jobs", "2")
     assert "lahverify.verify" in parallel
-    # too little work to fork for, so nothing is pickled; the fork path's
-    # imports are checked by test_fork_only_from_twice_the_grain
-    assert not parallel & {"concurrent.futures", "multiprocessing", "decimal", "pickle", *parser}
+    # too little work to fork for, so nothing is pickled and no SIGTERM
+    # handler is set; the fork path's imports are checked by
+    # test_fork_only_from_twice_the_grain
+    assert not parallel & {"concurrent.futures", "multiprocessing", "decimal", "pickle", "signal", *parser}
     r1_to_r5 = _loaded_by(*grid, "--routes", "r1,r2,r3,r4,r5", "--format", "json")
     assert "lahverify.verify" in r1_to_r5
     assert not r1_to_r5 & {"fractions", "json", "lahverify.symbolic", "lahverify.series", "decimal",
-                           "lahverify.digits"}
+                           "lahverify.digits", "signal"}
     r6 = _loaded_by(*grid, "--routes", "r6")
     assert "lahverify.series" in r6
-    assert not r6 & {"lahverify.symbolic", "decimal", *parser}
+    assert not r6 & {"lahverify.symbolic", "decimal", "signal", *parser}
 
 
 def test_public_names_resolve_on_access():
@@ -925,6 +957,70 @@ def test_interrupt_exits_130_with_one_line():
             "--n-max", "2", "--routes", "r1,r2"]
     done = subprocess.run(argv, env=_fresh_env(), capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (130, "", "error: interrupted\n")
+
+
+# the CLI on two usable CPUs at a fork grain of 1, with route r1 blocking
+# in the child only; it writes the child's pid to stderr, and a line once
+# the parent waits for the child's reports
+_TERMINATED_CLI = """
+import os, time
+from lahverify import verify
+from lahverify.cli import main
+os.sched_getaffinity = lambda pid: {0, 1}
+verify._FORK_GRAIN = 1
+parent = os.getpid()
+fork = os.fork
+def reporting_fork():
+    pid = fork()
+    if pid:
+        os.write(2, b"forked %d\\n" % pid)
+    return pid
+os.fork = reporting_fork
+collect = verify._collect
+def reporting_collect(*args):
+    os.write(2, b"collecting\\n")
+    return collect(*args)
+verify._collect = reporting_collect
+route1 = verify.ROUTE_FUNCTIONS["r1"]
+def blocked_in_the_child(inst):
+    if os.getpid() != parent:
+        time.sleep(60)
+    return route1(inst)
+verify.ROUTE_FUNCTIONS["r1"] = blocked_in_the_child
+main()
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
+def test_sigterm_exits_143_with_one_line_and_no_child():
+    argv = [sys.executable, "-c", _TERMINATED_CLI, "verify", "--k-min", "2", "--k-max", "3", "--n-min", "0",
+            "--n-max", "0", "--routes", "r1", "--jobs", "2"]
+    proc = subprocess.Popen(argv, env=_fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child = None
+    try:
+        forked = proc.stderr.readline()
+        assert forked.startswith(b"forked ")
+        child = int(forked.split()[1])
+        assert proc.stderr.readline() == b"collecting\n"
+        start = time.monotonic()
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=60)
+        assert time.monotonic() - start < 1
+        # the grid killed and reaped its child before it exited, so no
+        # process holds the pipes open
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (143, b"", b"error: terminated\n")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+        if child is not None:
+            try:
+                os.kill(child, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 @pytest.mark.parametrize("argv, lines", [

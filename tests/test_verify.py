@@ -351,7 +351,7 @@ class TestRoutes:
                 assert type(value) is int
                 assert value == rhs_reference(inst), (k, n)
 
-    def test_route6_row_matches_single_instances(self, row_caches):
+    def test_route6_row_matches_single_instances(self):
         # the row that every n of k reads is |s(k, 0..k)|, and its value at
         # each n is the closed form
         for k in range(2, 21):
@@ -402,7 +402,7 @@ class TestInternalGuards:
             assert "hypergeometric route broke at k=3" in r.errors["r5"]
             assert not r.all_match
 
-    def test_wrong_triangle_weight_fails_route1_alone(self, capsys, monkeypatch, row_caches):
+    def test_wrong_triangle_weight_fails_route1_alone(self, capsys, monkeypatch):
         # r1 is the one route that reads the triangle recurrence; a wrong
         # weight first changes the sum over row k-1 at k = 3, n = 0
         from lahverify.cli import run
@@ -416,7 +416,7 @@ class TestInternalGuards:
             "mismatch: r1 at k=3, n=0: expected 0, got -2",
         ]
 
-    def test_wrong_closed_form_lah_leaves_route1_right(self, monkeypatch, row_caches):
+    def test_wrong_closed_form_lah_leaves_route1_right(self, monkeypatch):
         # lhs_direct and r6 read the closed form; r1 and r2 read none of it
         closed_form = numbers_mod.lah
         monkeypatch.setattr(numbers_mod, "lah", lambda n, k: closed_form(n, k) + ((n, k) == (3, 2)))
@@ -429,7 +429,7 @@ class TestInternalGuards:
             assert sorted(r.errors) == ["r6"]
             assert not r.all_match
 
-    def test_wrong_route3_coefficient_is_reported(self, monkeypatch, row_caches):
+    def test_wrong_route3_coefficient_is_reported(self, monkeypatch):
         binomial = verify_mod.binomial_general
 
         def negative_x2_coeff_off(e, j):
@@ -444,7 +444,7 @@ class TestInternalGuards:
             assert r.errors == {"r3": f"convolution route broke at k=3, n={r.instance.n}"}
             assert r.route_values["r1"] == r.reference
 
-    def test_wrong_route4_step_is_reported(self, monkeypatch, row_caches):
+    def test_wrong_route4_step_is_reported(self, monkeypatch):
         exact_quotient = verify_mod.exact_quotient
         divisors = []
 
@@ -466,7 +466,7 @@ class TestInternalGuards:
         assert all(r.all_match and r.errors == {} for r in rest)
 
     @pytest.mark.parametrize("k", [3, 4])
-    def test_same_last_step_error_in_both_route4_products_is_reported(self, monkeypatch, row_caches, k):
+    def test_same_last_step_error_in_both_route4_products_is_reported(self, monkeypatch, k):
         exact_quotient = verify_mod.exact_quotient
         # the division by k-1 is the last step of b(l), the one running
         # product; output k of the transform carries b(k) with the sign
@@ -479,7 +479,7 @@ class TestInternalGuards:
             assert all(v == r.reference for name, v in r.route_values.items() if name != "r4")
             assert not r.all_match
 
-    def test_failed_row_check_marks_every_instance_of_the_row(self, monkeypatch, row_caches):
+    def test_failed_row_check_marks_every_instance_of_the_row(self, monkeypatch):
         # a wrong product x(x+1)...(x+k-1) fails r6's one check per row, and
         # so every n of the row
         rising_poly = series_mod.rising_factorial_poly
@@ -574,7 +574,7 @@ class TestFaultMatrix:
     ]
 
     @pytest.mark.parametrize(("install", "columns", "rows"), FAULTS)
-    def test_fault_is_seen_by_these_columns(self, monkeypatch, row_caches, install, columns, rows):
+    def test_fault_is_seen_by_these_columns(self, monkeypatch, install, columns, rows):
         expected = {(k, n): rhs_reference(IdentityInstance(k, n)) for k in self.KS for n in self.NS}
         install(monkeypatch)
         flagged: dict[str, set[int]] = {}
@@ -594,7 +594,8 @@ class TestRoute4Columns:
 
     def _grid(self, build, forks):
         if build == "ascending":
-            # every row rebuilds the columns of the row below it
+            # outside a grid nothing is kept, so every instance builds its
+            # columns afresh
             return [verify_instance(IdentityInstance(k, n), ("r1", "r4")) for k in self.KS for n in self.NS]
         jobs = int(build[-1])
         reports = verify_grid(self.KS, self.NS, ("r1", "r4"), jobs=jobs)
@@ -604,7 +605,7 @@ class TestRoute4Columns:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
     @pytest.mark.parametrize("build", ["jobs-1", "jobs-2", "ascending"])
     @pytest.mark.parametrize("fault", ["transform", "quotient"])
-    def test_fault_fails_every_k_that_reads_it(self, monkeypatch, row_caches, forks, fault, build):
+    def test_fault_fails_every_k_that_reads_it(self, monkeypatch, forks, fault, build):
         at = self.FAULT_AT[fault]
         if fault == "transform":
             inversion = verify_mod.binomial_inversion
@@ -648,7 +649,7 @@ class TestRoute4Columns:
         monkeypatch.setattr(verify_mod, "binomial_inversion", counting_inversion)
         return lengths
 
-    def test_ascending_caller_rebuilds_each_column_per_k(self, monkeypatch, row_caches):
+    def test_ascending_caller_rebuilds_each_column_per_k(self, monkeypatch):
         lengths = self._count_transforms(monkeypatch)
         divisors = Counter()
         exact_quotient = verify_mod.exact_quotient
@@ -662,13 +663,13 @@ class TestRoute4Columns:
             for n in range(0, 61):
                 inst = IdentityInstance(k, n)
                 assert route4_inversion(inst) == rhs_reference(inst), (k, n)
-        # each k is larger than the column kept, so every column is rebuilt
+        # outside a grid nothing is kept, so every call builds its column
         # through b(k): one transform of b(0..k) per (k, n), and step l,
         # which divides by l, once per n and k > l
         assert lengths == [k + 1 for k in range(2, 31) for n in range(0, 61)]
         assert divisors == {l: 61 * (30 - l) for l in range(1, 30)}
 
-    def test_columns_kept_for_one_grid(self, monkeypatch, row_caches):
+    def test_columns_kept_for_one_grid(self, monkeypatch):
         # the columns of a grid's whole n-range are kept however long it
         # is, each built once, and freed when verify_grid returns or raises
         lengths = self._count_transforms(monkeypatch)
@@ -719,7 +720,7 @@ class TestRoute2Columns:
         assert series[1:] == [_route3_convolution_reference(k, n) for k in range(1, top + 1)]
 
     @pytest.mark.parametrize("build", ["jobs-1", "jobs-2", "ascending"])
-    def test_column_fault_fails_every_k_of_that_n(self, monkeypatch, row_caches, forks, build):
+    def test_column_fault_fails_every_k_of_that_n(self, monkeypatch, forks, build):
         build_series = verify_mod._lah_gf_series
 
         def entry_off(n, top):
@@ -743,7 +744,7 @@ class TestRoute2Columns:
             else:
                 assert r.all_match and r.errors == {}, tuple(r.instance)
 
-    def test_fork_fallback_rebuilds_each_column_through_k(self, monkeypatch, row_caches, forks):
+    def test_fork_fallback_rebuilds_each_column_through_k(self, monkeypatch, forks):
         # no child can be made, so this process verifies its own share,
         # k = 29, 27, .., 3, and then the other one, k = 30, 28, .., 2: each
         # r2 and r4 column is built through k = 29, then rebuilt through the
@@ -778,7 +779,7 @@ class TestRoute2Columns:
         monkeypatch.setattr(verify_mod, "_route3_column", counting_build)
         return tops
 
-    def test_grid_builds_each_column_once(self, monkeypatch, row_caches):
+    def test_grid_builds_each_column_once(self, monkeypatch):
         # rows come largest k first, so the first build of a column is its
         # last: one r2 series and one r3 factor (1+x)^-(n+1) through x^30,
         # and one r4 transform of b(0..30), per n
@@ -789,11 +790,11 @@ class TestRoute2Columns:
         assert tops == route3_tops == {n: [30] for n in range(0, 61)}
         assert lengths == [31] * 61
 
-    def test_route3_column_is_the_negative_binomial_factor(self, row_caches):
+    def test_route3_column_is_the_negative_binomial_factor(self):
         column = verify_mod._route3_column(4, 6)
         assert column == [binomial_general(-5, i) for i in range(7)] == [1, -5, 15, -35, 70, -126, 210]
 
-    def test_grid_leaves_no_column_behind(self, monkeypatch, row_caches):
+    def test_grid_leaves_no_column_behind(self, monkeypatch):
         assert all(r.all_match for r in verify_grid(range(2, 6), range(0, 10), ("r2", "r3", "r4")))
         assert verify_mod._STORE == {}
 
@@ -909,7 +910,7 @@ class TestVerifyGrid:
             verify_grid(range(2, 6), range(0, 4), routes=("r1", "r9"), jobs=2)
         assert forks == []
 
-    def test_one_row_grid_sorts_ns_forks_nothing_and_keeps_no_column(self, forks, row_caches):
+    def test_one_row_grid_sorts_ns_forks_nothing_and_keeps_no_column(self, forks):
         # the one way to verify a row: n ascending without repeats, no fork
         # at any job count, and no r2 or r4 column left behind
         reports = verify_grid([3], [4, 1, 4, 0], routes=("r2", "r4"), jobs=2)
@@ -963,7 +964,7 @@ class TestVerifyGrid:
     ROWS = {"lah_row": "lah", "_lhs_row": "lhs", "_route1_row": "r1", "_route3_factor": "r3 factor",
             "_route6_row": "r6"}
 
-    def test_row_caches_built_once_per_row(self, monkeypatch, row_caches):
+    def test_row_caches_built_once_per_row(self, monkeypatch):
         calls = []
         closed_form = numbers_mod.lah
 
@@ -998,7 +999,7 @@ class TestVerifyGrid:
         assert reads == {(name, k): 2 if name == "lah" else 8 for name in self.ROWS.values() for k in range(2, 6)}
         assert verify_mod._STORE == {}
 
-    def test_route6_makes_no_lah_calls_of_its_own(self, monkeypatch, row_caches):
+    def test_route6_makes_no_lah_calls_of_its_own(self, monkeypatch):
         # r6's row reads the Lah row that lhs_direct keeps for its row
         calls = []
         closed_form = numbers_mod.lah
@@ -1021,48 +1022,74 @@ class TestVerifyGrid:
         assert counts == {("r1",): 3 + 4 + 5 + 6, ("r1", "r6"): 3 + 4 + 5 + 6}
 
     @pytest.mark.parametrize("name", ["lah_row", "_lhs_row", "_route1_row", "_route3_factor", "_route6_row"])
-    def test_row_caches_are_bounded_and_immutable(self, name, row_caches):
+    def test_row_caches_are_bounded_and_immutable(self, monkeypatch, name):
         # the row a route keeps is a tuple of ints, shared by every n, and
-        # kept until the next grid ends, which bounds the store
-        key = (self.ROWS[name], 6)
-        assert verify_instance(IdentityInstance(6, 3)).all_match
-        value = verify_mod._STORE[key]
-        assert value == getattr(verify_mod, name)(6)
+        # kept only while its grid runs, which bounds the store
+        build = getattr(verify_mod, name)
+        held = []
+
+        def snapshot_build(k):
+            held.append(dict(verify_mod._STORE))
+            return build(k)
+
+        monkeypatch.setattr(verify_mod, name, snapshot_build)
+        assert all(r.all_match for r in verify_grid([5, 6], [3]))
+        # rows come largest k first, so row 6 is kept when row 5 is built
+        assert len(held) == 2
+        value = held[1][self.ROWS[name], 6]
+        assert value == build(6)
         assert type(value) is tuple
         assert all(type(entry) is int for entry in value)
-        assert verify_grid([2], [0], ())[0].all_match
-        assert key not in verify_mod._STORE
+        assert verify_mod._STORE == {}
 
-    def test_row_caches_fixture_clears_every_cache(self, request):
+    def test_nothing_outlives_a_grid(self, monkeypatch):
         # verify and numbers define no lru_cache, found through the garbage
         # collector rather than by name: every row and column that a route
-        # keeps is in the one store, under a name of its own, and the
-        # fixture empties it
-        assert all(r.all_match for r in verify_grid(range(2, 6), range(0, 4)))
-        assert verify_instance(IdentityInstance(3, 2)).all_match
+        # keeps is in the one store, under a name of its own
         modules = {numbers_mod.__name__, verify_mod.__name__}
         assert [obj for obj in gc.get_objects()
                 if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ in modules] == []
-        assert sorted(verify_mod._STORE) == [("lah", 3), ("lhs", 3), ("r1", 3), ("r2", 2), ("r3", 2),
-                                             ("r3 factor", 3), ("r4", 2), ("r6", 3)]
-        request.getfixturevalue("row_caches")
+        # a call made outside a grid builds what it reads and keeps nothing
+        outside = verify_mod._STORE
+        inst = IdentityInstance(3, 2)
+        assert verify_instance(inst).all_match
+        assert lhs_direct(inst) == rhs_reference(inst)
+        for name, route in ROUTE_FUNCTIONS.items():
+            assert route(inst) == rhs_reference(inst), name
         assert verify_mod._STORE == {}
+        # a grid keeps them while it runs, and puts back the store it found
+        # when it returns or raises
+        held = []
+        route6 = ROUTE_FUNCTIONS["r6"]
+
+        def snapshot_route6(inst, raises=False):
+            value = route6(inst)
+            held.append(sorted(verify_mod._STORE))
+            if raises:
+                raise RuntimeError("injected")
+            return value
+
+        monkeypatch.setitem(ROUTE_FUNCTIONS, "r6", snapshot_route6)
+        assert verify_grid([3], [2])[0].all_match
+        assert verify_mod._STORE is outside and outside == {}
+        monkeypatch.setitem(ROUTE_FUNCTIONS, "r6", lambda inst: snapshot_route6(inst, raises=True))
+        with pytest.raises(RuntimeError, match="injected"):
+            verify_grid([3], [2])
+        assert verify_mod._STORE is outside and outside == {}
+        assert held == [[("lah", 3), ("lhs", 3), ("r1", 3), ("r2", 2), ("r3", 2), ("r3 factor", 3), ("r4", 2),
+                         ("r6", 3)]] * 2
 
     @settings(deadline=None)
     @given(st.lists(st.integers(2, 9), max_size=5), st.lists(st.integers(0, 12), max_size=6),
            st.sets(st.sampled_from(ROUTE_NAMES)))
     def test_store_changes_no_report(self, ks, ns, routes):
         # a grid shares every row and column through one store; each
-        # instance verified alone, from an empty store, must report the same,
+        # instance verified alone, which keeps nothing, must report the same,
         # so that no row key can collide with a column key
         reports = verify_grid(ks, ns, routes)
         assert verify_mod._STORE == {}
-        alone = []
-        for k in sorted(set(ks)) if ns else []:
-            for n in sorted(set(ns)):
-                verify_mod._STORE.clear()
-                alone.append(verify_instance(IdentityInstance(k, n), routes))
-        verify_mod._STORE.clear()
+        alone = [verify_instance(IdentityInstance(k, n), routes)
+                 for k in (sorted(set(ks)) if ns else []) for n in sorted(set(ns))]
         assert reports == alone
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
@@ -1085,6 +1112,55 @@ class TestVerifyGrid:
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
+    def test_sigterm_kills_the_children_before_waiting(self, monkeypatch, forks):
+        # while a grid has children, SIGTERM raises SystemExit(143) and so
+        # takes the interrupt's path; the handler found before is put back,
+        # here one that ignores the signal, so that a grid that set no
+        # handler of its own would wait for its child
+        import signal
+
+        parent = os.getpid()
+
+        def terminated_here_blocked_there(inst):
+            if os.getpid() == parent:
+                os.kill(parent, signal.SIGTERM)
+                return rhs_reference(inst)
+            time.sleep(10)
+
+        def ignore(signum, frame):
+            pass
+
+        monkeypatch.setitem(ROUTE_FUNCTIONS, "r1", terminated_here_blocked_there)
+        previous = signal.signal(signal.SIGTERM, ignore)
+        try:
+            start = time.monotonic()
+            with pytest.raises(SystemExit) as caught:
+                verify_grid([2, 3], [0], ("r1",), jobs=2)
+            assert time.monotonic() - start < 1
+            assert signal.getsignal(signal.SIGTERM) is ignore
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert caught.value.code == 128 + signal.SIGTERM == 143
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
+    def test_forking_grid_runs_outside_the_main_thread(self, forks):
+        # only the main thread can set a signal handler, so there a grid
+        # forks and runs without one
+        import threading
+
+        serial = verify_grid(range(2, 5), range(0, 4), ("r1", "r4"))
+        done = []
+        thread = threading.Thread(target=lambda: done.append(verify_grid(range(2, 5), range(0, 4), ("r1", "r4"),
+                                                                         jobs=2)))
+        thread.start()
+        thread.join(60)
+        assert done == [serial]
+        assert len(forks) == 1
 
     def test_workers_never_more_than_rows_cpus_or_work(self, monkeypatch, forks):
         def forks_for(*args, **kwargs):
@@ -1131,9 +1207,9 @@ class TestVerifyGrid:
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_fork_only_from_twice_the_grain(self, jobs):
         # a fresh interpreter on as many usable CPUs as jobs, so that
-        # whether the run imports pickle shows; below twice the grain no
-        # child is forked, from it on one child, whatever the jobs, and
-        # neither side loads a process pool
+        # whether the run imports pickle and signal shows; below twice the
+        # grain no child is forked, from it on one child, whatever the jobs,
+        # and neither side loads a process pool
         rows = range(2, 30)
         below = (2 * verify_mod._FORK_GRAIN - 1) // sum(rows)
         script = f"""
@@ -1151,13 +1227,13 @@ os.fork = counting_fork
 for n_count in ({below}, {below + 1}):
     work = n_count * sum({rows!r})
     parallel = verify_mod.verify_grid({rows!r}, range(n_count), ("r1",), jobs={jobs})
-    pickled = "pickle" in sys.modules
+    loaded = sorted({{"pickle", "signal"}} & sys.modules.keys())
     pools = sorted({{"concurrent.futures", "multiprocessing"}} & sys.modules.keys())
     serial = verify_mod.verify_grid({rows!r}, range(n_count), ("r1",), jobs=1)
-    print(work // verify_mod._FORK_GRAIN, len(forks), pickled, pools, parallel == serial)
+    print(work // verify_mod._FORK_GRAIN, len(forks), loaded, pools, parallel == serial)
     forks.clear()
 """
         src = os.path.dirname(os.path.dirname(verify_mod.__file__))
         out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, check=True, timeout=120)
-        assert out.stdout.splitlines() == ["1 0 False [] True", "2 1 True [] True"]
+        assert out.stdout.splitlines() == ["1 0 [] [] True", "2 1 ['pickle', 'signal'] [] True"]
