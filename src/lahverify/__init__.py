@@ -19,14 +19,15 @@ _SUBMODULE = {
     for module, names in (
         ("exact", "ConsistencyError binomial_general exact_quotient factorial falling "
                   "reciprocal_factorial_weight rising"),
-        ("numbers", "BRUTEFORCE_MAX_N lah lah_bruteforce lah_triangle ordered_block_partitions "
-                    "stirling1 stirling1_from_log_series stirling1_from_rising_poly stirling1_triangle"),
-        ("series", "Polynomial TruncatedSeries poly_from_coeffs poly_mul rising_factorial_poly "
-                   "series_from_coeffs series_log1p series_mul series_scale"),
+        ("numbers", "lah stirling1"),
+        ("oracles", "BRUTEFORCE_MAX_N TruncatedSeries chu_vandermonde_binomial gkp_identity lah_bruteforce "
+                    "lah_triangle ordered_block_partitions series_from_coeffs series_log1p series_mul series_scale "
+                    "stirling1_from_log_series stirling1_from_rising_poly stirling1_triangle"),
+        ("series", "Polynomial poly_from_coeffs poly_mul rising_factorial_poly"),
         ("symbolic", "ExpLaurentExpr LaurentPoly exp_derivative_lah expr_diff_t expr_from_terms "
                      "laurent_diff laurent_from_terms route6_coefficient_chain stirling_weighted_moment"),
         ("verify", "ROUTE_FUNCTIONS ROUTE_NAMES IdentityInstance VerificationReport binomial_inversion "
-                   "chu_vandermonde_binomial chu_vandermonde_closed gkp_identity hypergeom_2f1_terminating "
+                   "chu_vandermonde_closed hypergeom_2f1_terminating "
                    "lhs_direct rhs_reference route1_induction route2_lah_gf route3_convolution "
                    "route4_inversion route5_hypergeom route6_stirling verify_grid "
                    "verify_instance"),
@@ -35,6 +36,19 @@ _SUBMODULE = {
 }
 
 __all__ = sorted(_SUBMODULE)
+
+
+def _forward(module: str, moved: set[str]):
+    """The PEP 562 ``__getattr__`` of the submodule ``module``: each name of
+    ``moved``, which that module once defined and ``oracles`` defines now,
+    resolves there as the same object, so its old import path still works."""
+
+    def forward(name: str):
+        if name in moved:
+            return getattr(import_module(".oracles", __name__), name)
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+
+    return forward
 
 
 def __getattr__(name: str):

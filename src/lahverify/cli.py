@@ -323,7 +323,8 @@ def run(argv: Sequence[str] | None = None) -> int:
 
     0 means success (all instances verified for the verify command), or
     that the help was printed; 1 means at least one verification
-    mismatch; 2 means a usage or domain error, or that memory ran out.
+    mismatch; 2 means a usage or domain error, an index past the C
+    integer limit, or that memory ran out.
     """
     # exact results can exceed the interpreter's default int-to-str limit
     # of 4300 digits; the setting exists from Python 3.10.7 on, and the
@@ -364,6 +365,10 @@ def _run(argv: Sequence[str] | None) -> int:
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # an index past the C integer limit, where math.perm gives up
+        print(f"error: index too large: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         # the failed allocation's memory is free again once it unwinds to here

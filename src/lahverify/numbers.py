@@ -3,22 +3,23 @@
 Each family is computable by several independent methods (closed form,
 triangular recurrence, polynomial expansion, series extraction, brute-force
 enumeration) so that the methods can be played against each other in tests.
+This module holds the closed form and the recurrence, which the commands
+and the routes run; the other methods are in ``oracles``, and the names
+they had here still resolve.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import permutations, product, repeat
+from itertools import repeat
 from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
-from .exact import binomial_general, reciprocal_factorial_weight
+from . import _forward
+from .exact import binomial_general
 
 if TYPE_CHECKING:
     from decimal import Decimal
-    from fractions import Fraction
-
-BRUTEFORCE_MAX_N = 9
 
 
 def lah(n: int, k: int) -> int:
@@ -48,55 +49,6 @@ def lah_row(n: int) -> tuple[int, ...]:
     if n < 0:
         raise ValueError("Lah indices must be non-negative")
     return tuple(lah(n, k) for k in range(n + 1))
-
-
-def _set_partitions(items: list[int], k: int) -> Iterator[list[list[int]]]:
-    # Yields each partition of items into exactly k nonempty blocks once:
-    # the first item either opens its own block or joins one block of a
-    # partition of the rest.
-    n = len(items)
-    if k < 0 or k > n:
-        return
-    if n == 0:
-        yield []
-        return
-    head, rest = items[0], items[1:]
-    for part in _set_partitions(rest, k - 1):
-        yield [[head]] + part
-    for part in _set_partitions(rest, k):
-        for i in range(len(part)):
-            yield part[:i] + [[head] + part[i]] + part[i + 1 :]
-
-
-def ordered_block_partitions(n: int, k: int | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Enumerate partitions of {1, ..., n} into nonempty ordered blocks.
-
-    Each partition appears exactly once as a tuple of blocks, where every
-    block is a tuple giving the order of its elements and the outer tuple
-    carries no meaning (the family of blocks is unordered). With ``k`` set,
-    only partitions into exactly k blocks are produced.
-    """
-    if n < 1:
-        raise ValueError("enumeration needs n >= 1")
-    items = list(range(1, n + 1))
-    block_counts = range(1, n + 1) if k is None else [k]
-    for kk in block_counts:
-        for blocks in _set_partitions(items, kk):
-            for arrangement in product(*(permutations(b) for b in blocks)):
-                yield arrangement
-
-
-def lah_bruteforce(n: int, k: int) -> int:
-    """Count partitions into k nonempty ordered blocks by full enumeration.
-
-    Deliberately formula-free so it can serve as an independent oracle;
-    bounded to n <= 9 to keep single calls fast.
-    """
-    if not 1 <= n <= BRUTEFORCE_MAX_N:
-        raise ValueError(f"brute force supports 1 <= n <= {BRUTEFORCE_MAX_N}")
-    if k < 1:
-        raise ValueError("brute force needs k >= 1")
-    return sum(1 for _ in ordered_block_partitions(n, k))
 
 
 _Entry = TypeVar("_Entry", int, "Decimal")
@@ -160,13 +112,6 @@ def triangle_rows(kind: str, max_n: int, max_k: int | None = None, start: _Entry
         yield row
 
 
-def lah_triangle(max_n: int) -> list[list[int]]:
-    """Rows 0..max_n of the Lah triangle, row n holding L(n, 0..n), built by
-    the additive recurrence L(n+1, k) = L(n, k-1) + (n+k) L(n, k),
-    independent of the closed form."""
-    return list(triangle_rows("lah", max_n))
-
-
 def triangle_row(kind: str, n: int, max_k: int | None = None) -> list[int]:
     """Row n of the "lah" or "stirling1" triangle, columns 0..n, or
     [T(n, max_k)] when ``max_k`` is given: the last row of
@@ -188,36 +133,8 @@ def stirling1(n: int, k: int) -> int:
     return triangle_row("stirling1", n, k)[0] if k <= n else 0
 
 
-def stirling1_triangle(max_n: int) -> list[list[int]]:
-    """Rows 0..max_n of the Stirling triangle, row n holding s(n, 0..n),
-    built by the recurrence row by row."""
-    return list(triangle_rows("stirling1", max_n))
-
-
-def stirling1_from_rising_poly(n: int) -> list[int]:
-    """Recover s(n, 0..n) from the monomial expansion of x(x+1)...(x+n-1),
-    whose coefficient at x^k is (-1)^(n-k) s(n, k)."""
-    # series is imported by the two functions that use it, so that the
-    # number commands and the tables never load it
-    from .series import rising_factorial_poly
-
-    # the product is monic of degree n, so no coefficient is trimmed
-    return [(-1 if (n - k) % 2 else 1) * c for k, c in enumerate(rising_factorial_poly(n).coeffs)]
-
-
-def stirling1_from_log_series(max_n: int, k: int) -> list[Fraction]:
-    """Coefficients of t^0 .. t^max_n in log(1+t)^k / k!.
-
-    The coefficient of t^n equals s(n, k) / n!, which gives a third,
-    series-based computation path for the Stirling numbers.
-    """
-    if not 0 <= k <= max_n:
-        raise ValueError("need 0 <= k <= max_n")
-    from .series import series_from_coeffs, series_log1p, series_mul, series_scale
-
-    acc = series_from_coeffs([1], max_n)
-    log_series = series_log1p(max_n)
-    for _ in range(k):
-        acc = series_mul(acc, log_series)
-    acc = series_scale(acc, reciprocal_factorial_weight(k))
-    return list(acc.coeffs)
+# the names that ``oracles`` took over from this module, which resolve here
+# as before
+_MOVED = {"BRUTEFORCE_MAX_N", "_set_partitions", "ordered_block_partitions", "lah_bruteforce", "lah_triangle",
+          "stirling1_triangle", "stirling1_from_rising_poly", "stirling1_from_log_series"}
+__getattr__ = _forward(__name__, _MOVED)

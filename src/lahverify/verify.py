@@ -21,8 +21,9 @@ import math
 import os
 from itertools import accumulate, cycle, repeat
 from operator import mul, ne, sub
-from typing import IO, Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
+from . import _forward
 from .exact import (
     ConsistencyError,
     binomial_general,
@@ -88,9 +89,11 @@ class _Discard(dict):
 
 # what the routes read that depends on k alone, rows "lah", "lhs", "r1",
 # "r3 factor" and "r6" by (name, k), or on n alone, columns "r2", "r3" and
-# "r4" by (route, n); a dict of its own while ``verify_grid`` runs, so
-# nothing outlives a grid, and a call made outside one builds what it reads
-_STORE: dict[tuple[str, int], Sequence[int]] = _Discard()
+# "r4" by (route, n); a dict of its own while ``verify_grid`` runs, and
+# _DISCARD again once it returns or raises, so nothing outlives a grid, and
+# a call made outside one builds what it reads
+_DISCARD = _Discard()
+_STORE: dict[tuple[str, int], Sequence[int]] = _DISCARD
 
 
 def _row(name: str, k: int, build: Callable[[int], tuple[int, ...]]) -> Sequence[int]:
@@ -115,38 +118,6 @@ def lhs_direct(inst: IdentityInstance) -> int:
     times the factorials (n+l)!, l = 1..k."""
     k, n = inst.k, inst.n
     return sum(map(mul, _row("lhs", k, _lhs_row), map(factorial, range(n + 1, n + k + 1))))
-
-
-def gkp_identity(l: int, m: int, s: int, n: int) -> tuple[int, int]:
-    """Both sides of the alternating double-binomial identity
-
-        sum over i of C(l, m+i) C(s+i, n) (-1)^i = (-1)^(l+m) C(s-m, n-l)
-
-    for l >= 0 and arbitrary integers m, s, n (identity (5.24) in
-    Graham/Knuth/Patashnik, Concrete Mathematics). The sum has finite
-    support 0 <= m+i <= l. Acceptance criterion 6 checks it exhaustively;
-    no route calls it."""
-    if l < 0:
-        raise ValueError("l must be non-negative")
-    lhs = sum(
-        _sgn(i) * binomial_general(l, m + i) * binomial_general(s + i, n)
-        for i in range(-m, l - m + 1)
-    )
-    rhs = _sgn(l + m) * binomial_general(s - m, n - l)
-    return lhs, rhs
-
-
-def chu_vandermonde_binomial(r: int, m: int, s: int, n: int) -> tuple[int, int]:
-    """Both sides of the Chu-Vandermonde convolution
-    sum over j of C(r, m+j) C(s, n-j) = C(r+s, m+n), for r, s >= 0."""
-    if r < 0 or s < 0:
-        raise ValueError("r and s must be non-negative")
-    lhs = sum(
-        binomial_general(r, m + j) * binomial_general(s, n - j)
-        for j in range(-m, r - m + 1)
-    )
-    rhs = binomial_general(r + s, m + n)
-    return lhs, rhs
 
 
 def binomial_inversion(values: Sequence[int]) -> list[int]:
@@ -434,63 +405,8 @@ def _row_reports(
 ) -> dict[int, list[VerificationReport]]:
     """The ``{k: reports}`` of ``rows``, one ``verify_instance`` report per
     n of ``ns``, in order: the one row loop of ``verify_grid``, run by this
-    process's share, by every forked child and by ``_collect``."""
+    process's share, by every forked child and by ``workers._collect``."""
     return {k: [verify_instance(IdentityInstance(k, n), route_names) for n in ns] for k in rows}
-
-
-def _fork_share(share: Sequence[int], ns: Sequence[int], route_names: Sequence[str]) -> tuple[int, IO[bytes]] | None:
-    """Fork a child that pickles the ``{k: reports}`` of the rows of
-    ``share`` into a pipe, or exits having sent nothing; returns its pid and
-    the read end of the pipe, or None, with no descriptor left open, when
-    the pipe or the child cannot be made."""
-    import pickle
-
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        # the child never returns into the caller and never flushes the
-        # stdio buffers it inherited: it leaves through os._exit only
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as out:
-                pickle.dump(_row_reports(share, ns, route_names), out, pickle.HIGHEST_PROTOCOL)
-            os._exit(0)
-        finally:
-            os._exit(1)
-    # closed before the next fork, so only this child holds the write end
-    # and the pipe reads EOF as soon as it exits
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _collect(
-    child: tuple[int, IO[bytes]] | None, share: Sequence[int], ns: Sequence[int], route_names: Sequence[str]
-) -> dict[int, list[VerificationReport]]:
-    """The reports of ``share``, the one place a forked share comes back:
-    those the child sent; otherwise the rows verified here, so that an
-    exception is raised by this process as at ``jobs=1``."""
-    import pickle
-
-    try:
-        if child:
-            return pickle.load(child[1])
-    except (EOFError, pickle.UnpicklingError):
-        pass
-    return _row_reports(share, ns, route_names)
-
-
-def _terminate(signum: int, frame: object) -> None:
-    # SIGTERM while a grid has children: leave by its kill path, with the
-    # status 128 + SIGTERM that a shell reports for the signal
-    raise SystemExit(128 + signum)
 
 
 # The work, in units of (n values) x (sum of k), that each worker must have
@@ -510,27 +426,32 @@ def verify_grid(
     raised. The route names and the grid's bounds are checked first: an
     unknown route, a k below 2 or a negative n raises ValueError before
     any row is dealt out or any child is forked. The grid keeps its rows
-    and columns in a ``_STORE`` of its own, and puts back the one it found
-    when it returns or raises, so nothing outlives it. Every share builds
-    each row once and walks its rows largest k first, so it builds each
-    column of r2, r3 and r4 once, through its largest k. If it raises, it
-    kills every child before waiting for it; while it has children, a
-    SIGTERM raises ``SystemExit(143)`` here, and so takes that path.
+    and columns in a ``_STORE`` of its own, and leaves the store that keeps
+    nothing in its place when it returns or raises, so nothing outlives
+    it, also when grids overlap in threads; one that overlaps another may
+    build a row or column again. Every share builds each row once and
+    walks its rows largest k first, so it builds each column of r2, r3 and
+    r4 once, through its largest k.
 
     A row (one k, every n) is the unit of work, and rows may run in any
     order. Every route sums O(k) terms per instance, so the grid's work is
     the number of n values times the sum of its k values. The rows are
     dealt out, largest k first, to min(jobs, rows, usable CPUs,
-    work // _FORK_GRAIN) shares, or to one where ``os.fork`` is missing:
-    this process verifies the last share and forks one child per other
-    share, which sends its reports back through a pipe. So jobs is an
-    upper bound, and a grid with less than twice the grain's work, or on
-    one usable CPU (its affinity mask, where the platform has one), runs
-    serially, without a fork, a pipe or ``pickle``. After its own share,
-    ``_collect`` brings back each other one: its child's reports, or else
-    its rows verified here, which raise here what they raise at jobs=1.
-    Those rows build each column that they read a second time, through
-    that share's largest k, since the one kept stops at this process's.
+    work // _FORK_GRAIN) shares, or to one where ``os.fork`` is missing.
+    So jobs is an upper bound, and a grid with less than twice the grain's
+    work, or on one usable CPU (its affinity mask, where the platform has
+    one), runs serially: it loads no fork code, neither ``workers`` nor
+    ``pickle`` nor ``signal``. A grid of two or more shares runs them
+    through ``workers.verify_shares``: this process verifies the last
+    share and forks one child per other share, which sends its reports
+    back through a pipe. After its own share, ``workers._collect`` brings
+    back each other one: its child's reports, or else its rows verified
+    here, which raise here what they raise at jobs=1. Those rows build
+    each column that they read a second time, through that share's
+    largest k, since the one kept stops at this process's. If the grid
+    raises, it kills every child before waiting for it; while it has
+    children, a SIGTERM raises ``SystemExit(143)`` here, and so takes
+    that path.
     """
     global _STORE
     route_names = _route_names(routes)
@@ -548,32 +469,21 @@ def verify_grid(
     # process, which also unpickles every child's reports, keeps the last
     # and lightest share
     *shares, own = (rows[::-1][i::workers] for i in range(workers))
-    outer, _STORE = _STORE, {}
-    children = []
-    previous = False  # the SIGTERM handler to put back, once one is set
+    _STORE = {}
     try:
         if shares:
-            import signal
+            # forked children inherit the store
+            from .workers import verify_shares
 
-            try:
-                previous = signal.signal(signal.SIGTERM, _terminate)
-            except ValueError:
-                pass  # only the main thread can set a handler
-        for share in shares:
-            children.append((_fork_share(share, ns, route_names), share))
-        by_k = _row_reports(own, ns, route_names)
-        for child, share in children:
-            by_k.update(_collect(child, share, ns, route_names))
-    except BaseException:
-        # an interrupt or a SIGTERM, say: no child's share is needed any more
-        for pid, _ in (child for child, _ in children if child):
-            os.kill(pid, signal.SIGKILL)
-        raise
+            by_k = verify_shares(shares, own, ns, route_names)
+        else:
+            by_k = _row_reports(own, ns, route_names)
     finally:
-        if previous is not False:
-            signal.signal(signal.SIGTERM, previous)
-        _STORE = outer
-        for pid, reader in (child for child, _ in children if child):
-            reader.close()
-            os.waitpid(pid, 0)
+        _STORE = _DISCARD
     return [report for k in rows for report in by_k[k]]
+
+
+# the names that ``oracles`` took over from this module, which resolve here
+# as before
+_MOVED = {"gkp_identity", "chu_vandermonde_binomial"}
+__getattr__ = _forward(__name__, _MOVED)

@@ -859,8 +859,8 @@ def test_cli_import_leaves_workers_out():
     assert not {name for name in _loaded_by("-c", "import lahverify") if name.startswith("lahverify.")}
     loaded = _loaded_by("-c", "import lahverify.cli")
     assert "lahverify.numbers" in loaded
-    assert not loaded & {"concurrent.futures", "json", "lahverify.verify", "lahverify.symbolic", "dataclasses",
-                         "decimal"}
+    assert not loaded & {"concurrent.futures", "json", "lahverify.verify", "lahverify.symbolic", "lahverify.oracles",
+                         "dataclasses", "decimal"}
     assert "dataclasses" not in _loaded_by("-c", "import lahverify.verify")
     # the table of commands reads argv, so no command loads argparse, or
     # gettext and locale behind it
@@ -869,8 +869,8 @@ def test_cli_import_leaves_workers_out():
                  ["stirling1", "--n", "3", "--k", "2"]):
         command = _loaded_by("-m", "lahverify", *argv)
         assert "lahverify.cli" in command
-        assert not command & {"lahverify.verify", "lahverify.symbolic", "lahverify.series", "fractions",
-                              "dataclasses", "signal", *parser}
+        assert not command & {"lahverify.verify", "lahverify.symbolic", "lahverify.series", "lahverify.oracles",
+                              "lahverify.workers", "fractions", "dataclasses", "signal", *parser}
         # only a long value loads the decimal writer
         assert "lahverify.digits" not in command
         # only the table command holds its entries in a decimal radix
@@ -881,7 +881,8 @@ def test_cli_import_leaves_workers_out():
     # too little work to fork for, so nothing is pickled and no SIGTERM
     # handler is set; the fork path's imports are checked by
     # test_fork_only_from_twice_the_grain
-    assert not parallel & {"concurrent.futures", "multiprocessing", "decimal", "pickle", "signal", *parser}
+    assert not parallel & {"concurrent.futures", "multiprocessing", "decimal", "pickle", "signal",
+                           "lahverify.workers", "lahverify.oracles", *parser}
     r1_to_r5 = _loaded_by(*grid, "--routes", "r1,r2,r3,r4,r5", "--format", "json")
     assert "lahverify.verify" in r1_to_r5
     assert not r1_to_r5 & {"fractions", "json", "lahverify.symbolic", "lahverify.series", "decimal",
@@ -889,6 +890,35 @@ def test_cli_import_leaves_workers_out():
     r6 = _loaded_by(*grid, "--routes", "r6")
     assert "lahverify.series" in r6
     assert not r6 & {"lahverify.symbolic", "decimal", "signal", *parser}
+    # a band of the benchmark's accept-all6 grid, serial: it compiles
+    # neither the fork path nor the oracles
+    band = _loaded_by("-m", "lahverify", "verify", "--k-min", "2", "--k-max", "5", "--n-min", "0", "--n-max", "30",
+                      "--routes", "r1,r2,r3,r4,r5,r6", "--format", "json", "--jobs", "1")
+    assert {"lahverify.verify", "lahverify.series"} <= band
+    assert not band & {"lahverify.workers", "lahverify.oracles", "pickle", "signal"}
+    # on two usable CPUs, a grid of more than twice the grain's work forks,
+    # and only then loads the fork path
+    if hasattr(os, "fork"):
+        forked = _loaded_by("-c", _FORK_REPORTING_CLI, "verify", "--k-min", "2", "--k-max", "25", "--n-min", "0",
+                            "--n-max", "50", "--routes", "r1", "--jobs", "2")
+        assert {"lahverify.workers", "pickle", "signal"} <= forked
+        assert "lahverify.oracles" not in forked
+
+
+def test_moved_names_forward_to_the_oracles():
+    # every name that numbers, series and verify hand on to the oracles
+    # module, such as numbers.lah_bruteforce, verify.gkp_identity and
+    # series.series_mul, is its own object, by the old path and by the package
+    from lahverify import numbers, oracles, series, verify
+
+    for module in (numbers, series, verify):
+        for name in module._MOVED:
+            assert getattr(module, name) is getattr(oracles, name), (module.__name__, name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+    for name, module in lahverify._SUBMODULE.items():
+        if module == "oracles":
+            assert getattr(lahverify, name) is getattr(oracles, name)
 
 
 def test_public_names_resolve_on_access():
@@ -964,7 +994,7 @@ def test_interrupt_exits_130_with_one_line():
 # the parent waits for the child's reports
 _TERMINATED_CLI = """
 import os, time
-from lahverify import verify
+from lahverify import verify, workers
 from lahverify.cli import main
 os.sched_getaffinity = lambda pid: {0, 1}
 verify._FORK_GRAIN = 1
@@ -976,11 +1006,11 @@ def reporting_fork():
         os.write(2, b"forked %d\\n" % pid)
     return pid
 os.fork = reporting_fork
-collect = verify._collect
+collect = workers._collect
 def reporting_collect(*args):
     os.write(2, b"collecting\\n")
     return collect(*args)
-verify._collect = reporting_collect
+workers._collect = reporting_collect
 route1 = verify.ROUTE_FUNCTIONS["r1"]
 def blocked_in_the_child(inst):
     if os.getpid() != parent:
@@ -1021,6 +1051,21 @@ def test_sigterm_exits_143_with_one_line_and_no_child():
                 os.kill(child, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+
+# the smallest inputs past the C integer limit of a 64-bit build: math.perm
+# in lah raises OverflowError, and the grid's direct sum reads lah(k, 1)
+@pytest.mark.parametrize("argv", [
+    ["lah", "--n", "9223372036854775809", "--k", "1"],
+    ["verify", "--k-min", "9223372036854775809", "--k-max", "9223372036854775809", "--n-min", "0", "--n-max", "0",
+     "--routes", "r5"],
+], ids=["lah", "verify"])
+def test_index_past_the_c_limit_exits_two_with_one_line(argv):
+    done = subprocess.run([sys.executable, "-m", "lahverify", *argv], env=_fresh_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: index too large: ")
 
 
 @pytest.mark.parametrize("argv, lines", [

@@ -19,6 +19,7 @@ import lahverify.exact as exact_mod
 import lahverify.numbers as numbers_mod
 import lahverify.series as series_mod
 import lahverify.verify as verify_mod
+import lahverify.workers as workers_mod
 from lahverify.exact import ConsistencyError, binomial_general, factorial, falling, rising
 from lahverify.numbers import lah, stirling1
 from lahverify.series import (
@@ -758,7 +759,7 @@ class TestRoute2Columns:
             return exact_quotient(num, den)
 
         monkeypatch.setattr(verify_mod, "exact_quotient", counting_quotient)
-        monkeypatch.setattr(verify_mod, "_fork_share", lambda share, ns, route_names: None)
+        monkeypatch.setattr(workers_mod, "_fork_share", lambda share, ns, route_names: None)
         assert all(r.all_match for r in verify_grid(range(2, 31), range(0, 61), ("r2", "r4"), jobs=2))
         assert forks == []
         assert tops == {n: [29, 30] for n in range(0, 61)}
@@ -1078,6 +1079,34 @@ class TestVerifyGrid:
         assert verify_mod._STORE is outside and outside == {}
         assert held == [[("lah", 3), ("lhs", 3), ("r1", 3), ("r2", 2), ("r3", 2), ("r3 factor", 3), ("r4", 2),
                          ("r6", 3)]] * 2
+
+    def test_overlapping_grids_leave_no_store_behind(self, monkeypatch):
+        # a grid in a second thread starts while the first runs and ends
+        # after it: neither may leave a dict in place, or every later call
+        # outside a grid would keep what it builds
+        import threading
+
+        outside = verify_mod._STORE
+        route5 = ROUTE_FUNCTIONS["r5"]
+
+        def slow_route5(inst):
+            time.sleep(0.1 if inst.k == 3 else 0.3)
+            return route5(inst)
+
+        monkeypatch.setitem(ROUTE_FUNCTIONS, "r5", slow_route5)
+        done = []
+        threads = [threading.Thread(target=lambda k=k: done.append(verify_grid([k], [0], ("r5",)))) for k in (3, 4)]
+        threads[0].start()
+        time.sleep(0.02)
+        threads[1].start()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(done) == 2 and all(reports[0].all_match for reports in done)
+        assert verify_mod._STORE is outside
+        for n in range(100):
+            verify_instance(IdentityInstance(3, n), ("r2", "r4"))
+        assert verify_mod._STORE == {}
 
     @settings(deadline=None)
     @given(st.lists(st.integers(2, 9), max_size=5), st.lists(st.integers(0, 12), max_size=6),
