@@ -41,7 +41,8 @@ __all__ = sorted(_SUBMODULE)
 def _forward(module: str, moved: set[str]):
     """The PEP 562 ``__getattr__`` of the submodule ``module``: each name of
     ``moved``, which that module once defined and ``oracles`` defines now,
-    resolves there as the same object, so its old import path still works."""
+    resolves there as the same object. ``numbers`` and ``series`` keep it
+    only for the names that the benchmark's tracer reads through them."""
 
     def forward(name: str):
         if name in moved:

@@ -9,6 +9,7 @@ no overflow, ever.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -26,6 +27,16 @@ class ConsistencyError(ArithmeticError):
 def factorial(m: int) -> int:
     """Product 1*2*...*m; factorial(0) == 1, and a negative m is a ValueError."""
     return math.factorial(m)
+
+
+def check_factorial_fits(m: int) -> None:
+    """Raise OverflowError when m! provably has more than ``sys.maxsize``
+    bits, a value that no memory holds. With h = m // 2, m! > h^h >=
+    2^(h (bitlen(h) - 1)), so this refuses only m above about 3e17 on a
+    64-bit build, and nothing that could finish."""
+    h = m // 2
+    if h * (h.bit_length() - 1) > sys.maxsize:
+        raise OverflowError(f"{m}! has more than {sys.maxsize} bits")
 
 
 def binomial_general(r: int, j: int) -> int:

@@ -4,8 +4,9 @@ Each family is computable by several independent methods (closed form,
 triangular recurrence, polynomial expansion, series extraction, brute-force
 enumeration) so that the methods can be played against each other in tests.
 This module holds the closed form and the recurrence, which the commands
-and the routes run; the other methods are in ``oracles``, and the names
-they had here still resolve.
+and the routes run; the other methods are in ``oracles``. Only
+``lah_triangle``, ``stirling1_triangle`` and ``stirling1_from_rising_poly``
+still resolve here too, because the benchmark's tracer reads them here.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
 from . import _forward
-from .exact import binomial_general
+from .exact import binomial_general, check_factorial_fits
 
 if TYPE_CHECKING:
     from decimal import Decimal
@@ -37,6 +38,8 @@ def lah(n: int, k: int) -> int:
         return 1
     if k < 1 or k > n:
         return 0
+    # L(n, k) >= n!/k! >= (n-k)!
+    check_factorial_fits(n - k)
     # n!/k! as the product n(n-1)...(k+1), so no factorial is formed
     return binomial_general(n - 1, k - 1) * math.perm(n, n - k)
 
@@ -130,11 +133,15 @@ def stirling1(n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         raise ValueError("Stirling indices must be non-negative")
-    return triangle_row("stirling1", n, k)[0] if k <= n else 0
+    if n == 0 and k == 0:
+        return 1
+    if k < 1 or k > n:
+        return 0
+    # |s(n, k)| >= (n-k)!, the permutations that fix 1..k-1 and cycle the rest
+    check_factorial_fits(n - k)
+    return triangle_row("stirling1", n, k)[0]
 
 
-# the names that ``oracles`` took over from this module, which resolve here
-# as before
-_MOVED = {"BRUTEFORCE_MAX_N", "_set_partitions", "ordered_block_partitions", "lah_bruteforce", "lah_triangle",
-          "stirling1_triangle", "stirling1_from_rising_poly", "stirling1_from_log_series"}
+# the benchmark's tracer reads these here; ROADMAP item 6 deletes them with it
+_MOVED = {"lah_triangle", "stirling1_triangle", "stirling1_from_rising_poly"}
 __getattr__ = _forward(__name__, _MOVED)

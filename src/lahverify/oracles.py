@@ -5,9 +5,9 @@ against the routes and the number families: brute-force enumeration of
 ordered-block partitions, whole triangles, Stirling numbers from the
 rising factorial polynomial and from the log series, the truncated power
 series behind the last, and two classical binomial identities. They live
-apart so that no command compiles them. ``numbers``, ``series`` and
-``verify`` forward the names they once defined to this module, so
-``from lahverify.numbers import lah_bruteforce`` still works.
+apart so that no command compiles them. Import them from here or from
+the package; ``numbers`` and ``series`` forward only the five names that
+the benchmark's tracer reads through them.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ with the truncated power series of ``oracles``.
 Coefficients keep the type they are given: integral inputs stay ``int``
 and rational ones stay ``Fraction``. The truncated series, which only
 ``oracles.stirling1_from_log_series`` and the tests use, live in
-``oracles``, and the names they had here still resolve.
+``oracles``. Only ``series_mul`` and ``series_binomial_power`` still
+resolve here too, because the benchmark's tracer reads them here.
 """
 
 from __future__ import annotations
@@ -65,8 +66,6 @@ def rising_factorial_poly(n: int) -> Polynomial:
     return p
 
 
-# the names that ``oracles`` took over from this module, which resolve here
-# as before
-_MOVED = {"TruncatedSeries", "series_from_coeffs", "series_mul", "series_scale", "series_log1p",
-          "series_binomial_power"}
+# the benchmark's tracer reads these here; ROADMAP item 6 deletes them with it
+_MOVED = {"series_mul", "series_binomial_power"}
 __getattr__ = _forward(__name__, _MOVED)

@@ -23,10 +23,10 @@ from itertools import accumulate, cycle, repeat
 from operator import mul, ne, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from . import _forward
 from .exact import (
     ConsistencyError,
     binomial_general,
+    check_factorial_fits,
     exact_quotient,
     factorial,
     rising,
@@ -424,8 +424,9 @@ def verify_grid(
     """One report per (k, n), in (k, n)-lexicographic order at every job
     count. Mismatches and failed route cross-checks are reported, not
     raised. The route names and the grid's bounds are checked first: an
-    unknown route, a k below 2 or a negative n raises ValueError before
-    any row is dealt out or any child is forked. The grid keeps its rows
+    unknown route, a k below 2 or a negative n raises ValueError, and a
+    largest n + k whose factorial no memory holds raises OverflowError,
+    before any row is dealt out or any child is forked. The grid keeps its rows
     and columns in a ``_STORE`` of its own, and leaves the store that keeps
     nothing in its place when it returns or raises, so nothing outlives
     it, also when grids overlap in threads; one that overlaps another may
@@ -461,6 +462,8 @@ def verify_grid(
         # every instance of the grid is valid when the one of its smallest k
         # and smallest n is
         IdentityInstance(rows[0], ns[0])
+        # the direct sum forms (n+k)!
+        check_factorial_fits(ns[-1] + rows[-1])
     work = len(ns) * sum(rows)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = max(1, min(jobs, len(rows), cpus, work // _FORK_GRAIN)) if hasattr(os, "fork") else 1
@@ -481,9 +484,3 @@ def verify_grid(
     finally:
         _STORE = _DISCARD
     return [report for k in rows for report in by_k[k]]
-
-
-# the names that ``oracles`` took over from this module, which resolve here
-# as before
-_MOVED = {"gkp_identity", "chu_vandermonde_binomial"}
-__getattr__ = _forward(__name__, _MOVED)

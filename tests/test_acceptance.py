@@ -12,11 +12,12 @@ from fractions import Fraction
 
 from lahverify.cli import run
 from lahverify.exact import factorial
-from lahverify.numbers import (
-    lah,
+from lahverify.numbers import lah, stirling1
+from lahverify.oracles import (
+    chu_vandermonde_binomial,
+    gkp_identity,
     lah_bruteforce,
     lah_triangle,
-    stirling1,
     stirling1_from_log_series,
     stirling1_from_rising_poly,
 )
@@ -30,9 +31,7 @@ from lahverify.verify import (
     ROUTE_FUNCTIONS,
     IdentityInstance,
     binomial_inversion,
-    chu_vandermonde_binomial,
     chu_vandermonde_closed,
-    gkp_identity,
     hypergeom_2f1_terminating,
     lhs_direct,
     rhs_reference,

@@ -906,16 +906,20 @@ def test_cli_import_leaves_workers_out():
 
 
 def test_moved_names_forward_to_the_oracles():
-    # every name that numbers, series and verify hand on to the oracles
-    # module, such as numbers.lah_bruteforce, verify.gkp_identity and
-    # series.series_mul, is its own object, by the old path and by the package
+    # numbers and series forward only the five names that the benchmark's
+    # tracer reads through them, each as the oracles object; verify forwards
+    # none, and every oracle name still resolves on the package
     from lahverify import numbers, oracles, series, verify
 
-    for module in (numbers, series, verify):
+    assert numbers._MOVED == {"lah_triangle", "stirling1_triangle", "stirling1_from_rising_poly"}
+    assert series._MOVED == {"series_mul", "series_binomial_power"}
+    for module in (numbers, series):
         for name in module._MOVED:
             assert getattr(module, name) is getattr(oracles, name), (module.__name__, name)
-        with pytest.raises(AttributeError, match="no_such_name"):
-            module.no_such_name
+        with pytest.raises(AttributeError, match="lah_bruteforce"):
+            module.lah_bruteforce
+    assert not hasattr(verify, "__getattr__")
+    assert not hasattr(verify, "gkp_identity")
     for name, module in lahverify._SUBMODULE.items():
         if module == "oracles":
             assert getattr(lahverify, name) is getattr(oracles, name)
@@ -1053,19 +1057,35 @@ def test_sigterm_exits_143_with_one_line_and_no_child():
                 pass
 
 
-# the smallest inputs past the C integer limit of a 64-bit build: math.perm
-# in lah raises OverflowError, and the grid's direct sum reads lah(k, 1)
+# indices whose value no memory holds, past the C integer limit of a 64-bit
+# build and just inside it, where the commands would otherwise run without
+# end: L(n, k) and |s(n, k)| are at least (n-k)!, and the grid's direct sum
+# forms (n+k)!
 @pytest.mark.parametrize("argv", [
     ["lah", "--n", "9223372036854775809", "--k", "1"],
+    ["lah", "--n", "9223372036854775807", "--k", "1"],
+    ["lah", "--n", "9223372036854775808", "--k", "1"],
+    ["stirling1", "--n", "9223372036854775809", "--k", "1"],
     ["verify", "--k-min", "9223372036854775809", "--k-max", "9223372036854775809", "--n-min", "0", "--n-max", "0",
      "--routes", "r5"],
-], ids=["lah", "verify"])
+    ["verify", "--k-min", "2", "--k-max", "2", "--n-min", "9223372036854775807", "--n-max", "9223372036854775807",
+     "--routes", "r5"],
+    ["verify", "--k-min", "9223372036854775807", "--k-max", "9223372036854775807", "--n-min", "0", "--n-max", "0",
+     "--routes", "r5"],
+], ids=["lah", "lah-maxsize", "lah-maxsize+1", "stirling1", "verify", "verify-n-maxsize", "verify-k-maxsize"])
 def test_index_past_the_c_limit_exits_two_with_one_line(argv):
     done = subprocess.run([sys.executable, "-m", "lahverify", *argv], env=_fresh_env(), capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=10)
     assert (done.returncode, done.stdout) == (2, "")
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith("error: index too large: ")
+
+
+def test_a_zero_at_a_huge_index_prints_at_once():
+    # s(n, 0) = 0 for n > 0, with no walk of the triangle
+    done = subprocess.run([sys.executable, "-m", "lahverify", "stirling1", "--n", "9223372036854775808", "--k", "0"],
+                          env=_fresh_env(), capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
 
 
 @pytest.mark.parametrize("argv, lines", [

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import lahverify.exact as exact_mod
 from lahverify.exact import (
     ConsistencyError,
     binomial_general,
+    check_factorial_fits,
     exact_quotient,
     factorial,
     falling,
@@ -46,6 +50,19 @@ class TestFactorial:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             factorial(-1)
+
+    def test_fits_is_a_lower_bound(self, monkeypatch):
+        # m! with exactly maxsize bits is never refused, for a maxsize that
+        # small m reach
+        for m in range(2000):
+            monkeypatch.setattr(exact_mod, "sys", SimpleNamespace(maxsize=math.factorial(m).bit_length()))
+            check_factorial_fits(m)
+
+    def test_fits_refuses_only_near_the_c_limit(self):
+        check_factorial_fits(3 * 10**17)
+        for m in (4 * 10**17, sys.maxsize - 1, sys.maxsize + 2):
+            with pytest.raises(OverflowError, match=f"^{m}! has more than {sys.maxsize} bits$"):
+                check_factorial_fits(m)
 
 
 class TestBinomialGeneral:

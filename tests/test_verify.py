@@ -22,14 +22,8 @@ import lahverify.verify as verify_mod
 import lahverify.workers as workers_mod
 from lahverify.exact import ConsistencyError, binomial_general, factorial, falling, rising
 from lahverify.numbers import lah, stirling1
-from lahverify.series import (
-    Polynomial,
-    poly_from_coeffs,
-    poly_mul,
-    rising_factorial_poly,
-    series_binomial_power,
-    series_mul,
-)
+from lahverify.oracles import chu_vandermonde_binomial, gkp_identity, series_binomial_power, series_mul
+from lahverify.series import Polynomial, poly_from_coeffs, poly_mul, rising_factorial_poly
 from lahverify.symbolic import exp_derivative_lah, stirling_weighted_moment
 from lahverify.verify import (
     ROUTE_FUNCTIONS,
@@ -37,9 +31,7 @@ from lahverify.verify import (
     IdentityInstance,
     VerificationReport,
     binomial_inversion,
-    chu_vandermonde_binomial,
     chu_vandermonde_closed,
-    gkp_identity,
     hypergeom_2f1_terminating,
     lhs_direct,
     rhs_reference,
