@@ -142,6 +142,6 @@ def stirling1(n: int, k: int) -> int:
     return triangle_row("stirling1", n, k)[0]
 
 
-# the benchmark's tracer reads these here; ROADMAP item 6 deletes them with it
+# the benchmark's tracer reads these here; ROADMAP item 7 deletes them with it
 _MOVED = {"lah_triangle", "stirling1_triangle", "stirling1_from_rising_poly"}
 __getattr__ = _forward(__name__, _MOVED)

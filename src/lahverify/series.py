@@ -66,6 +66,6 @@ def rising_factorial_poly(n: int) -> Polynomial:
     return p
 
 
-# the benchmark's tracer reads these here; ROADMAP item 6 deletes them with it
+# the benchmark's tracer reads these here; ROADMAP item 7 deletes them with it
 _MOVED = {"series_mul", "series_binomial_power"}
 __getattr__ = _forward(__name__, _MOVED)

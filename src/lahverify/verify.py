@@ -34,10 +34,6 @@ from .exact import (
 from .numbers import lah_row, triangle_row, triangle_rows
 
 
-def _sgn(i: int) -> int:
-    return -1 if i % 2 else 1
-
-
 # the fields of IdentityInstance, which needs a subclass to validate in __new__
 class _KN(NamedTuple):
     k: int
@@ -77,7 +73,7 @@ def rhs_reference(inst: IdentityInstance) -> int:
     ratio (-1)^k n! (n+1)! / (n-k+1)!, formed without a division as
     (-1)^k n! (n+1)(n)...(n-k+2), which ``math.perm`` makes 0 for n <= k-2."""
     k, n = inst.k, inst.n
-    return _sgn(k) * factorial(n) * math.perm(n + 1, k)
+    return (-1) ** k * factorial(n) * math.perm(n + 1, k)
 
 
 class _Discard(dict):
@@ -87,11 +83,11 @@ class _Discard(dict):
         pass
 
 
-# what the routes read that depends on k alone, rows "lah", "lhs", "r1",
-# "r3 factor" and "r6" by (name, k), or on n alone, columns "r2", "r3" and
-# "r4" by (route, n); a dict of its own while ``verify_grid`` runs, and
-# _DISCARD again once it returns or raises, so nothing outlives a grid, and
-# a call made outside one builds what it reads
+# what the routes read that depends on k alone, rows "lah", "r1", "r3 factor"
+# and "r6" by (name, k), each as its builder returns it, or on n alone,
+# columns "r2", "r3" and "r4" by (route, n); a dict of its own while
+# ``verify_grid`` runs, and _DISCARD again once it returns or raises, so
+# nothing outlives a grid, and a call made outside one builds what it reads
 _DISCARD = _Discard()
 _STORE: dict[tuple[str, int], Sequence[int]] = _DISCARD
 
@@ -105,19 +101,23 @@ def _row(name: str, k: int, build: Callable[[int], tuple[int, ...]]) -> Sequence
     return row
 
 
-def _lhs_row(k: int) -> tuple[int, ...]:
-    # (-1)^l L(k, l) for l = 1..k from the closed-form row: the row of the
-    # direct sum that every n shares
-    row = _row("lah", k, lah_row)
-    return tuple(_sgn(l) * row[l] for l in range(1, k + 1))
+def _factorial_sum(row: Sequence[int], n: int) -> int:
+    """sum over l in 1..L of (-1)^l c_l (n+l)! for the row c_0..c_L, as
+    -n! v, with v nested from the inside out: one small factor n+l per
+    step, and the sign is the subtraction."""
+    v = 0
+    for l in range(len(row) - 1, 0, -1):
+        v = (row[l] - v) * (n + l)
+    return -factorial(n) * v
 
 
 def lhs_direct(inst: IdentityInstance) -> int:
     """The literal alternating sum; the independent oracle for every route.
-    Its terms are the signed closed-form row (-1)^l L(k, l), kept per k,
-    times the factorials (n+l)!, l = 1..k."""
+    Its terms are the closed-form row L(k, l), kept per k, times
+    (-1)^l (n+l)!, l = 1..k, with (n+l)! = n! (n+1)...(n+l) built by the
+    nesting of ``_factorial_sum``."""
     k, n = inst.k, inst.n
-    return sum(map(mul, _row("lhs", k, _lhs_row), map(factorial, range(n + 1, n + k + 1))))
+    return _factorial_sum(_row("lah", k, lah_row), n)
 
 
 def binomial_inversion(values: Sequence[int]) -> list[int]:
@@ -168,20 +168,19 @@ def chu_vandermonde_closed(a: int, b: int, c: int) -> tuple[int, int]:
 
 
 def _route1_row(k: int) -> tuple[int, ...]:
-    # (-1)^l L(k-1, l) for l = 1..k-1, from the triangle recurrence: the
-    # row of route 1 that every n shares
-    row = triangle_row("lah", k - 1)
-    return tuple(_sgn(l) * row[l] for l in range(1, k))
+    # L(k-1, 0..k-1) from the triangle recurrence: the row of route 1 that
+    # every n shares
+    return tuple(triangle_row("lah", k - 1))
 
 
 def route1_induction(inst: IdentityInstance) -> int:
     """Route 1: the paper's induction step S(k, n) = (k-2-n) S(k-1, n),
     applied to row k-1 of the Lah triangle recurrence, which ``table lah``
-    prints. The step follows from the recurrence
-    L(k, l) = L(k-1, l-1) + (k-1+l) L(k-1, l) and from
+    prints, and S(k-1, n) summed by ``_factorial_sum``. The step follows
+    from the recurrence L(k, l) = L(k-1, l-1) + (k-1+l) L(k-1, l) and from
     (n+l)! (k-1+l) = (n+l+1)! - (n-k+2) (n+l)!."""
     k, n = inst.k, inst.n
-    return (k - 2 - n) * sum(map(mul, _row("r1", k, _route1_row), map(factorial, range(n + 1, n + k))))
+    return (k - 2 - n) * _factorial_sum(_row("r1", k, _route1_row), n)
 
 
 def _lah_gf_series(n: int, top: int) -> list[int]:
@@ -462,7 +461,7 @@ def verify_grid(
         # every instance of the grid is valid when the one of its smallest k
         # and smallest n is
         IdentityInstance(rows[0], ns[0])
-        # the direct sum forms (n+k)!
+        # the direct sum's last term is (n+k)! times L(k, k) = 1
         check_factorial_fits(ns[-1] + rows[-1])
     work = len(ns) * sum(rows)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

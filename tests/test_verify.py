@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lahverify.exact as exact_mod
@@ -562,8 +562,15 @@ class TestFaultMatrix:
         # r5 sums the series at a = 1-k
         pytest.param(_primitive_off(verify_mod, "hypergeom_2f1_terminating", _hypergeom_sum_off),
                      {"r5"}, range(4, 5), id="2f1-sum(a=-3)+1"),
+        # the direct sum and r1 read the factorial only as n!, at n = 7 for
+        # every k, and build (n+l)! for l >= 1 by the nesting of their kernel
         pytest.param(_primitive_off(exact_mod, "factorial", lambda factorial: lambda m: factorial(m) + (m == 7)),
                      {"lhs_direct", *ROUTE_NAMES}, range(2, 12), id="factorial(7)+1"),
+        # the one kernel that the direct sum and r1 share; at k = 7 and
+        # n = 5, r1's factor k-2-n is 0, but the direct sum still sees it
+        pytest.param(_primitive_off(verify_mod, "_factorial_sum",
+                                    lambda kernel: lambda row, n: kernel(row, n) + (n == 5)),
+                     {"lhs_direct", "r1"}, range(2, 12), id="factorial-sum(n=5)+1"),
     ]
 
     @pytest.mark.parametrize(("install", "columns", "rows"), FAULTS)
@@ -683,8 +690,8 @@ class TestRoute4Columns:
         monkeypatch.setattr(verify_mod, "binomial_inversion", raising_inversion)
         with pytest.raises(RuntimeError, match="injected"):
             verify_grid(range(2, 6), range(0, 4), routes=("r4",))
-        # the direct sum's rows of k = 5 come first, and stay beside the columns
-        rows = [("lah", 5), ("lhs", 5)]
+        # the direct sum's row of k = 5 comes first, and stays beside the columns
+        rows = [("lah", 5)]
         assert held == [rows, [*rows, ("r4", 0)], [*rows, ("r4", 0), ("r4", 1)]]
         assert verify_mod._STORE == {}
 
@@ -816,7 +823,7 @@ class TestRoute2Columns:
         monkeypatch.setattr(verify_mod, "_lah_gf_series", raising_build)
         with pytest.raises(RuntimeError, match="injected"):
             verify_grid(range(2, 6), range(0, 4), ("r2", "r4"))
-        rows = [("lah", 5), ("lhs", 5)]
+        rows = [("lah", 5)]
         assert held == [rows, [*rows, ("r2", 0), ("r4", 0)], [*rows, ("r2", 0), ("r2", 1), ("r4", 0), ("r4", 1)]]
         assert verify_mod._STORE == {}
 
@@ -831,6 +838,15 @@ class TestVerifyInstance:
     @given(st.integers(2, 40), st.integers(0, 80))
     def test_lhs_direct_is_the_literal_sum(self, k, n):
         assert lhs_direct(IdentityInstance(k, n)) == _lhs_literal(k, n)
+
+    @given(st.lists(st.integers(-10**30, 10**30), max_size=40), st.integers(0, 300))
+    @example([], 4)
+    @example([7], 4)
+    def test_factorial_sum_is_the_literal_sum(self, row, n):
+        # any row, of either sign and of any length, also 0 and 1, whose sum
+        # is 0: the nesting is the sum over l >= 1 of (-1)^l row[l] (n+l)!
+        literal = sum((-1) ** l * row[l] * math.factorial(n + l) for l in range(1, len(row)))
+        assert verify_mod._factorial_sum(row, n) == literal
 
     def test_route_names_checked_once_per_grid(self, monkeypatch):
         # the grid checks its names, and every instance takes them as checked
@@ -954,8 +970,7 @@ class TestVerifyGrid:
         assert all(r.route_values["r1"] == 10**9 for r in reports)
 
     # the builder of each row a route keeps, by its name in the store
-    ROWS = {"lah_row": "lah", "_lhs_row": "lhs", "_route1_row": "r1", "_route3_factor": "r3 factor",
-            "_route6_row": "r6"}
+    ROWS = {"lah_row": "lah", "_route1_row": "r1", "_route3_factor": "r3 factor", "_route6_row": "r6"}
 
     def test_row_caches_built_once_per_row(self, monkeypatch):
         calls = []
@@ -983,13 +998,13 @@ class TestVerifyGrid:
         reports = verify_grid(range(2, 6), range(0, 8), routes=("r1", "r2", "r3", "r4", "r6"))
         assert all(r.all_match for r in reports)
         # one Lah row per k, in the order dealt, from the closed form, read by
-        # the signed row of lhs_direct and by r6's row; r1 reads the triangle
-        # recurrence instead, and r2 no Lah number
+        # lhs_direct and by r6's row; r1 reads the triangle recurrence
+        # instead, and r2 no Lah number
         assert calls == [(k, l) for k in range(5, 1, -1) for l in range(k + 1)]
         # each row is built once per k and read for every n; the Lah row is
-        # read by the two rows built from it
+        # also read once by the r6 row built from it
         assert builds == {(name, k): 1 for name in self.ROWS.values() for k in range(2, 6)}
-        assert reads == {(name, k): 2 if name == "lah" else 8 for name in self.ROWS.values() for k in range(2, 6)}
+        assert reads == {(name, k): 9 if name == "lah" else 8 for name in self.ROWS.values() for k in range(2, 6)}
         assert verify_mod._STORE == {}
 
     def test_route6_makes_no_lah_calls_of_its_own(self, monkeypatch):
@@ -1014,7 +1029,7 @@ class TestVerifyGrid:
         # one closed-form Lah row L(k, 0..k) per k
         assert counts == {("r1",): 3 + 4 + 5 + 6, ("r1", "r6"): 3 + 4 + 5 + 6}
 
-    @pytest.mark.parametrize("name", ["lah_row", "_lhs_row", "_route1_row", "_route3_factor", "_route6_row"])
+    @pytest.mark.parametrize("name", ["lah_row", "_route1_row", "_route3_factor", "_route6_row"])
     def test_row_caches_are_bounded_and_immutable(self, monkeypatch, name):
         # the row a route keeps is a tuple of ints, shared by every n, and
         # kept only while its grid runs, which bounds the store
@@ -1069,8 +1084,7 @@ class TestVerifyGrid:
         with pytest.raises(RuntimeError, match="injected"):
             verify_grid([3], [2])
         assert verify_mod._STORE is outside and outside == {}
-        assert held == [[("lah", 3), ("lhs", 3), ("r1", 3), ("r2", 2), ("r3", 2), ("r3 factor", 3), ("r4", 2),
-                         ("r6", 3)]] * 2
+        assert held == [[("lah", 3), ("r1", 3), ("r2", 2), ("r3", 2), ("r3 factor", 3), ("r4", 2), ("r6", 3)]] * 2
 
     def test_overlapping_grids_leave_no_store_behind(self, monkeypatch):
         # a grid in a second thread starts while the first runs and ends
