@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _SUBMODULE = {
     name: module
     for module, names in (
-        ("exact", "ConsistencyError binomial_general exact_quotient factorial falling "
+        ("exact", "ConsistencyError binomial_general exact_decimal exact_quotient factorial falling "
                   "reciprocal_factorial_weight rising"),
         ("numbers", "lah stirling1"),
         ("oracles", "BRUTEFORCE_MAX_N TruncatedSeries chu_vandermonde_binomial gkp_identity lah_bruteforce "

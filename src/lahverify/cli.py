@@ -8,6 +8,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from .exact import exact_decimal
 from .numbers import lah, stirling1, triangle_rows
 
 if TYPE_CHECKING:
@@ -243,18 +244,6 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace:
 _SHORT_BITS = 1 << 15
 
 
-def _exact_decimal():
-    """A decimal context that holds every integer exactly, and traps
-    rounding, should a value ever need more than its precision. decimal is
-    imported here, so that a command that writes only short ints never
-    loads it."""
-    from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero, Inexact, InvalidOperation,
-                         Overflow, Rounded)
-
-    return Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
-                   traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
-
-
 def _run_table(ns: SimpleNamespace) -> int:
     if ns.max_n < 0:
         raise ValueError("--max-n must be non-negative")
@@ -263,7 +252,7 @@ def _run_table(ns: SimpleNamespace) -> int:
     # so its string is linear
     from decimal import Decimal, localcontext
 
-    with localcontext(_exact_decimal()):
+    with localcontext(exact_decimal()):
         # rows are printed as they are produced, so memory stays at one row
         rows = triangle_rows(ns.kind, ns.max_n, start=Decimal(1))
         if ns.fmt == "csv":
@@ -355,12 +344,9 @@ def _run(argv: Sequence[str] | None) -> int:
             raise ValueError("--n and --k must be non-negative")
         value = lah(ns.n, ns.k) if ns.command == "lah" else stirling1(ns.n, ns.k)
         if value.bit_length() > _SHORT_BITS:
-            from decimal import localcontext
-
             from .digits import write_int
 
-            with localcontext(_exact_decimal()):
-                value = write_int(value)
+            value = write_int(value)
         print(value)
         return 0
     except ValueError as exc:

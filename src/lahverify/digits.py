@@ -9,7 +9,9 @@ only they import, and only for a long value.
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Decimal, localcontext
+
+from .exact import exact_decimal
 
 # write_int converts a part of at most this many bits by Decimal(part)
 PART_BITS = 128
@@ -20,9 +22,8 @@ def write_int(value: int) -> str:
     writes long ints: a value below 2^w is hi 2^h + lo with h = w // 2,
     each half is written the same way, and the two are joined by one
     Decimal multiply and add, with every power 2^h made once. It runs in
-    the current decimal context, which must hold every value exactly, as
-    the one of ``cli._exact_decimal`` does; one that cannot raises,
-    through its traps, or rounds."""
+    ``exact.exact_decimal()``, whatever context the caller holds, so no
+    digit is ever rounded."""
     powers: dict[int, Decimal] = {}
 
     def power(w: int) -> Decimal:
@@ -37,5 +38,6 @@ def write_int(value: int) -> str:
         hi = part >> h
         return write(part - (hi << h), h) + write(hi, w - h) * power(h)
 
-    digits = str(write(abs(value), value.bit_length()))
+    with localcontext(exact_decimal()):
+        digits = str(write(abs(value), value.bit_length()))
     return "-" + digits if value < 0 else digits

@@ -3,7 +3,8 @@
 Integers are plain Python ``int`` (arbitrary precision); rationals are
 ``fractions.Fraction``, which normalizes eagerly to lowest terms with a
 positive denominator. Every function here is pure and exact: no rounding,
-no overflow, ever.
+no overflow, ever. ``exact_decimal`` is the one decimal context that keeps
+that promise for ``decimal.Decimal`` integers.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from decimal import Context
     from fractions import Fraction
 
     Scalar = int | Fraction
@@ -23,10 +25,43 @@ class ConsistencyError(ArithmeticError):
     """Two computations that must agree exactly produced different values."""
 
 
+# how far above the largest m! made so far factorial steps up from it
+_FACTORIAL_STEPS = 64
+
+# (m, m!) for the largest m whose factorial has been made; one tuple,
+# rebound whole, so that a thread never reads an m with another's m!
+_largest = (0, 1)
+
+
 @lru_cache(maxsize=None)
 def factorial(m: int) -> int:
-    """Product 1*2*...*m; factorial(0) == 1, and a negative m is a ValueError."""
-    return math.factorial(m)
+    """Product 1*2*...*m; factorial(0) == 1, and a negative m is a ValueError.
+
+    A missing m! that lies at most ``_FACTORIAL_STEPS`` above the largest
+    factorial made so far is that factorial times the steps between, so a
+    caller that walks m upwards pays one small product per step; a longer
+    jump, or any m below it, is one ``math.factorial``."""
+    global _largest
+    top, held = _largest
+    if top <= m <= top + _FACTORIAL_STEPS:
+        value = held * math.prod(range(top + 1, m + 1))
+    else:
+        value = math.factorial(m)
+    if m > top:
+        _largest = (m, value)
+    return value
+
+
+def exact_decimal() -> Context:
+    """A decimal context that holds every integer exactly, and traps
+    rounding, should a value ever need more than its precision. decimal is
+    imported here, so that a command that writes only short ints never
+    loads it."""
+    from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, DivisionByZero, Inexact, InvalidOperation,
+                         Overflow, Rounded)
+
+    return Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                   traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
 
 
 def check_factorial_fits(m: int) -> None:

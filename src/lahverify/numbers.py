@@ -4,7 +4,8 @@ Each family is computable by several independent methods (closed form,
 triangular recurrence, polynomial expansion, series extraction, brute-force
 enumeration) so that the methods can be played against each other in tests.
 This module holds the closed form and the recurrence, which the commands
-and the routes run; the other methods are in ``oracles``. Only
+and the routes run, and the Stirling numbers' second-order Eulerian form
+near the diagonal; the other methods are in ``oracles``. Only
 ``lah_triangle``, ``stirling1_triangle`` and ``stirling1_from_rising_poly``
 still resolve here too, because the benchmark's tracer reads them here.
 """
@@ -83,10 +84,12 @@ def triangle_rows(kind: str, max_n: int, max_k: int | None = None, start: _Entry
     moves, the padded copy at the left is the row itself and the one at
     the right drops its first entry.
 
-    Every entry has the type of ``start``, the int 1 by default. The one
-    other caller is the ``table`` command, which passes ``Decimal(1)`` and
-    runs the rows in an exact decimal context, so that printing an entry
-    is linear in its digits.
+    Every entry has the type of ``start``, the int 1 by default. A
+    ``Decimal`` start must run in ``exact.exact_decimal()``, or in another
+    context that traps ``Inexact`` and ``Rounded``, and any other is refused
+    before the first row, so that no entry is rounded silently. The one
+    such caller is the ``table`` command, so that printing an entry is
+    linear in its digits.
     """
     weights = _TRIANGLE_WEIGHTS.get(kind)
     if weights is None:
@@ -97,6 +100,14 @@ def triangle_rows(kind: str, max_n: int, max_k: int | None = None, start: _Entry
         raise ValueError("max_k must be non-negative")
     if max_k is not None and max_k > max_n:
         raise ValueError("max_k must be at most max_n")
+    if not isinstance(start, int):
+        # a Decimal start, whose steps round unless the context traps it
+        from decimal import Inexact, Rounded, getcontext
+
+        traps = getcontext().traps
+        if not (traps[Inexact] and traps[Rounded]):
+            raise ValueError("a Decimal start needs a context that traps Inexact and Rounded, "
+                             "such as exact.exact_decimal()")
     row = [start]
     yield row
     lo = 0
@@ -124,9 +135,30 @@ def triangle_row(kind: str, n: int, max_k: int | None = None) -> list[int]:
     return row
 
 
+def _eulerian2_row(j: int) -> list[int]:
+    """The second-order Eulerian numbers <<j, i>>, i = 0..j-1, or [1] for
+    j = 0, by <<m, i>> = (i+1) <<m-1, i>> + (2m-1-i) <<m-1, i-1>>: one
+    mapped pass per row, as ``triangle_rows`` builds its rows."""
+    row = [1]
+    for m in range(1, j + 1):
+        # map stops at the shortest argument, so the weights cut row m at m entries
+        row = list(map(add, map(mul, range(1, m + 1), [*row, 0]), map(mul, range(2 * m - 1, m - 1, -1), [0, *row])))
+    return row
+
+
+def _stirling1_near_diagonal(n: int, j: int) -> int:
+    """s(n, n-j) = (-1)^j sum_i <<j, i>> C(n+i, 2j) for 0 <= j <= n (Graham,
+    Knuth and Patashnik, Concrete Mathematics, eq. 6.44): about j^2 terms,
+    however large n is."""
+    row = _eulerian2_row(j)
+    total = sum(map(mul, row, map(math.comb, range(n, n + len(row)), repeat(2 * j))))
+    return -total if j % 2 else total
+
+
 def stirling1(n: int, k: int) -> int:
     """Signed Stirling number of the first kind s(n, k), by the recurrence
-    s(n+1, k) = s(n, k-1) - n s(n, k) with s(0, 0) = 1.
+    s(n+1, k) = s(n, k-1) - n s(n, k) with s(0, 0) = 1, or, where it is
+    less work, by the second-order Eulerian numbers near the diagonal.
 
     >>> stirling1(3, 2)
     -3
@@ -139,6 +171,11 @@ def stirling1(n: int, k: int) -> int:
         return 0
     # |s(n, k)| >= (n-k)!, the permutations that fix 1..k-1 and cycle the rest
     check_factorial_fits(n - k)
+    j = n - k
+    # the Eulerian form's j^2 + j terms, each about 3/2 of a band entry's
+    # time at 400 <= n <= 2000, against the band walk's n (min(k, j) + 1)
+    if 3 * (j * j + j) < 2 * n * (min(k, j) + 1):
+        return _stirling1_near_diagonal(n, j)
     return triangle_row("stirling1", n, k)[0]
 
 

@@ -805,10 +805,9 @@ class TestLongDecimal:
                           for d in (-1, 0, 1) for sign in (1, -1))]
 
     @pytest.fixture(autouse=True)
-    def exact_decimal(self):
-        # the writer runs in the exact context that its caller sets; str()
-        # of the reference values may exceed the default digit limit
-        with decimal.localcontext(cli._exact_decimal()), _int_digit_limit(0):
+    def no_digit_limit(self):
+        # str() of the reference values may exceed the default digit limit
+        with _int_digit_limit(0):
             yield
 
     @pytest.mark.parametrize("value", VALUES, ids=lambda v: f"{'-' if v < 0 else ''}{v.bit_length()}bits")
@@ -818,6 +817,23 @@ class TestLongDecimal:
     @given(st.integers(-(2**3000), 2**3000))
     def test_writes_any_int_as_str(self, value):
         assert digits.write_int(value) == str(value)
+
+    # the writer enters the exact context itself, so a caller's context,
+    # however short its precision, rounds no digit and is left as it was
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: f"{'-' if v < 0 else ''}{v.bit_length()}bits")
+    def test_writes_what_str_writes_in_a_10_digit_context(self, value):
+        with decimal.localcontext(decimal.Context(prec=10)) as context:
+            assert digits.write_int(value) == str(value)
+            assert decimal.getcontext() is context and context.prec == 10
+
+    @given(st.integers(-(2**3000), 2**3000))
+    def test_writes_any_int_as_str_in_a_10_digit_context(self, value):
+        with decimal.localcontext(decimal.Context(prec=10)):
+            assert digits.write_int(value) == str(value)
+
+    def test_writes_a_value_past_the_default_precision_outside_any_context(self):
+        # 61 digits, where the default context holds 28
+        assert digits.write_int(2**200 + 12345) == str(2**200 + 12345)
 
     def test_scalar_commands_write_long_values_by_it(self, capsys, monkeypatch):
         calls = []

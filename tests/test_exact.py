@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ from lahverify.exact import (
     ConsistencyError,
     binomial_general,
     check_factorial_fits,
+    exact_decimal,
     exact_quotient,
     factorial,
     falling,
@@ -51,6 +53,51 @@ class TestFactorial:
         with pytest.raises(ValueError):
             factorial(-1)
 
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return [math.factorial(m) for m in range(5001)]
+
+    @staticmethod
+    def _cold():
+        # no factorial held, so the next one is built from 0! = 1
+        factorial.cache_clear()
+        exact_mod._largest = (0, 1)
+
+    @staticmethod
+    def _count_stdlib_calls(monkeypatch) -> list[int]:
+        # the m of every math.factorial(m) that factorial makes
+        calls: list[int] = []
+        stdlib = SimpleNamespace(factorial=lambda m: calls.append(m) or math.factorial(m), prod=math.prod)
+        monkeypatch.setattr(exact_mod, "math", stdlib)
+        return calls
+
+    def test_walked_upwards(self, oracle, monkeypatch):
+        self._cold()
+        calls = self._count_stdlib_calls(monkeypatch)
+        for m in range(5001):
+            assert factorial(m) == oracle[m], m
+        # every m! was one step above the largest held
+        assert calls == []
+
+    def test_walked_downwards(self, oracle):
+        self._cold()
+        for m in range(5000, -1, -1):
+            assert factorial(m) == oracle[m], m
+
+    def test_far_jump_is_one_stdlib_call(self, oracle, monkeypatch):
+        self._cold()
+        calls = self._count_stdlib_calls(monkeypatch)
+        assert [factorial(m) for m in (64, 129, 193, 100, 4000)] == [oracle[m] for m in (64, 129, 193, 100, 4000)]
+        assert calls == [129, 100, 4000]
+
+    @given(st.integers(0, 5000), st.lists(st.integers(-70, 70) | st.integers(-5000, 5000), max_size=40))
+    def test_random_jumps(self, oracle, start, steps):
+        self._cold()
+        m = start
+        for step in [0, *steps]:
+            m = min(max(m + step, 0), 5000)
+            assert factorial(m) == oracle[m], m
+
     def test_fits_is_a_lower_bound(self, monkeypatch):
         # m! with exactly maxsize bits is never refused, for a maxsize that
         # small m reach
@@ -63,6 +110,18 @@ class TestFactorial:
         for m in (4 * 10**17, sys.maxsize - 1, sys.maxsize + 2):
             with pytest.raises(OverflowError, match=f"^{m}! has more than {sys.maxsize} bits$"):
                 check_factorial_fits(m)
+
+
+class TestExactDecimal:
+    def test_traps_rounding(self):
+        context = exact_decimal()
+        assert context.traps[decimal.Inexact] and context.traps[decimal.Rounded]
+        # a fresh context per call, so that no caller changes another's
+        assert context is not exact_decimal()
+
+    def test_holds_a_long_product_digit_for_digit(self):
+        with decimal.localcontext(exact_decimal()):
+            assert str(decimal.Decimal(2) ** 3000 * 3) == str(2**3000 * 3)
 
 
 class TestBinomialGeneral:

@@ -168,7 +168,9 @@ class TestStirlingFirstKind:
     def test_walks_only_the_entries_that_reach_n_k(self, monkeypatch, k):
         # row m needs columns max(0, k - (400 - m))..min(m, k): at most
         # 400 (min(k, 400 - k) + 1) entries, where whole rows cut after
-        # column k take about 80,000 at k = 400; s(400, 0) = 0 needs no walk
+        # column k take about 80,000 at k = 400; s(400, 0) = 0 needs no walk,
+        # nor does a k at or above n - k, which the Eulerian form gives, so
+        # of these only k = 1 walks
         expected = triangle_row("stirling1", 400)[k]
         weights = numbers_mod._TRIANGLE_WEIGHTS["stirling1"]
         built = []
@@ -180,8 +182,27 @@ class TestStirlingFirstKind:
 
         monkeypatch.setitem(numbers_mod._TRIANGLE_WEIGHTS, "stirling1", counting_weights)
         assert stirling1(400, k) == expected
-        assert len(built) == (400 if k else 0)
+        assert len(built) == (400 if k == 1 else 0)
         assert sum(built) <= 400 * (min(k, 400 - k) + 1)
+
+    def test_eulerian_form_is_the_recurrence(self):
+        # s(n, n - j) for every 0 <= j <= n, j = n - 1 and j = n included
+        for n in range(60):
+            row = triangle_row("stirling1", n)
+            assert [numbers_mod._stirling1_near_diagonal(n, j) for j in range(n + 1)] == row[::-1], n
+
+    def test_eulerian_rows(self):
+        # <<m, i>>, OEIS A008517 with <<0, 0>> = 1; each row sums to (2m-1)!!
+        assert [numbers_mod._eulerian2_row(m) for m in range(5)] == [[1], [1], [1, 2], [1, 8, 6], [1, 22, 58, 24]]
+        for m in range(1, 40):
+            assert sum(numbers_mod._eulerian2_row(m)) == math.prod(range(1, 2 * m, 2))
+
+    def test_near_the_diagonal_at_n_beyond_any_walk(self):
+        # s(n, n) = 1, s(n, n-1) = -C(n, 2), s(n, n-2) = (3n-1) C(n, 3) / 4
+        n = 2**63
+        assert stirling1(n, n) == 1
+        assert stirling1(n, n - 1) == -math.comb(n, 2)
+        assert stirling1(n, n - 2) == (3 * n - 1) * math.comb(n, 3) // 4
 
     def test_triangle_matches_recurrence(self):
         # x(x-1)...(x-n+1) = sum over k of s(n, k) x^k, expanded here one
@@ -276,6 +297,17 @@ class TestTriangleType:
 
 
 class TestDecimalRows:
+    @pytest.mark.parametrize("traps", [[], [decimal.Inexact], [decimal.Rounded]])
+    def test_decimal_start_outside_a_trapping_context_is_refused(self, traps):
+        # under the default context, row 40 of the Lah triangle would hold
+        # 28 rounded entries
+        with decimal.localcontext(decimal.Context(traps=traps)):
+            rows = triangle_rows("lah", 40, start=decimal.Decimal(1))
+            with pytest.raises(ValueError, match=r"exact\.exact_decimal\(\)"):
+                next(rows)
+        with pytest.raises(ValueError, match="Inexact and Rounded"):
+            next(triangle_rows("stirling1", 3, start=decimal.Decimal(1)))
+
     @pytest.mark.parametrize("max_k", [None, 0, 40])
     @pytest.mark.parametrize("kind", ["lah", "stirling1"])
     def test_decimal_start_gives_the_int_rows(self, kind, max_k):
