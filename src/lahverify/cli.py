@@ -8,7 +8,6 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .exact import exact_decimal
 from .numbers import lah, stirling1, triangle_rows
 
 if TYPE_CHECKING:
@@ -250,23 +249,22 @@ def _run_table(ns: SimpleNamespace) -> int:
     # printing is the command's whole job, and an int's decimal string
     # costs time quadratic in its digits: a Decimal holds base-10**19 limbs,
     # so its string is linear
-    from decimal import Decimal, localcontext
+    from decimal import Decimal
 
-    with localcontext(exact_decimal()):
-        # rows are printed as they are produced, so memory stays at one row
-        rows = triangle_rows(ns.kind, ns.max_n, start=Decimal(1))
-        if ns.fmt == "csv":
-            print("n,k,value")
-            # prefixes[k] is ",k,", made once: row n is the first to hold
-            # column n, so each row adds one prefix
-            prefixes: list[str] = []
-            for n, row in enumerate(rows):
-                prefixes.append(f",{n},")
-                head = str(n)
-                print("\n".join([head + prefix + str(v) for prefix, v in zip(prefixes, row)]))
-        else:
-            for row in rows:
-                print(" ".join(map(str, row)))
+    # rows are printed as they are produced, so memory stays at one row
+    rows = triangle_rows(ns.kind, ns.max_n, start=Decimal(1))
+    if ns.fmt == "csv":
+        print("n,k,value")
+        # prefixes[k] is ",k,", made once: row n is the first to hold
+        # column n, so each row adds one prefix
+        prefixes: list[str] = []
+        for n, row in enumerate(rows):
+            prefixes.append(f",{n},")
+            head = str(n)
+            print("\n".join([head + prefix + str(v) for prefix, v in zip(prefixes, row)]))
+    else:
+        for row in rows:
+            print(" ".join(map(str, row)))
     return 0
 
 
@@ -312,8 +310,8 @@ def run(argv: Sequence[str] | None = None) -> int:
 
     0 means success (all instances verified for the verify command), or
     that the help was printed; 1 means at least one verification
-    mismatch; 2 means a usage or domain error, an index past the C
-    integer limit, or that memory ran out.
+    mismatch; 2 means a usage or domain error, an index whose value no
+    memory holds, or that memory ran out.
     """
     # exact results can exceed the interpreter's default int-to-str limit
     # of 4300 digits; the setting exists from Python 3.10.7 on, and the
@@ -340,8 +338,6 @@ def _run(argv: Sequence[str] | None) -> int:
             return _run_table(ns)
         if ns.command == "verify":
             return _run_verify(ns)
-        if ns.n < 0 or ns.k < 0:
-            raise ValueError("--n and --k must be non-negative")
         value = lah(ns.n, ns.k) if ns.command == "lah" else stirling1(ns.n, ns.k)
         if value.bit_length() > _SHORT_BITS:
             from .digits import write_int
@@ -353,7 +349,8 @@ def _run(argv: Sequence[str] | None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:
-        # an index past the C integer limit, where math.perm gives up
+        # an index whose value no memory holds, which exact.check_factorial_fits
+        # refuses, or one past the C integer limit, where math.perm gives up
         print(f"error: index too large: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

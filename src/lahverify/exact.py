@@ -64,14 +64,45 @@ def exact_decimal() -> Context:
                    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
 
 
+@lru_cache(maxsize=None)
+def _memory_bytes() -> int | None:
+    """The most bytes this process can hold, read once: the smaller of
+    MemTotal + SwapTotal in /proc/meminfo and the soft RLIMIT_AS, of
+    those that can be read and are set, or None where neither is."""
+    limits = []
+    try:
+        with open("/proc/meminfo") as meminfo:
+            fields = dict(line.split(":", 1) for line in meminfo)
+        # both in kB
+        limits.append(1024 * (int(fields["MemTotal"].split()[0]) + int(fields["SwapTotal"].split()[0])))
+    except (OSError, LookupError, ValueError):
+        pass
+    try:
+        import resource
+    except ImportError:
+        pass
+    else:
+        soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+        if soft != resource.RLIM_INFINITY:
+            limits.append(soft)
+    return min(limits, default=None)
+
+
 def check_factorial_fits(m: int) -> None:
     """Raise OverflowError when m! provably has more than ``sys.maxsize``
-    bits, a value that no memory holds. With h = m // 2, m! > h^h >=
-    2^(h (bitlen(h) - 1)), so this refuses only m above about 3e17 on a
-    64-bit build, and nothing that could finish."""
+    bits, or more bytes than this process can hold (``_memory_bytes``):
+    a value that cannot be formed. With h = m // 2, m! > h^h >=
+    2^(h (bitlen(h) - 1)), so this refuses nothing that could finish: on a
+    64-bit build, m above about 3e17, and where 64 GiB can be held, m above
+    about 3e10. Memory is read only for a bound of 2^30 bits or more."""
     h = m // 2
-    if h * (h.bit_length() - 1) > sys.maxsize:
+    bits = h * (h.bit_length() - 1)
+    if bits > sys.maxsize:
         raise OverflowError(f"{m}! has more than {sys.maxsize} bits")
+    if bits >= 1 << 30:
+        memory = _memory_bytes()
+        if memory is not None and bits // 8 > memory:
+            raise OverflowError(f"{m}! has more than {bits} bits, more than the {memory} bytes this process can hold")
 
 
 def binomial_general(r: int, j: int) -> int:

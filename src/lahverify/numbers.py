@@ -18,7 +18,7 @@ from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
 from . import _forward
-from .exact import binomial_general, check_factorial_fits
+from .exact import binomial_general, check_factorial_fits, exact_decimal
 
 if TYPE_CHECKING:
     from decimal import Decimal
@@ -85,11 +85,10 @@ def triangle_rows(kind: str, max_n: int, max_k: int | None = None, start: _Entry
     the right drops its first entry.
 
     Every entry has the type of ``start``, the int 1 by default. A
-    ``Decimal`` start must run in ``exact.exact_decimal()``, or in another
-    context that traps ``Inexact`` and ``Rounded``, and any other is refused
-    before the first row, so that no entry is rounded silently. The one
-    such caller is the ``table`` command, so that printing an entry is
-    linear in its digits.
+    ``Decimal`` start is stepped in ``exact.exact_decimal()``, whatever
+    context the caller holds, so no entry is ever rounded. The one such
+    caller is the ``table`` command, so that printing an entry is linear
+    in its digits.
     """
     weights = _TRIANGLE_WEIGHTS.get(kind)
     if weights is None:
@@ -100,14 +99,10 @@ def triangle_rows(kind: str, max_n: int, max_k: int | None = None, start: _Entry
         raise ValueError("max_k must be non-negative")
     if max_k is not None and max_k > max_n:
         raise ValueError("max_k must be at most max_n")
-    if not isinstance(start, int):
-        # a Decimal start, whose steps round unless the context traps it
-        from decimal import Inexact, Rounded, getcontext
-
-        traps = getcontext().traps
-        if not (traps[Inexact] and traps[Rounded]):
-            raise ValueError("a Decimal start needs a context that traps Inexact and Rounded, "
-                             "such as exact.exact_decimal()")
+    # a Decimal row is built in a manager made afresh for it: a generator
+    # must hold no context across a yield, and a reused manager restores
+    # the context current when it was made, not when it was entered
+    exact = None if isinstance(start, int) else exact_decimal()
     row = [start]
     yield row
     lo = 0
@@ -122,7 +117,14 @@ def triangle_rows(kind: str, max_n: int, max_k: int | None = None, start: _Entry
             # T(n+1, k) = [0, *row][k] + w(n, k) * [*row, 0][k]
             shifted, unshifted = [0, *row], [*row, 0]
         # map stops at the shortest argument, so the weights cut the row at hi
-        row = list(map(add, shifted, map(mul, weights(n, range(lo, hi + 1)), unshifted)))
+        entries = map(add, shifted, map(mul, weights(n, range(lo, hi + 1)), unshifted))
+        if exact is None:
+            row = list(entries)
+        else:
+            from decimal import localcontext
+
+            with localcontext(exact):
+                row = list(entries)
         yield row
 
 
@@ -173,8 +175,9 @@ def stirling1(n: int, k: int) -> int:
     check_factorial_fits(n - k)
     j = n - k
     # the Eulerian form's j^2 + j terms, each about 3/2 of a band entry's
-    # time at 400 <= n <= 2000, against the band walk's n (min(k, j) + 1)
-    if 3 * (j * j + j) < 2 * n * (min(k, j) + 1):
+    # time at 400 <= n <= 2000, against the band walk's n (min(k, j) + 1);
+    # for k > j, n = j + k > 2j, so the test holds with k as with j
+    if 3 * (j * j + j) < 2 * n * (k + 1):
         return _stirling1_near_diagonal(n, j)
     return triangle_row("stirling1", n, k)[0]
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from lahverify.cli import run
 from lahverify.exact import factorial
-from lahverify.numbers import lah, stirling1
+from lahverify.numbers import lah, stirling1, triangle_rows
 from lahverify.oracles import (
     chu_vandermonde_binomial,
     gkp_identity,
@@ -86,15 +86,15 @@ def test_criterion_3_lah_oracle():
 
 
 def test_criterion_4_stirling_consistency():
-    with criterion("criterion 4 (stirling recurrence = rising poly = log series, n <= 25)"):
+    with criterion("criterion 4 (stirling recurrence = stirling1 = rising poly = log series, n <= 25)"):
         max_n = 25
         log_rows = {k: stirling1_from_log_series(max_n, k) for k in range(max_n + 1)}
-        for n in range(max_n + 1):
-            poly_row = stirling1_from_rising_poly(n)
-            for k in range(n + 1):
-                recurrence = stirling1(n, k)
-                assert recurrence == poly_row[k], (n, k)
+        for n, row in enumerate(triangle_rows("stirling1", max_n)):
+            assert row == stirling1_from_rising_poly(n), n
+            for k, recurrence in enumerate(row):
+                assert recurrence == stirling1(n, k), (n, k)
                 assert log_rows[k][n] == Fraction(recurrence, factorial(n)), (n, k)
+        assert n == max_n
 
 
 def test_criterion_5_derivative_formula():

@@ -1074,9 +1074,9 @@ def test_sigterm_exits_143_with_one_line_and_no_child():
 
 
 # indices whose value no memory holds, past the C integer limit of a 64-bit
-# build and just inside it, where the commands would otherwise run without
-# end: L(n, k) and |s(n, k)| are at least (n-k)!, and the grid's direct sum
-# forms (n+k)!
+# build, just inside it, and at 10^17, whose value needs more than 340 PB,
+# where the commands would otherwise run without end: L(n, k) and |s(n, k)|
+# are at least (n-k)!, and the grid's direct sum forms (n+k)!
 @pytest.mark.parametrize("argv", [
     ["lah", "--n", "9223372036854775809", "--k", "1"],
     ["lah", "--n", "9223372036854775807", "--k", "1"],
@@ -1088,7 +1088,12 @@ def test_sigterm_exits_143_with_one_line_and_no_child():
      "--routes", "r5"],
     ["verify", "--k-min", "9223372036854775807", "--k-max", "9223372036854775807", "--n-min", "0", "--n-max", "0",
      "--routes", "r5"],
-], ids=["lah", "lah-maxsize", "lah-maxsize+1", "stirling1", "verify", "verify-n-maxsize", "verify-k-maxsize"])
+    ["lah", "--n", "100000000000000000", "--k", "1"],
+    ["stirling1", "--n", "100000000000000000", "--k", "1"],
+    ["verify", "--k-min", "2", "--k-max", "2", "--n-min", "100000000000000000", "--n-max", "100000000000000000",
+     "--routes", "r5"],
+], ids=["lah", "lah-maxsize", "lah-maxsize+1", "stirling1", "verify", "verify-n-maxsize", "verify-k-maxsize",
+        "lah-1e17", "stirling1-1e17", "verify-n-1e17"])
 def test_index_past_the_c_limit_exits_two_with_one_line(argv):
     done = subprocess.run([sys.executable, "-m", "lahverify", *argv], env=_fresh_env(), capture_output=True,
                           text=True, timeout=10)
@@ -1220,20 +1225,35 @@ def test_stream_closed_before_the_start(fd, argv, code, kept):
     assert (done.stdout if fd == 1 else done.stderr) == ""
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS, which Linux enforces")
-def test_out_of_memory_is_one_error_line():
-    # an n range far larger than memory, under an address-space limit set
-    # in the child alone
+def _run_in_128_mib(argv: list[str]) -> subprocess.CompletedProcess:
+    # under an address-space limit set in the child alone
     import resource
 
     limit = 128 << 20
-    done = subprocess.run(
-        [sys.executable, "-m", "lahverify", "verify", "--k-min", "2", "--k-max", "2", "--n-min", "0",
-         "--n-max", "1000000000", "--routes", "r1"],
-        env=_fresh_env(), capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "lahverify", *argv], env=_fresh_env(), capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS, which Linux enforces")
+def test_out_of_memory_is_one_error_line():
+    # an n range far larger than memory, whose direct sum's largest value,
+    # 30000002!, needs at least 43 MB, which the address space could hold
+    done = _run_in_128_mib(["verify", "--k-min", "2", "--k-max", "2", "--n-min", "0", "--n-max", "30000000",
+                            "--routes", "r1"])
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS, which Linux enforces")
+def test_a_value_past_the_address_space_limit_is_an_index_too_large():
+    # 1000000002! needs at least 1.75 GB, far more than the limit allows,
+    # so the grid is refused before any factorial is formed
+    done = _run_in_128_mib(["verify", "--k-min", "2", "--k-max", "2", "--n-min", "1000000000",
+                            "--n-max", "1000000000", "--routes", "r1"])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("error: index too large: 1000000002! has more than 14000000028 bits, "
+                           "more than the 134217728 bytes this process can hold\n")
 
 
 @pytest.mark.parametrize("argv, r5_fault, code, last_err", [

@@ -105,11 +105,66 @@ class TestFactorial:
             monkeypatch.setattr(exact_mod, "sys", SimpleNamespace(maxsize=math.factorial(m).bit_length()))
             check_factorial_fits(m)
 
-    def test_fits_refuses_only_near_the_c_limit(self):
+    def test_fits_refuses_only_near_the_c_limit(self, monkeypatch):
+        # where memory cannot be read, only the C limit bounds a value
+        monkeypatch.setattr(exact_mod, "_memory_bytes", lambda: None)
         check_factorial_fits(3 * 10**17)
         for m in (4 * 10**17, sys.maxsize - 1, sys.maxsize + 2):
             with pytest.raises(OverflowError, match=f"^{m}! has more than {sys.maxsize} bits$"):
                 check_factorial_fits(m)
+
+
+    # the bound h (bitlen(h) - 1), with h = m // 2, first reaches 2^30 bits
+    # at h = 42,949,673: 2^30 + 1 bits, and 2^27 bytes when rounded down
+    FIRST_READ = 85_899_346
+
+    def test_fits_refuses_what_memory_cannot_hold(self, monkeypatch):
+        m = self.FIRST_READ
+        monkeypatch.setattr(exact_mod, "_memory_bytes", lambda: 1 << 27)
+        check_factorial_fits(m)
+        monkeypatch.setattr(exact_mod, "_memory_bytes", lambda: (1 << 27) - 1)
+        with pytest.raises(OverflowError, match=f"^{m}! has more than {2**30 + 1} bits, more than the "
+                                                f"{(1 << 27) - 1} bytes this process can hold$"):
+            check_factorial_fits(m)
+        # the C limit is checked first, whatever memory there is
+        monkeypatch.setattr(exact_mod, "_memory_bytes", lambda: 1 << 80)
+        with pytest.raises(OverflowError, match=f"has more than {sys.maxsize} bits$"):
+            check_factorial_fits(4 * 10**17)
+
+    def test_fits_reads_no_memory_below_2_to_the_30_bits(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(exact_mod, "_memory_bytes", lambda: reads.append(1) or 0)
+        for m in (0, 1, 10**5, self.FIRST_READ - 1):
+            check_factorial_fits(m)
+        assert reads == []
+        with pytest.raises(OverflowError):
+            check_factorial_fits(self.FIRST_READ)
+        assert reads == [1]
+
+    @pytest.mark.parametrize("meminfo, rlimit, expected", [
+        ("MemTotal:       1000 kB\nMemFree:  10 kB\nSwapTotal:     24 kB\n", None, 1024 * 1024),
+        ("MemTotal:       1000 kB\nSwapTotal:     24 kB\n", 5000, 5000),
+        ("MemTotal:       1000 kB\nSwapTotal:     24 kB\n", 1 << 40, 1024 * 1024),
+        (None, 5000, 5000),
+        ("MemTotal:       1000 kB\n", 5000, 5000),
+        ("garbled", None, None),
+        (None, None, None),
+    ], ids=["meminfo", "rlimit-below", "rlimit-above", "no-meminfo", "no-swap-line", "garbled", "neither"])
+    def test_memory_is_the_smaller_readable_limit(self, monkeypatch, meminfo, rlimit, expected):
+        import io
+        import resource
+
+        def fake_open(path, *args, **kwargs):
+            assert path == "/proc/meminfo"
+            if meminfo is None:
+                raise FileNotFoundError(path)
+            return io.StringIO(meminfo)
+
+        monkeypatch.setattr(exact_mod, "open", fake_open, raising=False)
+        limit = resource.RLIM_INFINITY if rlimit is None else rlimit
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, resource.RLIM_INFINITY))
+        # the cached reader's own body, which the process runs at most once
+        assert exact_mod._memory_bytes.__wrapped__() == expected
 
 
 class TestExactDecimal:

@@ -297,16 +297,33 @@ class TestTriangleType:
 
 
 class TestDecimalRows:
-    @pytest.mark.parametrize("traps", [[], [decimal.Inexact], [decimal.Rounded]])
-    def test_decimal_start_outside_a_trapping_context_is_refused(self, traps):
-        # under the default context, row 40 of the Lah triangle would hold
-        # 28 rounded entries
-        with decimal.localcontext(decimal.Context(traps=traps)):
-            rows = triangle_rows("lah", 40, start=decimal.Decimal(1))
-            with pytest.raises(ValueError, match=r"exact\.exact_decimal\(\)"):
-                next(rows)
-        with pytest.raises(ValueError, match="Inexact and Rounded"):
-            next(triangle_rows("stirling1", 3, start=decimal.Decimal(1)))
+    @pytest.mark.parametrize("context", [decimal.Context(traps=[]), decimal.Context(prec=10)],
+                             ids=["no-traps", "10-digits"])
+    @pytest.mark.parametrize("kind", ["lah", "stirling1"])
+    def test_decimal_start_is_exact_in_any_caller_context(self, kind, context):
+        # under the default precision, row 40 of the Lah triangle would hold
+        # 28 rounded entries; each row is built in the exact context, and
+        # the caller's own is current again after it, as it was
+        expected = list(triangle_rows(kind, 40))
+        with decimal.localcontext(context) as caller:
+            for n, row in enumerate(triangle_rows(kind, 40, start=decimal.Decimal(1))):
+                assert decimal.getcontext() is caller and caller.prec == context.prec
+                assert all(isinstance(v, decimal.Decimal) for v in row)
+                assert [int(v) for v in row] == expected[n]
+        assert n == 40
+
+    def test_a_context_set_between_rows_is_current_after_the_next(self):
+        # a manager reused across rows would put back the context that was
+        # current when it was made, not the one the caller has set since
+        rows = triangle_rows("lah", 30, start=decimal.Decimal(1))
+        expected = triangle_rows("lah", 30)
+        with decimal.localcontext(decimal.Context(prec=10)):
+            assert next(rows) == next(expected) and next(rows) == next(expected)
+            for prec in (7, 12, 5, 28):
+                later = decimal.Context(prec=prec)
+                decimal.setcontext(later)
+                assert [int(v) for v in next(rows)] == next(expected)
+                assert decimal.getcontext() is later and later.prec == prec
 
     @pytest.mark.parametrize("max_k", [None, 0, 40])
     @pytest.mark.parametrize("kind", ["lah", "stirling1"])
