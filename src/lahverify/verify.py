@@ -399,9 +399,7 @@ def verify_instance(inst: IdentityInstance, routes: Iterable[str] = ROUTE_NAMES)
     return VerificationReport(inst, reference, values, all_match, errors)
 
 
-def _row_reports(
-    rows: Iterable[int], ns: Sequence[int], route_names: Sequence[str]
-) -> dict[int, list[VerificationReport]]:
+def _row_reports(rows: range, ns: range, route_names: Sequence[str]) -> dict[int, list[VerificationReport]]:
     """The ``{k: reports}`` of ``rows``, one ``verify_instance`` report per
     n of ``ns``, in order: the one row loop of ``verify_grid``, run by this
     process's share, by every forked child and by ``workers._collect``."""
@@ -415,17 +413,19 @@ _FORK_GRAIN = 6000
 
 
 def verify_grid(
-    k_values: Iterable[int],
-    n_values: Iterable[int],
+    ks: range,
+    ns: range,
     routes: Iterable[str] = ROUTE_NAMES,
     jobs: int = 1,
 ) -> list[VerificationReport]:
-    """One report per (k, n), in (k, n)-lexicographic order at every job
-    count. Mismatches and failed route cross-checks are reported, not
-    raised. The route names and the grid's bounds are checked first: an
-    unknown route, a k below 2 or a negative n raises ValueError, and a
-    largest n + k whose factorial no memory holds raises OverflowError,
-    before any row is dealt out or any child is forked. The grid keeps its rows
+    """One report per (k, n) of the ranges ``ks`` and ``ns``, in (k, n)-
+    lexicographic order at every job count. Mismatches and failed route
+    cross-checks are reported, not raised. The arguments are checked
+    first, the bounds from the ends of the ranges: anything but a range
+    with a positive step raises TypeError, an unknown route, a k below 2
+    or a negative n raises ValueError, and a largest n + k whose factorial
+    no memory holds raises OverflowError, before any row is dealt out or
+    any child is forked; an empty range gives no report. The grid keeps its rows
     and columns in a ``_STORE`` of its own, and leaves the store that keeps
     nothing in its place when it returns or raises, so nothing outlives
     it, also when grids overlap in threads; one that overlaps another may
@@ -454,23 +454,26 @@ def verify_grid(
     that path.
     """
     global _STORE
+    # a list or a set would be reported in its own order, repeats and all,
+    # and its bound read from the wrong end
+    if not all(isinstance(axis, range) and axis.step > 0 for axis in (ks, ns)):
+        raise TypeError("verify_grid takes ks and ns as ranges with a positive step")
     route_names = _route_names(routes)
-    ns = sorted(set(n_values))
-    rows = sorted(set(k_values)) if ns else []
-    if rows:
-        # every instance of the grid is valid when the one of its smallest k
-        # and smallest n is
-        IdentityInstance(rows[0], ns[0])
-        # the direct sum's last term is (n+k)! times L(k, k) = 1
-        check_factorial_fits(ns[-1] + rows[-1])
-    work = len(ns) * sum(rows)
+    if not (ks and ns):
+        return []
+    # every instance of the grid is valid when the one of its smallest k
+    # and smallest n is
+    IdentityInstance(ks[0], ns[0])
+    # the direct sum's last term is (n+k)! times L(k, k) = 1
+    check_factorial_fits(ns[-1] + ks[-1])
+    work = len(ns) * sum(ks)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = max(1, min(jobs, len(rows), cpus, work // _FORK_GRAIN)) if hasattr(os, "fork") else 1
+    workers = max(1, min(jobs, len(ks), cpus, work // _FORK_GRAIN)) if hasattr(os, "fork") else 1
     # the largest k is the slowest row; dealing the rows round-robin from
     # the largest down gives every share about the same work, and this
     # process, which also unpickles every child's reports, keeps the last
     # and lightest share
-    *shares, own = (rows[::-1][i::workers] for i in range(workers))
+    *shares, own = (ks[::-1][i::workers] for i in range(workers))
     _STORE = {}
     try:
         if shares:
@@ -482,4 +485,4 @@ def verify_grid(
             by_k = _row_reports(own, ns, route_names)
     finally:
         _STORE = _DISCARD
-    return [report for k in rows for report in by_k[k]]
+    return [report for k in ks for report in by_k[k]]

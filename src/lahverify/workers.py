@@ -17,7 +17,7 @@ from typing import IO, Sequence
 from .verify import VerificationReport, _row_reports
 
 
-def _fork_share(share: Sequence[int], ns: Sequence[int], route_names: Sequence[str]) -> tuple[int, IO[bytes]] | None:
+def _fork_share(share: range, ns: range, route_names: Sequence[str]) -> tuple[int, IO[bytes]] | None:
     """Fork a child that pickles the ``{k: reports}`` of the rows of
     ``share`` into a pipe, or exits having sent nothing; returns its pid and
     the read end of the pipe, or None, with no descriptor left open, when
@@ -49,7 +49,7 @@ def _fork_share(share: Sequence[int], ns: Sequence[int], route_names: Sequence[s
 
 
 def _collect(
-    child: tuple[int, IO[bytes]] | None, share: Sequence[int], ns: Sequence[int], route_names: Sequence[str]
+    child: tuple[int, IO[bytes]] | None, share: range, ns: range, route_names: Sequence[str]
 ) -> dict[int, list[VerificationReport]]:
     """The reports of ``share``, the one place a forked share comes back:
     those the child sent; otherwise the rows verified here, so that an
@@ -69,7 +69,7 @@ def _terminate(signum: int, frame: object) -> None:
 
 
 def verify_shares(
-    shares: Sequence[Sequence[int]], own: Sequence[int], ns: Sequence[int], route_names: Sequence[str]
+    shares: Sequence[range], own: range, ns: range, route_names: Sequence[str]
 ) -> dict[int, list[VerificationReport]]:
     """The ``{k: reports}`` of the rows of every share of ``shares`` and of
     ``own``: one child is forked per share of ``shares``, this process

@@ -1225,11 +1225,11 @@ def test_stream_closed_before_the_start(fd, argv, code, kept):
     assert (done.stdout if fd == 1 else done.stderr) == ""
 
 
-def _run_in_128_mib(argv: list[str]) -> subprocess.CompletedProcess:
-    # under an address-space limit set in the child alone
+def _run_in_mib(mib: int, argv: list[str]) -> subprocess.CompletedProcess:
+    # under an address-space limit of ``mib`` MiB, set in the child alone
     import resource
 
-    limit = 128 << 20
+    limit = mib << 20
     return subprocess.run(
         [sys.executable, "-m", "lahverify", *argv], env=_fresh_env(), capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
@@ -1240,8 +1240,8 @@ def _run_in_128_mib(argv: list[str]) -> subprocess.CompletedProcess:
 def test_out_of_memory_is_one_error_line():
     # an n range far larger than memory, whose direct sum's largest value,
     # 30000002!, needs at least 43 MB, which the address space could hold
-    done = _run_in_128_mib(["verify", "--k-min", "2", "--k-max", "2", "--n-min", "0", "--n-max", "30000000",
-                            "--routes", "r1"])
+    done = _run_in_mib(128, ["verify", "--k-min", "2", "--k-max", "2", "--n-min", "0", "--n-max", "30000000",
+                             "--routes", "r1"])
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
 
@@ -1249,11 +1249,29 @@ def test_out_of_memory_is_one_error_line():
 def test_a_value_past_the_address_space_limit_is_an_index_too_large():
     # 1000000002! needs at least 1.75 GB, far more than the limit allows,
     # so the grid is refused before any factorial is formed
-    done = _run_in_128_mib(["verify", "--k-min", "2", "--k-max", "2", "--n-min", "1000000000",
-                            "--n-max", "1000000000", "--routes", "r1"])
+    done = _run_in_mib(128, ["verify", "--k-min", "2", "--k-max", "2", "--n-min", "1000000000",
+                             "--n-max", "1000000000", "--routes", "r1"])
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == ("error: index too large: 1000000002! has more than 14000000028 bits, "
                            "more than the 134217728 bytes this process can hold\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS, which Linux enforces")
+@pytest.mark.parametrize("k_max, n_max, route", [
+    ("2", "1000000000", "r1"),
+    ("1000000000", "0", "r1"),
+    ("2", "9223372036854775807", "r5"),
+    ("9223372036854775807", "0", "r5"),
+], ids=["n-1e9", "k-1e9", "n-max", "k-max"])
+def test_a_range_wider_than_memory_is_refused_before_it_is_listed(k_max, n_max, route):
+    # the bound is read from the ends of the ranges, so a grid whose k or n
+    # range alone is far larger than memory exits as the one instance at
+    # its far corner does, and lists neither range
+    done = _run_in_mib(256, ["verify", "--k-min", "2", "--k-max", k_max, "--n-min", "0", "--n-max", n_max,
+                             "--routes", route])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: index too large: ")
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
 
 
 @pytest.mark.parametrize("argv, r5_fault, code, last_err", [

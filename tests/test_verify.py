@@ -386,7 +386,7 @@ class TestInternalGuards:
 
     def test_failed_cross_check_is_reported_not_raised(self, monkeypatch):
         monkeypatch.setattr(verify_mod, "chu_vandermonde_closed", lambda a, b, c: (7, 1))
-        reports = verify_grid([3], range(0, 3), routes=("r1", "r5"))
+        reports = verify_grid(range(3, 4), range(0, 3), routes=("r1", "r5"))
         assert [r.instance.n for r in reports] == [0, 1, 2]
         for r in reports:
             assert r.route_values["r5"] is None
@@ -413,7 +413,7 @@ class TestInternalGuards:
         # lhs_direct and r6 read the closed form; r1 and r2 read none of it
         closed_form = numbers_mod.lah
         monkeypatch.setattr(numbers_mod, "lah", lambda n, k: closed_form(n, k) + ((n, k) == (3, 2)))
-        reports = verify_grid([3], range(4), ("r1", "r2", "r6"))
+        reports = verify_grid(range(3, 4), range(4), ("r1", "r2", "r6"))
         assert [r.instance.n for r in reports] == [0, 1, 2, 3]
         for r in reports:
             assert r.route_values["lhs_direct"] != r.reference
@@ -432,7 +432,7 @@ class TestInternalGuards:
             return binomial(e, j) + (e < 0 and j == 2)
 
         monkeypatch.setattr(verify_mod, "binomial_general", negative_x2_coeff_off)
-        for r in verify_grid([3], range(0, 4), routes=("r1", "r3")):
+        for r in verify_grid(range(3, 4), range(0, 4), routes=("r1", "r3")):
             assert r.route_values["r3"] is None
             assert r.errors == {"r3": f"convolution route broke at k=3, n={r.instance.n}"}
             assert r.route_values["r1"] == r.reference
@@ -448,7 +448,7 @@ class TestInternalGuards:
             return exact_quotient(num, den) + (divisors.count(3) == 1 and den == 3)
 
         monkeypatch.setattr(verify_mod, "exact_quotient", one_step_off)
-        first, *rest = verify_grid([4], range(0, 6))
+        first, *rest = verify_grid(range(4, 5), range(0, 6))
         # every step of b(l) in every column is a checked division; then r5
         # divides by (2)_3 = 24
         assert divisors == [1, 2, 3, 24] * 6
@@ -465,7 +465,7 @@ class TestInternalGuards:
         # product; output k of the transform carries b(k) with the sign
         # (-1)^k, so the closed form of a(k) sees the error for odd and even k
         monkeypatch.setattr(verify_mod, "exact_quotient", lambda num, den: exact_quotient(num, den) + (den == k - 1))
-        reports = verify_grid([k], range(0, 6))
+        reports = verify_grid(range(k, k + 1), range(0, 6))
         for r in reports:
             assert r.route_values["r4"] is None
             assert r.errors == {"r4": f"inversion dual identity broke at k={k}, n={r.instance.n}"}
@@ -886,7 +886,7 @@ class TestVerifyInstance:
 
     def test_one_row_grid_is_one_instance_per_n(self):
         inst = IdentityInstance(4, 6)
-        assert verify_instance(inst) == verify_grid([4], [6])[0]
+        assert verify_instance(inst) == verify_grid(range(4, 5), range(6, 7))[0]
         assert verify_instance(inst).errors == {}
 
 
@@ -903,13 +903,18 @@ class TestVerifyGrid:
         with pytest.raises(ValueError):
             verify_grid(range(1, 3), range(0, 2), routes=("r1",))
 
-    @pytest.mark.parametrize("ks, ns, message", [
-        (range(1, 6), range(0, 4), "k >= 2"),
-        (range(2, 6), range(-1, 4), "n >= 0"),
-    ], ids=["k-below-two", "negative-n"])
-    def test_bad_bounds_rejected_before_any_instance_or_fork(self, monkeypatch, forks, ks, ns, message):
+    @pytest.mark.parametrize("ks, ns, error, message", [
+        (range(1, 6), range(0, 4), ValueError, "k >= 2"),
+        (range(2, 6), range(-1, 4), ValueError, "n >= 0"),
+        # a grid is two ranges, each ascending, or nothing runs
+        ([5, 2, 3], range(0, 4), TypeError, "ranges with a positive step"),
+        (range(2, 6), {3, 0, 1}, TypeError, "ranges with a positive step"),
+        ((k for k in range(2, 6)), range(0, 4), TypeError, "ranges with a positive step"),
+        (range(5, 1, -1), range(0, 4), TypeError, "ranges with a positive step"),
+    ], ids=["k-below-two", "negative-n", "list", "set", "generator", "descending-range"])
+    def test_bad_bounds_rejected_before_any_instance_or_fork(self, monkeypatch, forks, ks, ns, error, message):
         calls = self._count_instances(monkeypatch)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message):
             verify_grid(ks, ns, routes=("r1", "r4"), jobs=2)
         assert calls == []
         assert forks == []
@@ -919,11 +924,11 @@ class TestVerifyGrid:
             verify_grid(range(2, 6), range(0, 4), routes=("r1", "r9"), jobs=2)
         assert forks == []
 
-    def test_one_row_grid_sorts_ns_forks_nothing_and_keeps_no_column(self, forks):
-        # the one way to verify a row: n ascending without repeats, no fork
-        # at any job count, and no r2 or r4 column left behind
-        reports = verify_grid([3], [4, 1, 4, 0], routes=("r2", "r4"), jobs=2)
-        assert [tuple(r.instance) for r in reports] == [(3, 0), (3, 1), (3, 4)]
+    def test_one_row_grid_forks_nothing_and_keeps_no_column(self, forks):
+        # the one way to verify a row: every n of its range in order, no
+        # fork at any job count, and no r2 or r4 column left behind
+        reports = verify_grid(range(3, 4), range(0, 7, 3), routes=("r2", "r4"), jobs=2)
+        assert [tuple(r.instance) for r in reports] == [(3, 0), (3, 3), (3, 6)]
         assert all(r.all_match for r in reports)
         assert forks == []
         assert verify_mod._STORE == {}
@@ -1041,7 +1046,7 @@ class TestVerifyGrid:
             return build(k)
 
         monkeypatch.setattr(verify_mod, name, snapshot_build)
-        assert all(r.all_match for r in verify_grid([5, 6], [3]))
+        assert all(r.all_match for r in verify_grid(range(5, 7), range(3, 4)))
         # rows come largest k first, so row 6 is kept when row 5 is built
         assert len(held) == 2
         value = held[1][self.ROWS[name], 6]
@@ -1078,11 +1083,11 @@ class TestVerifyGrid:
             return value
 
         monkeypatch.setitem(ROUTE_FUNCTIONS, "r6", snapshot_route6)
-        assert verify_grid([3], [2])[0].all_match
+        assert verify_grid(range(3, 4), range(2, 3))[0].all_match
         assert verify_mod._STORE is outside and outside == {}
         monkeypatch.setitem(ROUTE_FUNCTIONS, "r6", lambda inst: snapshot_route6(inst, raises=True))
         with pytest.raises(RuntimeError, match="injected"):
-            verify_grid([3], [2])
+            verify_grid(range(3, 4), range(2, 3))
         assert verify_mod._STORE is outside and outside == {}
         assert held == [[("lah", 3), ("r1", 3), ("r2", 2), ("r3", 2), ("r3 factor", 3), ("r4", 2), ("r6", 3)]] * 2
 
@@ -1101,7 +1106,8 @@ class TestVerifyGrid:
 
         monkeypatch.setitem(ROUTE_FUNCTIONS, "r5", slow_route5)
         done = []
-        threads = [threading.Thread(target=lambda k=k: done.append(verify_grid([k], [0], ("r5",)))) for k in (3, 4)]
+        threads = [threading.Thread(target=lambda k=k: done.append(verify_grid(range(k, k + 1), range(0, 1), ("r5",))))
+                   for k in (3, 4)]
         threads[0].start()
         time.sleep(0.02)
         threads[1].start()
@@ -1115,17 +1121,16 @@ class TestVerifyGrid:
         assert verify_mod._STORE == {}
 
     @settings(deadline=None)
-    @given(st.lists(st.integers(2, 9), max_size=5), st.lists(st.integers(0, 12), max_size=6),
+    @given(st.integers(2, 9), st.integers(0, 5), st.integers(0, 12), st.integers(0, 6),
            st.sets(st.sampled_from(ROUTE_NAMES)))
-    def test_store_changes_no_report(self, ks, ns, routes):
+    def test_store_changes_no_report(self, k_start, k_count, n_start, n_count, routes):
         # a grid shares every row and column through one store; each
         # instance verified alone, which keeps nothing, must report the same,
         # so that no row key can collide with a column key
+        ks, ns = range(k_start, k_start + k_count), range(n_start, n_start + n_count)
         reports = verify_grid(ks, ns, routes)
         assert verify_mod._STORE == {}
-        alone = [verify_instance(IdentityInstance(k, n), routes)
-                 for k in (sorted(set(ks)) if ns else []) for n in sorted(set(ns))]
-        assert reports == alone
+        assert reports == [verify_instance(IdentityInstance(k, n), routes) for k in ks for n in ns]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs forked workers")
     def test_interrupt_kills_the_children_before_waiting(self, monkeypatch, forks):
@@ -1142,7 +1147,7 @@ class TestVerifyGrid:
         monkeypatch.setitem(ROUTE_FUNCTIONS, "r1", interrupted_here_blocked_there)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            verify_grid([2, 3], [0], ("r1",), jobs=2)
+            verify_grid(range(2, 4), range(0, 1), ("r1",), jobs=2)
         assert time.monotonic() - start < 1
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
@@ -1172,7 +1177,7 @@ class TestVerifyGrid:
         try:
             start = time.monotonic()
             with pytest.raises(SystemExit) as caught:
-                verify_grid([2, 3], [0], ("r1",), jobs=2)
+                verify_grid(range(2, 4), range(0, 1), ("r1",), jobs=2)
             assert time.monotonic() - start < 1
             assert signal.getsignal(signal.SIGTERM) is ignore
         finally:
